@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add, neg, sub
 
 from .polyring import (
     QQ,
@@ -38,10 +39,8 @@ class PairBudgetExceeded(RuntimeError):
 
 
 def _neg_key(key):
-    # order keys are nested tuples of ints/Fractions; negate for min-heap use
-    if isinstance(key, tuple):
-        return tuple(_neg_key(part) for part in key)
-    return -key
+    # order keys are flat tuples of ints; negate for min-heap use
+    return tuple(map(neg, key))
 
 
 def _prepare_reducers(basis, order):
@@ -58,9 +57,10 @@ def _reduce_terms(terms: dict, reducers, field: Field, keyfn, quotients=None) ->
 
     Monomials are processed in strictly decreasing key order via a lazy heap
     (stale entries are skipped), so tail substitutions never touch monomials
-    already settled into the remainder.
+    already settled into the remainder. Tail updates use raw int/Fraction
+    arithmetic (reduced mod p over F_p); the remainder is made canonical once.
     """
-    zero = field.zero
+    p = field.p
     heap = [(_neg_key(keyfn(m)), m) for m in terms]
     heapq.heapify(heap)
     remainder: dict = {}
@@ -77,28 +77,30 @@ def _reduce_terms(terms: dict, reducers, field: Field, keyfn, quotients=None) ->
                     break
             if not divisible:
                 continue
-            shift = tuple(a - b for a, b in zip(m, lm))
+            shift = tuple(map(sub, m, lm))
             factor = field.mul(c, inv_lc)
             if quotients is not None:
                 q = quotients[idx]
-                q[shift] = field.add(q.get(shift, zero), factor)
+                q[shift] = field.add(q.get(shift, 0), factor)
             for tm, tc in tail:
-                key = tuple(a + b for a, b in zip(tm, shift))
+                key = tuple(map(add, tm, shift))
                 prev = terms.get(key)
                 if prev is None:
-                    v = field.neg(field.mul(factor, tc))
-                    terms[key] = v
+                    v = -factor * tc
+                    terms[key] = v if p is None else v % p
                     heapq.heappush(heap, (_neg_key(keyfn(key)), key))
                 else:
-                    v = field.sub(prev, field.mul(factor, tc))
-                    if v == zero:
-                        del terms[key]
-                    else:
+                    v = prev - factor * tc
+                    if p is not None:
+                        v %= p
+                    if v:
                         terms[key] = v
+                    else:
+                        del terms[key]
             break
         else:
             remainder[m] = c
-    return remainder
+    return field.canonical(remainder)
 
 
 def _require_nonzero(basis) -> list[Poly]:
@@ -370,7 +372,7 @@ class _EliminationOrder:
         self.nvars = inner.nvars + 1
 
     def key(self, mono: Monomial):
-        return (mono[-1], self.inner.key(mono[:-1]))
+        return (mono[-1],) + self.inner.key(mono[:-1])
 
 
 def _lift(f: Poly, with_aux: bool) -> Poly:

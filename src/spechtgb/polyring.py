@@ -1,8 +1,11 @@
 """Exact sparse multivariate polynomials over the rationals or a prime field.
 
-Monomials are fixed-width exponent tuples, coefficients are Fractions (over Q)
-or canonical residues 0..p-1 (over F_p). Values are immutable and every
-operation is re-entrant; there are no shared mutable caches.
+Monomials are fixed-width exponent tuples. Over Q a coefficient is an int
+exactly when it is integral and a Fraction otherwise, so the integer
+coefficients of Specht polynomials and monic bases never pay for Fraction
+arithmetic; over F_p coefficients are canonical residues 0..p-1. Values are
+immutable and every operation is re-entrant; there are no shared mutable
+caches.
 
 Owns the monomial orders (lex, graded lex, graded reverse lex, positive weight
 with lex tiebreak), the polynomial text grammar, and the order/field syntax
@@ -13,23 +16,52 @@ are spelled ``Q`` or ``F7``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter, mul
 
 MAX_VARS = 16
 
 Monomial = tuple[int, ...]
 
+# Deterministic Miller-Rabin with the primes up to 41 as bases is exact for
+# every p below this bound, the smallest strong pseudoprime to all of them;
+# larger characteristics are rejected. (The primes up to 37 alone would pass
+# the strong pseudoprime 318665857834031151167461.)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def _is_prime(p: int) -> bool:
+    if p >= _MR_LIMIT:
+        raise ValueError(f"field characteristic {p} is too large to certify as prime "
+                         f"(limit {_MR_LIMIT})")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _q(c):
+    """The canonical Q form of an int or Fraction: an int exactly when integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 @dataclass(frozen=True)
@@ -38,21 +70,20 @@ class Field:
 
     p: int | None = None
 
+    zero = 0
+    one = 1
+
     def __post_init__(self):
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"field characteristic must be prime, got {self.p}")
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
-
     def coerce(self, value):
+        if type(value) is int:
+            return value if self.p is None else value % self.p
+        if isinstance(value, (float, complex)):
+            raise TypeError(f"inexact coefficient {value!r}; use an int or a Fraction")
         if self.p is None:
-            return Fraction(value)
+            return _q(Fraction(value))
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ValueError(
@@ -62,21 +93,31 @@ class Field:
         return int(value) % self.p
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _q(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return _q(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return _q(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
 
     def inv(self, a):
-        if a == self.zero:
+        if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.p is None else pow(a, -1, self.p)
+        if self.p is not None:
+            return pow(a, -1, self.p)
+        return int(a) if a == 1 or a == -1 else _q(1 / Fraction(a))
+
+    def canonical(self, terms: dict) -> dict:
+        """Terms whose coefficients are raw int/Fraction sums and products of
+        field elements, in canonical form with the zero coefficients dropped."""
+        if self.p is None:
+            return {m: _q(c) for m, c in terms.items() if c}
+        p = self.p
+        return {m: r for m, c in terms.items() if (r := c % p)}
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -114,7 +155,7 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -125,13 +166,18 @@ class MonomialOrder:
     """A total monomial order on a fixed number of variables.
 
     ranking lists the variables in ascending order: ranking[-1] is the most
-    significant variable. key(m) returns a tuple that sorts monomials, so
-    max(terms, key=order.key) is the leading monomial.
+    significant variable. key(m) returns a flat tuple of ints that sorts
+    monomials, so max(terms, key=order.key) is the leading monomial: the
+    exponents from the most significant variable down for lex, behind the
+    total degree for grlex, the negated exponents from the least significant
+    variable up behind the total degree for grevlex, and the lex part behind
+    the weighted degree for weight orders. Rational weights are scaled once by
+    the lcm of their denominators, which leaves the order unchanged.
     """
 
     KINDS = ("lex", "grlex", "grevlex", "weight")
 
-    __slots__ = ("kind", "nvars", "ranking", "weights", "_desc")
+    __slots__ = ("kind", "nvars", "ranking", "weights", "key")
 
     def __init__(self, kind: str, nvars: int, ranking=None, weights=None):
         if kind not in self.KINDS:
@@ -155,21 +201,13 @@ class MonomialOrder:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "ranking", rank)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_desc", tuple(v - 1 for v in reversed(rank)))
+        object.__setattr__(self, "key", _order_key(kind, rank, w))
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialOrder is immutable")
 
-    def key(self, mono: Monomial):
-        desc = self._desc
-        if self.kind == "lex":
-            return tuple(mono[i] for i in desc)
-        if self.kind == "grlex":
-            return (sum(mono), tuple(mono[i] for i in desc))
-        if self.kind == "grevlex":
-            return (sum(mono), tuple(-mono[v - 1] for v in self.ranking))
-        total = sum(w * e for w, e in zip(self.weights, mono))
-        return (total, tuple(mono[i] for i in desc))
+    def __reduce__(self):
+        return MonomialOrder, (self.kind, self.nvars, self.ranking, self.weights)
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -205,6 +243,25 @@ class MonomialOrder:
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.text()!r}, nvars={self.nvars})"
+
+
+def _order_key(kind: str, ranking: tuple[int, ...], weights):
+    """The flat integer key function of an order (see MonomialOrder)."""
+    desc = tuple(v - 1 for v in reversed(ranking))
+    if desc == tuple(range(len(desc))):
+        lex = tuple  # the exponent vector is already its own lex key
+    else:
+        lex = itemgetter(*desc)
+    if kind == "lex":
+        return lex
+    if kind == "grlex":
+        return lambda mono: (sum(mono),) + lex(mono)
+    if kind == "grevlex":
+        asc = desc[::-1]
+        return lambda mono: (sum(mono), *[-mono[i] for i in asc])
+    scale = math.lcm(*(w.denominator for w in weights))
+    iw = tuple(int(w * scale) for w in weights)
+    return lambda mono: (sum(map(mul, iw, mono)),) + lex(mono)
 
 
 def lex_order(nvars: int, ranking=None) -> MonomialOrder:
@@ -301,16 +358,11 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(other, self.nvars, self.field)
         self._check_compatible(other)
-        field = self.field
-        zero = field.zero
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            v = field.add(out.get(m, zero), c)
-            if v == zero:
-                out.pop(m, None)
-            else:
-                out[m] = v
-        return Poly._raw(self.nvars, field, out)
+            out[m] = get(m, 0) + c
+        return Poly._raw(self.nvars, self.field, self.field.canonical(out))
 
     def __radd__(self, other) -> "Poly":
         return self.__add__(other)
@@ -329,26 +381,15 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = self.field.coerce(other)
-            if c == self.field.zero:
-                return Poly.zero(self.nvars, self.field)
-            field = self.field
-            return Poly._raw(
-                self.nvars, field, {m: field.mul(v, c) for m, v in self.terms.items()}
-            )
+            return self.term_mul((0,) * self.nvars, other)
         self._check_compatible(other)
-        field = self.field
-        zero = field.zero
         out: dict = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                v = field.add(out.get(m, zero), field.mul(c1, c2))
-                if v == zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = v
-        return Poly._raw(self.nvars, field, out)
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        return Poly._raw(self.nvars, self.field, self.field.canonical(out))
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
@@ -365,12 +406,12 @@ class Poly:
         """Multiply by coeff * x^mono in one pass."""
         field = self.field
         c = field.coerce(coeff)
-        if c == field.zero:
+        if c == 0:
             return Poly.zero(self.nvars, field)
         return Poly._raw(
             self.nvars,
             field,
-            {tuple(a + b for a, b in zip(m, mono)): field.mul(v, c) for m, v in self.terms.items()},
+            field.canonical({tuple(map(add, m, mono)): v * c for m, v in self.terms.items()}),
         )
 
     def total_degree(self) -> int:
@@ -388,15 +429,14 @@ class Poly:
         values = [self.field.coerce(v) for v in point]
         if len(values) != self.nvars:
             raise ValueError(f"point has {len(values)} coordinates, need {self.nvars}")
-        field = self.field
-        total = field.zero
+        p = self.field.p
+        total = 0
         for m, c in self.terms.items():
-            term = c
             for v, e in zip(values, m):
                 if e:
-                    term = field.mul(term, v**e if field.p is None else pow(v, e, field.p))
-            total = field.add(total, term)
-        return total
+                    c = c * v**e if p is None else c * pow(v, e, p) % p
+            total += c
+        return self.field.coerce(total)
 
     def __repr__(self) -> str:
         return f"Poly({polynomial_text(self)!r}, nvars={self.nvars}, field={self.field.text()})"

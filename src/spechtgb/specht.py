@@ -38,13 +38,23 @@ class SpechtGenerator:
 def specht_polynomial(t: Tableau, field: Field = QQ) -> Poly:
     """Expanded column-difference product of a tableau."""
     n = t.n
-    result = Poly.constant(1, n, field)
+    terms: dict = {(0,) * n: 1}
     for column in t.columns():
         for a in range(len(column)):
             for b in range(a + 1, len(column)):
-                i, j = column[a], column[b]
-                result = result * (Poly.variable(i, n, field) - Poly.variable(j, n, field))
-    return result
+                # fold the factor x_i - x_j into the integer term dict
+                i, j = column[a] - 1, column[b] - 1
+                out: dict = {}
+                get = out.get
+                for m, c in terms.items():
+                    if not c:
+                        continue
+                    mi = m[:i] + (m[i] + 1,) + m[i + 1:]
+                    out[mi] = get(mi, 0) + c
+                    mj = m[:j] + (m[j] + 1,) + m[j + 1:]
+                    out[mj] = get(mj, 0) - c
+                terms = out
+    return Poly._raw(n, field, field.canonical(terms))
 
 
 def _normalized(p: Poly, reference) -> Poly:

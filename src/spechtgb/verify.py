@@ -967,7 +967,10 @@ def _cmd_verify(args) -> int:
             elif args.check == "reduced":
                 single = check_reduced(filt, pair_budget=args.pair_budget)
             else:
-                single = check_finite_field(filt, field.p if field.p else 3,
+                if field.p is None:
+                    raise ValueError("a single finite_field run needs a prime field: "
+                                     "pass --field F<p>")
+                single = check_finite_field(filt, field.p,
                                             order_budget=min(args.order_budget, 10),
                                             seed=args.seed, pair_budget=args.pair_budget)
         elif args.check == "restricted":

@@ -28,6 +28,30 @@ def poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def poly_add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b, dropping cancelled terms."""
+    out = dict(a)
+    for m, c in b.items():
+        v = out.get(m, 0) + sign * c
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def term_product(a: dict, mono, coeff) -> dict:
+    """a times coeff * x^mono."""
+    if not coeff:
+        return {}
+    return {tuple(x + y for x, y in zip(m, mono)): c * coeff for m, c in a.items()}
+
+
+def as_fractions(terms: dict) -> dict:
+    """The same terms with every coefficient a Fraction."""
+    return {m: Fraction(c) for m, c in terms.items()}
+
+
 def difference_product(pairs, n: int) -> dict:
     """Expand prod (x_a - x_b) over the listed 1-based index pairs."""
     poly = {(0,) * n: Fraction(1)}

@@ -38,6 +38,7 @@ from spechtgb import (
     s_polynomial,
     shape_generators,
 )
+from spechtgb.specht import _normalized
 
 
 def p(text, n=3, field=QQ):
@@ -355,3 +356,62 @@ class TestFiniteFieldEngine:
         assert ok
         for g in gens:
             assert ideal_membership(g, gb, order)
+
+
+def assert_canonical(polys):
+    """No Q coefficient is stored as a Fraction with denominator 1."""
+    for f in polys:
+        for c in f.terms.values():
+            assert c != 0
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def mixed_poly_strategy(nvars=3, max_terms=3, linear=False):
+    if linear:
+        # affine-linear forms keep elimination bases small
+        mono = st.sampled_from([tuple(int(i == v) for i in range(nvars))
+                                for v in range(-1, nvars)])
+    else:
+        mono = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.one_of(
+        st.integers(-4, 4).filter(lambda v: v != 0),
+        st.builds(Fraction, st.integers(-4, 4).filter(lambda v: v != 0), st.integers(1, 3)),
+        st.builds(lambda k: Fraction(3 * k, 3), st.integers(1, 4)),
+    )
+    return st.dictionaries(mono, coeff, min_size=1, max_size=max_terms).map(
+        lambda d: Poly(nvars, QQ, d)
+    )
+
+
+class TestCanonicalCoefficients:
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(mixed_poly_strategy(max_terms=2), min_size=1, max_size=2),
+           order_strategy())
+    def test_engine_outputs_match_sympy_and_stay_canonical(self, gens, order):
+        basis, _ = buchberger(gens, order, pair_budget=20_000)
+        assert_canonical(basis)
+        reduced = reduce_groebner_basis(basis, order)
+        assert_canonical(reduced)
+        assert set(reduced) == sympy_reduced_gb(gens, order)
+        quotients, remainder = division(gens[0] * Fraction(1, 2) + 1, reduced, order)
+        assert_canonical(quotients + [remainder])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(mixed_poly_strategy(max_terms=3, linear=True), min_size=1, max_size=2),
+           st.lists(mixed_poly_strategy(max_terms=3, linear=True), min_size=1, max_size=2))
+    def test_intersection_outputs_stay_canonical(self, ga, gb):
+        meet = ideal_intersection(IdealBasis(3, QQ, tuple(ga)), IdealBasis(3, QQ, tuple(gb)))
+        assert_canonical(meet.generators)
+        # the generators are the reduced lex basis of the intersection
+        for f in ga:
+            for g in gb:
+                assert ideal_membership(f * g, list(meet.generators), lex_order(3))
+
+    def test_normalized_generators_stay_canonical(self):
+        order = lex_order(3)
+        scaled = p("2*x3 - 4*x1 + 1")
+        normalized = _normalized(scaled, order)
+        assert normalized.terms == {(0, 0, 1): 1, (1, 0, 0): -2, (0, 0, 0): Fraction(1, 2)}
+        assert_canonical([normalized])
+        for lam in partitions_of(4):
+            assert_canonical(g.polynomial for g in shape_generators(lam))

@@ -1,5 +1,7 @@
 """Sparse polynomial arithmetic, monomial orders, text syntax."""
 
+import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from spechtgb import (
     polynomial_text,
 )
 
-from oracles import eval_poly
+from oracles import as_fractions, eval_poly, poly_add, poly_mul, term_product
 
 
 def monomials(nvars):
@@ -38,6 +40,22 @@ def rationals():
     return st.builds(
         Fraction, st.integers(-6, 6), st.integers(1, 4)
     )
+
+
+def mixed_coefficients():
+    # plain ints, reduced Fractions, and integral Fractions such as 4/2
+    return st.one_of(
+        st.integers(-6, 6),
+        rationals(),
+        st.builds(lambda k: Fraction(2 * k, 2), st.integers(-6, 6)),
+    )
+
+
+def assert_canonical(terms):
+    """Q coefficients are ints exactly when integral, never 0, never a bool."""
+    for c in terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
 
 
 def polys(nvars, field=QQ):
@@ -325,3 +343,187 @@ class TestDegrees:
         assert f.degree_in(1) == 3
         assert f.degree_in(2) == 5
         assert f.degree_in(3) == 0
+
+
+class TestIntFirstCoefficients:
+    def test_field_operations_are_canonical(self):
+        assert QQ.zero == 0 and type(QQ.zero) is int
+        assert QQ.one == 1 and type(QQ.one) is int
+        assert type(QQ.coerce(Fraction(6, 3))) is int
+        assert type(QQ.coerce(True)) is int
+        assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
+        half = Fraction(1, 2)
+        assert type(QQ.add(half, half)) is int
+        assert type(QQ.sub(Fraction(3, 2), half)) is int
+        assert type(QQ.mul(half, 2)) is int
+        assert QQ.div(3, 6) == Fraction(1, 2)
+        assert type(QQ.div(4, 2)) is int
+        assert type(QQ.div(half, half)) is int
+        for unit in (1, -1, Fraction(1), Fraction(-1)):
+            assert QQ.inv(unit) == unit and type(QQ.inv(unit)) is int
+        assert QQ.inv(2) == Fraction(1, 2)
+        assert QQ.inv(Fraction(-1, 3)) == -3 and type(QQ.inv(Fraction(-1, 3))) is int
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(1, 0)
+
+    def test_parse_is_canonical(self):
+        f = parse_polynomial("4/2*x1 - 6/3 + 1/2*x2 + 3/4*x1 + 1/4*x1", 2)
+        assert f.terms == {(1, 0): 3, (0, 0): -2, (0, 1): Fraction(1, 2)}
+        assert_canonical(f.terms)
+
+    @settings(max_examples=60)
+    @given(
+        st.dictionaries(monomials(3), mixed_coefficients(), max_size=6),
+        st.dictionaries(monomials(3), mixed_coefficients(), max_size=6),
+        monomials(3),
+        mixed_coefficients(),
+    )
+    def test_arithmetic_matches_the_fraction_reference(self, a, b, mono, coeff):
+        ra = {m: Fraction(c) for m, c in a.items() if c}
+        rb = {m: Fraction(c) for m, c in b.items() if c}
+        f, g = Poly(3, QQ, a), Poly(3, QQ, b)
+        results = {
+            "add": (f + g, poly_add(ra, rb)),
+            "sub": (f - g, poly_add(ra, rb, -1)),
+            "mul": (f * g, poly_mul(ra, rb)),
+            "term_mul": (f.term_mul(mono, coeff), term_product(ra, mono, Fraction(coeff))),
+            "scalar": (f * coeff, term_product(ra, (0, 0, 0), Fraction(coeff))),
+            "neg": (-f, term_product(ra, (0, 0, 0), Fraction(-1))),
+        }
+        for name, (ours, ref) in results.items():
+            assert as_fractions(ours.terms) == ref, name
+            assert_canonical(ours.terms)
+
+    @settings(max_examples=60)
+    @given(
+        st.dictionaries(monomials(3), mixed_coefficients(), max_size=6),
+        st.lists(mixed_coefficients(), min_size=3, max_size=3),
+    )
+    def test_evaluate_matches_the_fraction_reference(self, a, point):
+        f = Poly(3, QQ, a)
+        value = f.evaluate(point)
+        assert value == eval_poly({m: Fraction(c) for m, c in a.items()}, point)
+        assert type(value) is int or value.denominator != 1
+
+    @settings(max_examples=40)
+    @given(polys(2, GF(7)), polys(2, GF(7)), st.lists(st.integers(-20, 20), min_size=2,
+                                                    max_size=2))
+    def test_finite_field_results_are_residues(self, f, g, point):
+        for h in (f + g, f - g, f * g, -f, f.term_mul((1, 0), 3)):
+            assert all(type(c) is int and 0 < c < 7 for c in h.terms.values())
+        assert 0 <= (f * g).evaluate(point) < 7
+        assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point) % 7
+
+
+class TestInexactInputs:
+    def test_floats_and_complex_rejected(self):
+        for field in (QQ, GF(7)):
+            for bad in (0.1, 2.5, 2.0, 1j, complex(2, 0)):
+                with pytest.raises(TypeError):
+                    field.coerce(bad)
+        x1 = Poly.variable(1, 2)
+        with pytest.raises(TypeError):
+            Poly(2, QQ, {(1, 0): 0.5})
+        with pytest.raises(TypeError):
+            x1 * 1.5
+        with pytest.raises(TypeError):
+            x1 + 0.25
+        with pytest.raises(TypeError):
+            x1.evaluate((0.5, 1))
+        with pytest.raises(TypeError):
+            Poly.constant(2.0, 2, GF(5))
+
+
+class TestPrimeCharacteristic:
+    @staticmethod
+    def _trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    def test_matches_trial_division_on_small_numbers(self):
+        for p in range(-2, 3000):
+            if self._trial_division(p):
+                assert GF(p).p == p
+            else:
+                with pytest.raises(ValueError):
+                    GF(p)
+
+    def test_pseudoprimes_rejected(self):
+        # Carmichael numbers, and strong pseudoprimes to the first few bases;
+        # the last passes every prime base up to 37
+        for n in (561, 1105, 1729, 2465, 2047, 3215031751, 3825123056546413051,
+                  318665857834031151167461):
+            with pytest.raises(ValueError):
+                GF(n)
+
+    def test_large_prime_is_certified_promptly(self):
+        start = time.perf_counter()
+        assert GF(10**18 + 3).p == 10**18 + 3
+        assert parse_field("F1000000000000000003") == GF(10**18 + 3)
+        assert GF(2**61 - 1).p == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_characteristic_beyond_the_certified_range_rejected(self):
+        with pytest.raises(ValueError):
+            GF(3_317_044_064_679_887_385_961_981)
+        with pytest.raises(ValueError):
+            GF(2**89 - 1)  # prime, but past the Miller-Rabin bound
+
+
+def nested_reference_key(order, mono):
+    """The order key as nested tuples with rational weights, written out from
+    the definitions: the flat keys must sort exactly like this."""
+    lex = tuple(mono[v - 1] for v in reversed(order.ranking))
+    if order.kind == "lex":
+        return lex
+    if order.kind == "grlex":
+        return (sum(mono), lex)
+    if order.kind == "grevlex":
+        return (sum(mono), tuple(-mono[v - 1] for v in order.ranking))
+    return (sum(w * e for w, e in zip(order.weights, mono)), lex)
+
+
+def all_orders(nvars):
+    rank = st.permutations(list(range(1, nvars + 1)))
+    weight = st.one_of(
+        st.sampled_from([Fraction(3, 2), Fraction(1, 3), Fraction(7, 4), 1, 2]),
+        st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=6),
+    )
+    plain = st.tuples(st.sampled_from(["lex", "grlex", "grevlex"]), rank).map(
+        lambda kr: MonomialOrder(kr[0], nvars, kr[1]))
+    weighted = st.tuples(rank, st.lists(weight, min_size=nvars, max_size=nvars)).map(
+        lambda rw: MonomialOrder("weight", nvars, rw[0], rw[1]))
+    return st.one_of(plain, weighted)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+class TestFlatOrderKeys:
+    @settings(max_examples=150)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.tuples(all_orders(n), st.lists(monomials(n), min_size=2, max_size=8))))
+    def test_flat_key_orders_like_the_nested_reference(self, case):
+        order, monos = case
+        for a in monos:
+            key = order.key(a)
+            assert type(key) is tuple and all(type(x) is int for x in key)
+            for b in monos:
+                assert _sign(order.key(a), order.key(b)) == _sign(
+                    nested_reference_key(order, a), nested_reference_key(order, b))
+        assert sorted(monos, key=order.key) == sorted(
+            monos, key=lambda m: nested_reference_key(order, m))
+
+    def test_weights_and_text_keep_the_rationals(self):
+        order = parse_order("weight:3/2,1,1/3:lex:1,2,3", 3)
+        assert order.weights == (Fraction(3, 2), Fraction(1), Fraction(1, 3))
+        assert order.text() == "weight:3/2,1,1/3:lex:1,2,3"
+        # 3/2 * 1 vs 1 * 1 + 1/3 * 1: scaled by 6 these are 9 and 8
+        assert order.compare((1, 0, 0), (0, 1, 1)) == 1
+
+    @settings(max_examples=20)
+    @given(all_orders(3), monomials(3))
+    def test_orders_survive_pickling(self, order, mono):
+        copy = pickle.loads(pickle.dumps(order))
+        assert copy == order
+        assert copy.key(mono) == order.key(mono)

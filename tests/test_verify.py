@@ -1,6 +1,7 @@
 """Check battery, negative controls, suite determinism, CLI behavior."""
 
 import json
+import time
 
 import pytest
 
@@ -145,6 +146,15 @@ class TestSuite:
         assert suite_exit_code([]) == 0
 
 
+class TestPinnedHash:
+    def test_verify_all_max_n_4_seed_7_hash(self, capsys):
+        # the published determinism hash: any change in behaviour moves it
+        assert main(["verify", "all", "--max-n", "4", "--seed", "7"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("89 pass, 0 fail, 0 skipped")
+        assert last.endswith("[determinism sha256:862a5afc81a1813c]")
+
+
 class TestCli:
     def test_gens_by_filter(self, capsys):
         assert main(["gens", "--n", "3", "--filter", "lower<=[2,1]"]) == 0
@@ -278,6 +288,23 @@ class TestCli:
         capsys.readouterr()
         assert main(["verify", "descent", "--n", "3", "--filter", "[2,1]"]) == 2
         capsys.readouterr()
+
+    def test_single_finite_field_run_needs_a_prime_field(self, capsys):
+        assert main(["verify", "finite_field", "--n", "3", "--filter", "lower<=[2,1]",
+                     "--field", "Q"]) == 2
+        assert "--field F<p>" in capsys.readouterr().err
+        assert main(["verify", "finite_field", "--n", "3", "--filter", "lower<=[2,1]",
+                     "--field", "F5"]) == 0
+        assert "pass" in capsys.readouterr().out
+
+    def test_large_prime_field_returns_promptly(self, capsys):
+        start = time.perf_counter()
+        assert main(["gb", "--n", "2", "--filter", "lower<=[1,1]",
+                     "--field", "F1000000000000000003"]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().out.strip().splitlines() == ["x2 + 1000000000000000002*x1"]
+        assert main(["gb", "--n", "2", "--filter", "lower<=[1,1]", "--field", "F561"]) == 2
+        assert "prime" in capsys.readouterr().err
 
     def test_verify_n_pins_a_single_size(self, capsys):
         assert main(["verify", "containment", "--n", "3"]) == 0

@@ -9,7 +9,9 @@ Also owns the text syntax for partitions and filters shared by the CLI:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from functools import lru_cache
+from math import factorial, prod
 
 Partition = tuple[int, ...]
 
@@ -306,29 +308,68 @@ def permutation_sign(perm, n: int) -> int:
     return sign
 
 
+def _trusted_tableau(entries, bounds) -> Tableau:
+    """Unvalidated Tableau with rows entries[a:b] for consecutive bounds: only for
+    enumerations that guarantee a partition shape and a bijection onto 1..n."""
+    t = object.__new__(Tableau)
+    object.__setattr__(t, "rows", tuple(tuple(entries[a:b]) for a, b in zip(bounds, bounds[1:])))
+    return t
+
+
 def tableaux(shape, mode: str = "all") -> tuple[Tableau, ...]:
     """Enumerate fillings of the shape, ordered lexicographically by row-major entry sequence.
 
-    mode selects all fillings, the column-standard ones, or the standard ones.
+    mode selects all fillings (a scan of the n! permutations), the column-standard
+    ones, or the standard ones. The last two are built directly by backtracking
+    over the cells in row-major order, each taking the unused values above the
+    cell over it (standard: and to its left) while enough remain for its column.
     """
     if mode not in TABLEAU_MODES:
         raise ValueError(f"mode must be one of {TABLEAU_MODES}, got {mode!r}")
     lam = validate_partition(shape)
     n = sum(lam)
-    bounds = []
-    start = 0
-    for p in lam:
-        bounds.append((start, start + p))
-        start += p
+    bounds = tuple(itertools.accumulate(lam, initial=0))
+    if mode == "all":
+        return tuple(_trusted_tableau(p, bounds) for p in itertools.permutations(range(1, n + 1)))
+    # per cell in row-major order: the cells bounding it from below (index n
+    # stands for no cell and holds 0) and the number of cells under it
+    heights = conjugate(lam)
+    cells = [
+        (bounds[r - 1] + c if r else n,
+         bounds[r] + c - 1 if c and mode == "standard" else n,
+         heights[c] - r - 1)
+        for r, p in enumerate(lam) for c in range(p)
+    ]
+    filling = [0] * (n + 1)
     out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        t = Tableau([perm[a:b] for a, b in bounds])
-        if mode == "column_standard" and not t.is_column_standard():
-            continue
-        if mode == "standard" and not t.is_standard():
-            continue
-        out.append(t)
+
+    def fill(k: int, free: list[int]) -> None:
+        if k == n:
+            out.append(_trusted_tableau(filling, bounds))
+            return
+        above, left, below = cells[k]
+        for i in range(bisect_right(free, max(filling[above], filling[left])), len(free) - below):
+            filling[k] = free[i]
+            fill(k + 1, free[:i] + free[i + 1:])
+
+    fill(0, list(range(1, n + 1)))
     return tuple(out)
+
+
+def tableau_count(shape, mode: str = "all") -> int:
+    """len(tableaux(shape, mode)) in closed form: n!, n! over the product of
+    c_j! for the column lengths c_j, or the hook-length count."""
+    if mode not in TABLEAU_MODES:
+        raise ValueError(f"mode must be one of {TABLEAU_MODES}, got {mode!r}")
+    lam = validate_partition(shape)
+    heights = conjugate(lam)
+    if mode == "all":
+        divisor = 1
+    elif mode == "column_standard":
+        divisor = prod(factorial(h) for h in heights)
+    else:
+        divisor = prod(p - c + heights[c] - r - 1 for r, p in enumerate(lam) for c in range(p))
+    return factorial(sum(lam)) // divisor
 
 
 def orbit_type(point) -> Partition:

@@ -99,19 +99,21 @@ def filter_generators(filt: PartitionFilter, *, mode: str = "column_standard",
     return tuple(out)
 
 
+def restricted_shapes(shape) -> tuple[Partition, ...]:
+    """The shapes below the given one in dominance with the same first-row
+    length, in canonical enumeration order."""
+    lam = validate_partition(shape)
+    return tuple(mu for mu in partitions_of(sum(lam)) if mu[0] == lam[0] and dominates(lam, mu))
+
+
 def restricted_standard_generators(shape, *, field: Field = QQ) -> tuple[SpechtGenerator, ...]:
-    """Standard-tableau generators of every shape below the given one in
-    dominance that keeps the same first-row length.
+    """Standard-tableau generators of every restricted shape (see restricted_shapes).
 
     A much smaller set than the full filter generators that still generates
     the shape's ideal and stays a basis under the reference lex order.
     """
-    lam = validate_partition(shape)
-    out: list[SpechtGenerator] = []
-    for mu in partitions_of(sum(lam)):
-        if mu[0] == lam[0] and dominates(lam, mu):
-            out.extend(shape_generators(mu, mode="standard", field=field))
-    return tuple(out)
+    return tuple(g for mu in restricted_shapes(shape)
+                 for g in shape_generators(mu, mode="standard", field=field))
 
 
 def initial_monomial(t: Tableau) -> Monomial:

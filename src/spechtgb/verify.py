@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .combinatorics import (
     PartitionFilter,
+    conjugate,
     dominates,
     enumerate_lower_filters,
     enumerate_upper_filters,
@@ -33,6 +34,7 @@ from .combinatorics import (
     parse_partition_text,
     partition_text,
     partitions_of,
+    tableau_count,
     validate_partition,
 )
 from .groebner import (
@@ -59,12 +61,17 @@ from .polyring import (
 )
 from .specht import (
     filter_generators,
+    restricted_shapes,
     restricted_standard_generators,
     shape_generators,
 )
 from .strata import sample_stratum, vanishing_ideal_oracle
 
 SCHEMA_VERSION = 1
+# most tableaux `gens` enumerates, and most terms its generators expand to,
+# for one request summed over its shapes
+MAX_GENS_TABLEAUX = 10**5
+MAX_GENS_TERMS = 2 * 10**6
 CHECK_NAMES = (
     "lexgb",
     "universal",
@@ -860,19 +867,44 @@ def _emit(reports: list[CheckReport], fmt: str, out_path: str | None) -> None:
         sys.stdout.write(body)
 
 
+def _check_enumeration_size(shapes, mode: str) -> None:
+    """Refuse a request whose tableau enumeration or polynomial expansion
+    alone would be exponential: a tableau's polynomial has prod h_j! terms
+    over its column heights h_j."""
+    counts = [(tableau_count(mu, mode), math.prod(math.factorial(h) for h in conjugate(mu)))
+              for mu in shapes]
+    tabs = sum(c for c, _ in counts)
+    terms = sum(c * t for c, t in counts)
+    if tabs > MAX_GENS_TABLEAUX:
+        raise ValueError(
+            f"this request enumerates {tabs} {mode} tableaux, more than the "
+            f"limit of {MAX_GENS_TABLEAUX}; use a smaller --n, shape or filter, "
+            f"or --mode standard"
+        )
+    if terms > MAX_GENS_TERMS:
+        raise ValueError(
+            f"this request expands polynomials with {terms} terms in all, more "
+            f"than the limit of {MAX_GENS_TERMS}; use shapes with shorter columns"
+        )
+
+
 def _cmd_gens(args) -> int:
     field = parse_field(args.field)
-    if args.mode == "restricted_standard":
-        if not args.shape:
-            raise ValueError("mode restricted_standard needs --shape")
-        gens = restricted_standard_generators(parse_partition_text(args.shape), field=field)
-    elif args.shape:
+    if args.shape:
         lam = parse_partition_text(args.shape)
         if sum(lam) != args.n:
             raise ValueError(f"--shape {args.shape} is not a partition of --n {args.n}")
-        gens = shape_generators(lam, mode=args.mode, field=field)
+        if args.mode == "restricted_standard":
+            _check_enumeration_size(restricted_shapes(lam), "standard")
+            gens = restricted_standard_generators(lam, field=field)
+        else:
+            _check_enumeration_size((lam,), args.mode)
+            gens = shape_generators(lam, mode=args.mode, field=field)
+    elif args.mode == "restricted_standard":
+        raise ValueError("mode restricted_standard needs --shape")
     elif args.filter:
         filt = parse_filter_text(args.filter, args.n, default_kind="lower")
+        _check_enumeration_size(filt.sorted_members(), args.mode)
         gens = filter_generators(filt, mode=args.mode, field=field)
     else:
         raise ValueError("gens needs --filter or --shape")
@@ -1027,8 +1059,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gens_p = sub.add_parser("gens", help="list a generator set")
     gens_p.add_argument("--n", type=int, required=True)
-    gens_p.add_argument("--filter", help='e.g. "lower<=[2,1]" or "[2,1],[1,1,1]"')
-    gens_p.add_argument("--shape", help='a single shape, e.g. "[2,1]" or "21"')
+    gens_source = gens_p.add_mutually_exclusive_group()
+    gens_source.add_argument("--filter", help='e.g. "lower<=[2,1]" or "[2,1],[1,1,1]"')
+    gens_source.add_argument("--shape", help='a single shape, e.g. "[2,1]" or "21"')
     gens_p.add_argument("--mode", default="column_standard",
                         choices=("all", "column_standard", "standard", "restricted_standard"))
     gens_p.add_argument("--field", default="Q", help='"Q" or a prime field like "F7"')

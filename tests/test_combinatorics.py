@@ -1,6 +1,7 @@
 """Partitions, dominance, filters, tableaux, set partitions."""
 
 import itertools
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from spechtgb import (
     permutation_sign,
     set_partition_type,
     set_partitions_of_type,
+    tableau_count,
     tableaux,
     validate_partition,
     validate_set_partition,
@@ -258,15 +260,42 @@ class TestTableaux:
         assert Tableau([[1, 2], [3]]).is_standard()
 
     def test_mode_counts(self):
-        from math import factorial
+        # the n! scan is checked up to n=6; the direct modes go on to n=10,
+        # where column-standard counts reach 10!, so past n=8 only shapes
+        # with at most 20,000 of them are enumerated
+        for n in range(1, 11):
+            for lam in partitions_of(n):
+                expected = {
+                    "all": factorial(n),
+                    "column_standard": factorial(n) // column_group_order(lam),
+                    "standard": hook_length_count(lam),
+                }
+                for mode, count in expected.items():
+                    assert tableau_count(lam, mode) == count
+                    if n <= 6 if mode == "all" else n <= 8 or count <= 20_000:
+                        assert len(tableaux(lam, mode)) == count
+        assert len(tableaux((4, 4, 4), "standard")) == 462
+        with pytest.raises(ValueError):
+            tableau_count((2, 1), "restricted_standard")
 
+    def test_direct_modes_match_the_scan(self):
+        # the backtracking modes keep exactly what filtering the n! scan keeps, in its order
+        for n in range(1, 8):
+            for lam in partitions_of(n):
+                everything = tableaux(lam, "all")
+                assert tableaux(lam, "standard") == tuple(
+                    t for t in everything if t.is_standard()
+                )
+                assert tableaux(lam, "column_standard") == tuple(
+                    t for t in everything if t.is_column_standard()
+                )
+
+    def test_enumerated_tableaux_pass_validation(self):
         for n in range(1, 7):
             for lam in partitions_of(n):
-                assert len(tableaux(lam, "all")) == factorial(n)
-                assert len(tableaux(lam, "standard")) == hook_length_count(lam)
-                assert len(tableaux(lam, "column_standard")) == factorial(
-                    n
-                ) // column_group_order(lam)
+                for mode in ("all", "column_standard", "standard"):
+                    for t in tableaux(lam, mode):
+                        assert Tableau(t.rows).rows == t.rows
 
     def test_modes_nest(self):
         for lam in [(2, 2), (3, 1, 1), (2, 2, 1)]:

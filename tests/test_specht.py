@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from spechtgb import (
 from oracles import (
     column_pairs,
     difference_product,
+    eval_poly,
     hook_length_count,
 )
 
@@ -196,6 +198,31 @@ class TestShapeGenerators:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             shape_generators((2, 1), mode="fancy")
+
+
+class TestStandardGeneratorsOfEight:
+    """The known answer behind the benchmark's enumerate workload, on every
+    three-row shape of 8."""
+
+    POINT = (3, -7, 11, 2, -5, 13, 0, 8)
+
+    def test_hook_many_distinct_standard_tableaux_with_their_products(self):
+        shapes = [lam for lam in partitions_of(8) if len(lam) == 3]
+        assert len(shapes) == 5
+        for lam in shapes:
+            gens = shape_generators(lam, mode="standard")
+            assert len(gens) == hook_length_count(lam)
+            assert len({g.tableau.rows for g in gens}) == len(gens)
+            for g in gens:
+                rows = g.tableau.rows
+                assert tuple(len(r) for r in rows) == lam
+                assert all(list(r) == sorted(r) for r in rows)
+                pairs = column_pairs(rows)
+                assert all(upper < lower for upper, lower in pairs)
+                # normalized to leading coefficient 1 under lex with x_n
+                # dominant, each factor is x_lower - x_upper
+                expected = prod(self.POINT[b - 1] - self.POINT[a - 1] for a, b in pairs)
+                assert eval_poly(g.polynomial.terms, self.POINT) == expected
 
 
 class TestFilterGenerators:

@@ -190,6 +190,36 @@ class TestCli:
         assert main(["gens", "--n", "4", "--shape", "[2,1]"]) == 2
         assert "partition of --n" in capsys.readouterr().err
 
+    def test_gens_restricted_standard_shape_must_match_n(self, capsys):
+        assert main(["gens", "--n", "5", "--shape", "[2,1]",
+                     "--mode", "restricted_standard"]) == 2
+        assert "--shape [2,1] is not a partition of --n 5" in capsys.readouterr().err
+
+    def test_gens_filter_and_shape_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gens", "--n", "3", "--shape", "[2,1]", "--filter", "lower<=[3]"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_gens_enumerates_large_shapes_in_standard_mode(self, capsys):
+        assert main(["gens", "--n", "12", "--shape", "[6,6]", "--mode", "standard"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 132
+        assert main(["gens", "--n", "8", "--shape", "[7,1]", "--mode", "all"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 28
+
+    def test_gens_rejects_exponential_requests_at_once(self, capsys):
+        for argv, what in (
+            (["--n", "10", "--shape", "[4,3,3]", "--mode", "all"], "3628800 all tableaux"),
+            (["--n", "12", "--shape", "[4,4,4]", "--mode", "column_standard"],
+             "369600 column_standard tableaux"),
+            (["--n", "12", "--shape", "[1,1,1,1,1,1,1,1,1,1,1,1]", "--mode", "standard"],
+             "479001600 terms"),
+        ):
+            start = time.perf_counter()
+            assert main(["gens"] + argv) == 2
+            assert time.perf_counter() - start < 1.0
+            assert what in capsys.readouterr().err
+
     def test_gb_prints_reduced_basis(self, capsys):
         assert main(["gb", "--n", "3", "--filter", "lower<=[2,1]"]) == 0
         out = capsys.readouterr().out.strip().splitlines()

@@ -38,16 +38,3 @@ def echelon_basis(rows: list[list], field: Field) -> list[list]:
 
 def rank(rows: list[list], field: Field) -> int:
     return len(echelon_basis(rows, field))
-
-
-def in_span(row: list, basis_rows: list[list], field: Field) -> bool:
-    """Whether row lies in the span of basis_rows."""
-    basis = echelon_basis(basis_rows, field)
-    pivots = [next(j for j, x in enumerate(b) if x != field.zero) for b in basis]
-    r = list(row)
-    zero = field.zero
-    for b, p in zip(basis, pivots):
-        c = r[p]
-        if c != zero:
-            r = [field.sub(x, field.mul(c, y)) for x, y in zip(r, b)]
-    return all(x == zero for x in r)

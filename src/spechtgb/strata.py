@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._linalg import in_span
 from .combinatorics import (
     Partition,
     PartitionFilter,
@@ -94,24 +93,15 @@ def subspace_ideal(blocks, n: int, *, field: Field = QQ) -> IdealBasis:
     return IdealBasis(n, field, tuple(gens))
 
 
-def _indicator_rows(blocks: SetPartition, n: int) -> list[list]:
-    rows = []
-    for block in blocks:
-        row = [QQ.zero] * n
-        for i in block:
-            row[i - 1] = QQ.one
-        rows.append(row)
-    return rows
-
-
-def _subspace_within(inner: SetPartition, outer: SetPartition, n: int) -> bool:
+def _subspace_within(inner: SetPartition, outer: SetPartition) -> bool:
     """Whether the inner subspace sits inside the outer one.
 
-    Each subspace is the span of its block indicator vectors, so containment
-    is row-space containment.
+    A subspace is spanned by the indicator vectors of its blocks, so the
+    inner one lies in the outer one exactly when each inner block is a union
+    of outer blocks: when every block of outer lies inside one block of inner.
     """
-    outer_rows = _indicator_rows(outer, n)
-    return all(in_span(row, outer_rows, QQ) for row in _indicator_rows(inner, n))
+    block_of = {i: k for k, block in enumerate(inner) for i in block}
+    return all(len({block_of[i] for i in block}) == 1 for block in outer)
 
 
 @lru_cache(maxsize=None)
@@ -123,7 +113,7 @@ def _oracle_cached(n: int, members: frozenset, pair_budget: int) -> IdealBasis:
     kept = []
     for idx, blocks in enumerate(collected):
         absorbed = any(
-            jdx != idx and _subspace_within(blocks, other, n)
+            jdx != idx and _subspace_within(blocks, other)
             for jdx, other in enumerate(collected)
         )
         if not absorbed:

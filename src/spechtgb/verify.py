@@ -18,7 +18,9 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .combinatorics import (
@@ -72,17 +74,6 @@ SCHEMA_VERSION = 1
 # for one request summed over its shapes
 MAX_GENS_TABLEAUX = 10**5
 MAX_GENS_TERMS = 2 * 10**6
-CHECK_NAMES = (
-    "lexgb",
-    "universal",
-    "reduced",
-    "vanishing",
-    "descent",
-    "restricted",
-    "finite_field",
-    "containment",
-    "engine",
-)
 
 
 @dataclass
@@ -117,7 +108,8 @@ def _guarded(check_id: str, parameters: dict, body) -> CheckReport:
     try:
         verdict, reason, evidence = body()
     except PairBudgetExceeded as e:
-        verdict, reason, evidence = "fail", str(e), {}
+        # running out of pairs is no counterexample
+        verdict, reason, evidence = "error", str(e), {"exception": "PairBudgetExceeded"}
     return CheckReport(
         check_id=check_id,
         parameters=parameters,
@@ -126,10 +118,6 @@ def _guarded(check_id: str, parameters: dict, body) -> CheckReport:
         evidence=evidence,
         timing_ms=int((time.perf_counter() - started) * 1000),
     )
-
-
-def _skipped(check_id: str, parameters: dict, reason: str) -> CheckReport:
-    return CheckReport(check_id, parameters, "skipped", reason, {}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +153,37 @@ def check_lexgb(filt: PartitionFilter, *, field: Field = QQ,
     return _guarded("lexgb", parameters, body)
 
 
+def _sampled_orders(n: int, count: int, rng: random.Random, kinds: tuple[str, ...], *,
+                    fractional_weights: bool) -> list[MonomialOrder]:
+    """count orders drawn from rng: a kind, a variable ranking, and for weight
+    orders n weights from 1..9, divided by 1..3 when fractional_weights."""
+    orders = []
+    for _ in range(count):
+        kind = rng.choice(kinds)
+        ranking = tuple(rng.sample(range(1, n + 1), n))
+        if kind == "weight":
+            weights = tuple(
+                Fraction(rng.randint(1, 9), rng.randint(1, 3) if fractional_weights else 1)
+                for _ in range(n))
+            orders.append(MonomialOrder("weight", n, ranking, weights))
+        else:
+            orders.append(MonomialOrder(kind, n, ranking))
+    return orders
+
+
+def _order_failure(polys: list[Poly], orders, where: str) -> str | None:
+    """Why polys is not a basis with induced-lex leading terms under every
+    order, or None when it is one under each."""
+    for order in orders:
+        ok, _ = is_groebner_basis(polys, order)
+        if not ok:
+            return f"not a basis{where} under {order.text()}"
+        induced = order.induced_lex()
+        if any(leading_term(p, order) != leading_term(p, induced) for p in polys):
+            return f"leading term disagrees with the induced lex order{where} under {order.text()}"
+    return None
+
+
 def check_universal(filt: PartitionFilter, *, order_budget: int = 25, seed: int = 0,
                     field: Field = QQ, exhaustive_lex: bool = True) -> CheckReport:
     """The generator set stays a basis under every tested monomial order, and
@@ -183,43 +202,26 @@ def check_universal(filt: PartitionFilter, *, order_budget: int = 25, seed: int 
         n = filt.n
         polys = [g.polynomial for g in filter_generators(filt, field=field)]
         rng = random.Random(seed)
-        orders: list[MonomialOrder] = []
         if exhaustive_lex:
-            for ranking in itertools.permutations(range(1, n + 1)):
-                orders.append(MonomialOrder("lex", n, ranking))
+            rankings = itertools.permutations(range(1, n + 1))
         else:
             want = min(order_budget, math.factorial(n))
             seen: set = set()
             while len(seen) < want:
                 seen.add(tuple(rng.sample(range(1, n + 1), n)))
-            orders.extend(MonomialOrder("lex", n, r) for r in sorted(seen))
+            rankings = sorted(seen)
+        orders = [MonomialOrder("lex", n, r) for r in rankings]
         lex_count = len(orders)
-        for _ in range(order_budget):
-            kind = rng.choice(("grlex", "grevlex", "weight"))
-            ranking = tuple(rng.sample(range(1, n + 1), n))
-            if kind == "weight":
-                weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n))
-                orders.append(MonomialOrder("weight", n, ranking, weights))
-            else:
-                orders.append(MonomialOrder(kind, n, ranking))
-        agreements = 0
-        for order in orders:
-            ok, _ = is_groebner_basis(polys, order)
-            if not ok:
-                return "fail", f"not a basis under {order.text()}", {
-                    "generators": len(polys)}
-            induced = order.induced_lex()
-            for p in polys:
-                if leading_term(p, order) != leading_term(p, induced):
-                    return "fail", (
-                        f"leading term disagrees with the induced lex order under {order.text()}"
-                    ), {"generators": len(polys)}
-                agreements += 1
+        orders += _sampled_orders(n, order_budget, rng, ("grlex", "grevlex", "weight"),
+                                  fractional_weights=True)
+        failure = _order_failure(polys, orders, "")
+        if failure:
+            return "fail", failure, {"generators": len(polys)}
         evidence = {
             "generators": len(polys),
             "orders_tested": len(orders),
             "lex_orders": lex_count,
-            "leading_term_agreements": agreements,
+            "leading_term_agreements": len(orders) * len(polys),
         }
         return "pass", None, evidence
 
@@ -371,11 +373,7 @@ def check_coefficient_descent(n: int, *, trials: int = 20, seed: int = 0,
                     continue
                 derived_oracle = vanishing_ideal_oracle(derived, pair_budget=pair_budget)
                 for share in shares:
-                    if derived_oracle.is_zero():
-                        ok = not share.terms
-                    else:
-                        ok = ideal_membership(share, list(derived_oracle.generators), inner_order)
-                    if not ok:
+                    if not ideal_membership(share, list(derived_oracle.generators), inner_order):
                         return "fail", "a coefficient escaped the derived filter's ideal", {
                             "filter": filter_text(filt),
                             "derived": filter_text(derived),
@@ -442,24 +440,11 @@ def check_finite_field(filt: PartitionFilter, p: int, *, order_budget: int = 10,
         evidence = {"generators_mod_p": len(polys_p), "pair_counts": cert["counts"]}
         if not ok:
             return "fail", f"not a lex basis over F_{p}", evidence
-        rng = random.Random(seed)
-        for _ in range(order_budget):
-            kind = rng.choice(("lex", "grlex", "grevlex", "weight"))
-            ranking = tuple(rng.sample(range(1, n + 1), n))
-            if kind == "weight":
-                weights = tuple(Fraction(rng.randint(1, 9)) for _ in range(n))
-                o = MonomialOrder("weight", n, ranking, weights)
-            else:
-                o = MonomialOrder(kind, n, ranking)
-            ok2, _ = is_groebner_basis(polys_p, o)
-            if not ok2:
-                return "fail", f"not a basis over F_{p} under {o.text()}", evidence
-            induced = o.induced_lex()
-            for q in polys_p:
-                if leading_term(q, o) != leading_term(q, induced):
-                    return "fail", (
-                        f"leading term disagrees with the induced lex order over F_{p}"
-                    ), evidence
+        orders = _sampled_orders(n, order_budget, random.Random(seed),
+                                 ("lex", "grlex", "grevlex", "weight"), fractional_weights=False)
+        failure = _order_failure(polys_p, orders, f" over F_{p}")
+        if failure:
+            return "fail", failure, evidence
         rgb_p = reduce_groebner_basis(polys_p, order)
         rgb_q = groebner_basis([g.polynomial for g in filter_generators(filt)], order,
                                pair_budget=pair_budget)
@@ -558,16 +543,13 @@ def check_engine(*, trials: int = 100, seed: int = 0,
 
 
 def _control(name: str, parameters: dict, body) -> CheckReport:
-    started = time.perf_counter()
-    detected, evidence = body()
-    return CheckReport(
-        check_id=f"control_{name}",
-        parameters=parameters,
-        verdict="pass" if detected else "fail",
-        reason=None if detected else "a corrupted input went undetected",
-        evidence=evidence,
-        timing_ms=int((time.perf_counter() - started) * 1000),
-    )
+    def judged():
+        detected, evidence = body()
+        if detected:
+            return "pass", None, evidence
+        return "fail", "a corrupted input went undetected", evidence
+
+    return _guarded(f"control_{name}", parameters, judged)
 
 
 def negative_controls(*, seed: int = 0) -> list[CheckReport]:
@@ -577,6 +559,9 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
     wrong, so a passing control certifies that its check can actually fail.
     """
     reports = []
+    # x1^2 - x2 and x1: no basis under lex with x1 dominant
+    not_a_basis = [Poly(2, QQ, {(2, 0): 1, (0, 1): -1}), Poly(2, QQ, {(1, 0): 1})]
+    x1_dominant = MonomialOrder("lex", 2, (2, 1))
 
     def lexgb_body():
         # one shape dropped from a two-shape filter, label kept
@@ -591,12 +576,7 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
     reports.append(_control("lexgb", {"n": 3, "filter": "lower:[2,1],[1,1,1]"}, lexgb_body))
 
     def universal_body():
-        order = MonomialOrder("lex", 2, (2, 1))
-        gens = [
-            Poly(2, QQ, {(2, 0): 1, (0, 1): -1}),
-            Poly(2, QQ, {(1, 0): 1}),
-        ]
-        ok, cert = is_groebner_basis(gens, order)
+        ok, cert = is_groebner_basis(not_a_basis, x1_dominant)
         return not ok, {"pair_counts": cert["counts"]}
 
     reports.append(_control("universal", {"n": 2, "fixture": "x1^2-x2,x1 under lex:2,1"},
@@ -633,13 +613,10 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
         shares = coefficients_in_last_variable(f)
         derived = derived_filter(filt, len(shares))
         derived_oracle = vanishing_ideal_oracle(derived)
-        if derived_oracle.is_zero():
-            property_fails = any(s.terms for s in shares)
-        else:
-            property_fails = not all(
-                ideal_membership(s, list(derived_oracle.generators), lex_order(2))
-                for s in shares
-            )
+        property_fails = not all(
+            ideal_membership(s, list(derived_oracle.generators), lex_order(2))
+            for s in shares
+        )
         return rejected and property_fails, {
             "filter": filter_text(filt),
             "precondition_rejected": rejected,
@@ -696,14 +673,9 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
 
     def engine_body():
         # a set that is not a basis must be recognized as such
-        order = MonomialOrder("lex", 2, (2, 1))
-        gens = [
-            Poly(2, QQ, {(2, 0): 1, (0, 1): -1}),
-            Poly(2, QQ, {(1, 0): 1}),
-        ]
-        ok, _ = is_groebner_basis(gens, order)
-        detected = not ok and groebner_basis(gens, order) == [Poly(2, QQ, {(0, 1): 1}),
-                                                              Poly(2, QQ, {(1, 0): 1})]
+        ok, _ = is_groebner_basis(not_a_basis, x1_dominant)
+        detected = not ok and groebner_basis(not_a_basis, x1_dominant) == [
+            Poly(2, QQ, {(0, 1): 1}), Poly(2, QQ, {(1, 0): 1})]
         return detected, {"fixture": "x1^2-x2,x1 under lex:2,1"}
 
     reports.append(_control("engine", {"n": 2}, engine_body))
@@ -713,6 +685,65 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
 
 # ---------------------------------------------------------------------------
 # suite
+
+
+def _suite_lower_filters(n: int):
+    if n <= 5:
+        return enumerate_lower_filters(n)
+    # beyond n = 5 the lattice of filters explodes; principal filters only
+    return tuple(filter_closure(n, [lam], "lower") for lam in partitions_of(n))
+
+
+# what one run of a check takes -> (the suite's inputs at size n, the
+# parameters that name one input)
+_INPUTS = {
+    "filter": (_suite_lower_filters, lambda filt: {"n": filt.n, "filter": filter_text(filt)}),
+    "shape": (partitions_of, lambda lam: {"n": sum(lam), "shape": partition_text(lam)}),
+    "n": (lambda n: (n,), lambda n: {"n": n}),
+}
+
+
+@dataclass(frozen=True)
+class _Check:
+    """How the suite runs one check.
+
+    takes is a key of _INPUTS, or None for a check run once with no input.
+    over is "any"; "Q" for a check that is skipped over F_p; or "F_p" for a
+    check that runs over SuiteConfig.field when it is finite and once per
+    SuiteConfig.primes otherwise. run calls the check by its module-level
+    name, so that wrapping that name reaches the suite too.
+    """
+
+    takes: str | None
+    over: str
+    run: Callable[[SuiteConfig, object], CheckReport]
+    max_n: int | None = None
+
+
+_CHECKS = {
+    "lexgb": _Check("filter", "any", lambda c, filt: check_lexgb(
+        filt, field=c.field, pair_budget=c.pair_budget)),
+    "universal": _Check("filter", "any", lambda c, filt: check_universal(
+        filt, order_budget=c.order_budget if filt.n <= 5 else min(c.order_budget, 10),
+        seed=c.seed, field=c.field, exhaustive_lex=filt.n <= 4)),
+    "reduced": _Check("filter", "Q", lambda c, filt: check_reduced(
+        filt, pair_budget=c.pair_budget)),
+    "vanishing": _Check("n", "Q", lambda c, n: check_stratum_vanishing(
+        n, samples=c.samples, seed=c.seed)),
+    "descent": _Check("n", "Q", lambda c, n: check_coefficient_descent(
+        n, trials=c.trials, seed=c.seed, pair_budget=c.pair_budget)),
+    "restricted": _Check("shape", "Q", lambda c, lam: check_restricted(
+        lam, pair_budget=c.pair_budget)),
+    "finite_field": _Check("filter", "F_p", lambda c, filt: check_finite_field(
+        filt, c.field.p, order_budget=min(c.order_budget, 10), seed=c.seed,
+        pair_budget=c.pair_budget), max_n=4),
+    "containment": _Check("n", "Q", lambda c, n: check_containment(
+        n, pair_budget=c.pair_budget)),
+    "engine": _Check(None, "any", lambda c, _: check_engine(
+        trials=c.engine_trials, seed=c.seed, pair_budget=c.pair_budget)),
+}
+CHECK_NAMES = tuple(_CHECKS)
+_RATIONAL_ONLY_REASON = "needs the rational field: strata are only dense there"
 
 
 @dataclass
@@ -731,90 +762,33 @@ class SuiteConfig:
     include_controls: bool = True
 
 
-def _suite_lower_filters(n: int):
-    if n <= 5:
-        return enumerate_lower_filters(n)
-    # beyond n = 5 the lattice of filters explodes; principal filters only
-    return tuple(filter_closure(n, [lam], "lower") for lam in partitions_of(n))
-
-
-_RATIONAL_ONLY_REASON = "needs the rational field: strata are only dense there"
+def _run_check(name: str, config: SuiteConfig, arg) -> list[CheckReport]:
+    """The suite's reports for one input of one check."""
+    spec = _CHECKS[name]
+    if spec.over == "Q" and config.field.p is not None:
+        parameters = {**_INPUTS[spec.takes][1](arg), "field": config.field.text()}
+        return [CheckReport(name, parameters, "skipped", _RATIONAL_ONLY_REASON, {}, 0)]
+    if spec.over == "F_p" and config.field.p is None:
+        return [spec.run(replace(config, field=GF(p)), arg) for p in config.primes]
+    return [spec.run(config, arg)]
 
 
 def run_suite(config: SuiteConfig) -> list[CheckReport]:
     """Run the configured checks over their grids, deterministically ordered."""
     for name in config.checks:
-        if name not in CHECK_NAMES:
+        if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}")
-    finite = config.field.p is not None
-    ns = range(max(config.min_n, 2), config.max_n + 1)
     reports: list[CheckReport] = []
     for name in config.checks:
-        if name == "lexgb":
-            for n in ns:
-                for filt in _suite_lower_filters(n):
-                    reports.append(check_lexgb(filt, field=config.field,
-                                               pair_budget=config.pair_budget))
-        elif name == "universal":
-            for n in ns:
-                budget = config.order_budget if n <= 5 else min(config.order_budget, 10)
-                for filt in _suite_lower_filters(n):
-                    reports.append(check_universal(
-                        filt, order_budget=budget, seed=config.seed,
-                        field=config.field, exhaustive_lex=n <= 4))
-        elif name == "reduced":
-            for n in ns:
-                for filt in _suite_lower_filters(n):
-                    params = {"n": n, "filter": filter_text(filt), "field": config.field.text()}
-                    if finite:
-                        reports.append(_skipped("reduced", params, _RATIONAL_ONLY_REASON))
-                    else:
-                        reports.append(check_reduced(filt, pair_budget=config.pair_budget))
-        elif name == "vanishing":
-            for n in ns:
-                if finite:
-                    reports.append(_skipped("vanishing", {"n": n, "field": config.field.text()},
-                                            _RATIONAL_ONLY_REASON))
-                else:
-                    reports.append(check_stratum_vanishing(n, samples=config.samples,
-                                                           seed=config.seed))
-        elif name == "descent":
-            for n in ns:
-                if finite:
-                    reports.append(_skipped("descent", {"n": n, "field": config.field.text()},
-                                            _RATIONAL_ONLY_REASON))
-                else:
-                    reports.append(check_coefficient_descent(
-                        n, trials=config.trials, seed=config.seed,
-                        pair_budget=config.pair_budget))
-        elif name == "restricted":
-            for n in ns:
-                for lam in partitions_of(n):
-                    if finite:
-                        reports.append(_skipped(
-                            "restricted",
-                            {"n": n, "shape": partition_text(lam), "field": config.field.text()},
-                            _RATIONAL_ONLY_REASON))
-                    else:
-                        reports.append(check_restricted(lam, pair_budget=config.pair_budget))
-        elif name == "finite_field":
-            primes = (config.field.p,) if finite else config.primes
-            for n in range(max(config.min_n, 2), min(config.max_n, 4) + 1):
-                for filt in _suite_lower_filters(n):
-                    for p in primes:
-                        reports.append(check_finite_field(
-                            filt, p, order_budget=min(config.order_budget, 10),
-                            seed=config.seed, pair_budget=config.pair_budget))
-        elif name == "containment":
-            for n in ns:
-                if finite:
-                    reports.append(_skipped("containment", {"n": n, "field": config.field.text()},
-                                            _RATIONAL_ONLY_REASON))
-                else:
-                    reports.append(check_containment(n, pair_budget=config.pair_budget))
-        elif name == "engine":
-            reports.append(check_engine(trials=config.engine_trials, seed=config.seed,
-                                        pair_budget=config.pair_budget))
+        spec = _CHECKS[name]
+        if spec.takes is None:
+            inputs = [None]
+        else:
+            top = config.max_n if spec.max_n is None else min(config.max_n, spec.max_n)
+            grid = _INPUTS[spec.takes][0]
+            inputs = [arg for n in range(max(config.min_n, 2), top + 1) for arg in grid(n)]
+        for arg in inputs:
+            reports.extend(_run_check(name, config, arg))
     if config.include_controls:
         reports.extend(negative_controls(seed=config.seed))
     reports.sort(key=lambda r: (r.check_id, json.dumps(r.parameters, sort_keys=True)))
@@ -822,7 +796,11 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
 
 
 def suite_exit_code(reports: list[CheckReport]) -> int:
-    return 1 if any(r.verdict == "fail" for r in reports) else 0
+    """1 when a check failed, else 3 when one ran out of its budget, else 0."""
+    verdicts = {r.verdict for r in reports}
+    if "fail" in verdicts:
+        return 1
+    return 3 if "error" in verdicts else 0
 
 
 def determinism_hash(reports: list[CheckReport]) -> str:
@@ -843,13 +821,11 @@ def _summary_table(reports: list[CheckReport]) -> str:
         if r.reason:
             line += f"  ({r.reason})"
         lines.append(line)
-    totals = {"pass": 0, "fail": 0, "skipped": 0}
-    for r in reports:
-        totals[r.verdict] = totals.get(r.verdict, 0) + 1
+    totals = Counter(r.verdict for r in reports)
     lines.append("")
     lines.append(
-        f"{totals['pass']} pass, {totals['fail']} fail, {totals['skipped']} skipped"
-        f"  [determinism sha256:{determinism_hash(reports)[:16]}]"
+        f"{totals['pass']} pass, {totals['fail']} fail, {totals['skipped']} skipped, "
+        f"{totals['error']} error  [determinism sha256:{determinism_hash(reports)[:16]}]"
     )
     return "\n".join(lines)
 
@@ -982,63 +958,48 @@ def _print_basis(basis, order, args, note: str | None = None) -> None:
         sys.stdout.write(body)
 
 
+def _single_input(args):
+    """The one input that --filter or --shape names, or None for a grid run."""
+    takes = None if args.check == "all" else _CHECKS[args.check].takes
+    for flag in ("filter", "shape"):
+        if getattr(args, flag) is not None and flag != takes:
+            raise ValueError(f"verify {args.check} takes no --{flag}")
+    if args.filter is not None:
+        if args.n is None:
+            raise ValueError(f"{args.check} needs --n with --filter")
+        return parse_filter_text(args.filter, args.n, default_kind="lower")
+    if args.shape is not None:
+        lam = parse_partition_text(args.shape)
+        if args.n is not None and sum(lam) != args.n:
+            raise ValueError(f"--shape {args.shape} is not a partition of --n {args.n}")
+        return lam
+    return None
+
+
 def _cmd_verify(args) -> int:
     field = parse_field(args.field)
-    selection = CHECK_NAMES if args.check == "all" else (args.check,)
-    single: CheckReport | None = None
-    if args.check != "all" and (args.filter or args.shape):
-        if args.check in ("lexgb", "universal", "reduced", "finite_field"):
-            if not (args.filter and args.n):
-                raise ValueError(f"{args.check} needs --n and --filter for a single run")
-            filt = parse_filter_text(args.filter, args.n, default_kind="lower")
-            if args.check == "lexgb":
-                single = check_lexgb(filt, field=field, pair_budget=args.pair_budget)
-            elif args.check == "universal":
-                single = check_universal(filt, order_budget=args.order_budget, seed=args.seed,
-                                         field=field, exhaustive_lex=args.n <= 4)
-            elif args.check == "reduced":
-                single = check_reduced(filt, pair_budget=args.pair_budget)
-            else:
-                if field.p is None:
-                    raise ValueError("a single finite_field run needs a prime field: "
-                                     "pass --field F<p>")
-                single = check_finite_field(filt, field.p,
-                                            order_budget=min(args.order_budget, 10),
-                                            seed=args.seed, pair_budget=args.pair_budget)
-        elif args.check == "restricted":
-            if not args.shape:
-                raise ValueError("restricted needs --shape for a single run")
-            single = check_restricted(parse_partition_text(args.shape),
-                                      pair_budget=args.pair_budget)
-        else:
-            raise ValueError(f"{args.check} takes --n, not --filter/--shape")
-    elif args.check != "all" and args.n is not None and args.check in (
-            "vanishing", "descent", "containment"):
-        if args.check == "vanishing":
-            single = check_stratum_vanishing(args.n, samples=args.samples, seed=args.seed)
-        elif args.check == "descent":
-            single = check_coefficient_descent(args.n, trials=args.trials, seed=args.seed,
-                                               pair_budget=args.pair_budget)
-        else:
-            single = check_containment(args.n, pair_budget=args.pair_budget)
-    if single is not None:
-        reports = [single]
-    else:
-        min_n = args.n if args.n is not None else 2
-        max_n = args.n if args.n is not None else args.max_n
-        config = SuiteConfig(
-            checks=selection,
-            min_n=min_n,
-            max_n=max_n,
-            field=field,
-            seed=args.seed,
-            samples=args.samples,
-            trials=args.trials,
-            order_budget=args.order_budget,
-            pair_budget=args.pair_budget,
-            include_controls=args.check == "all" and not args.no_controls,
-        )
+    config = SuiteConfig(
+        checks=CHECK_NAMES if args.check == "all" else (args.check,),
+        min_n=args.n if args.n is not None else 2,
+        max_n=args.n if args.n is not None else args.max_n,
+        field=field,
+        seed=args.seed,
+        samples=args.samples,
+        trials=args.trials,
+        order_budget=args.order_budget,
+        pair_budget=args.pair_budget,
+        include_controls=args.check == "all" and not args.no_controls,
+    )
+    single = _single_input(args)
+    if single is None:
         reports = run_suite(config)
+    elif _CHECKS[args.check].over == "F_p" and field.p is None:
+        raise ValueError(f"a single {args.check} run needs a prime field: pass --field F<p>")
+    else:
+        reports = _run_check(args.check, config, single)
+    if not reports:
+        raise ValueError("this selection runs no check at the requested sizes; "
+                         "grids start at n=2")
     _emit(reports, args.report, args.out)
     return suite_exit_code(reports)
 

@@ -1,7 +1,9 @@
 """Stratum sampling and the vanishing-ideal oracle."""
 
+import ast
 import random
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,8 @@ from spechtgb import (
     subspace_ideal,
     vanishing_ideal_oracle,
 )
+from spechtgb import strata
+from spechtgb._linalg import rank
 
 
 def p(text, n):
@@ -80,6 +84,44 @@ class TestSubspaceIdeal:
         for g in ideal.generators:
             assert g.evaluate(on) == 0
         assert any(g.evaluate(off) != 0 for g in ideal.generators)
+
+
+def _indicator_rows(blocks, n):
+    return [[1 if i + 1 in block else 0 for i in range(n)] for block in blocks]
+
+
+class TestSubspaceContainment:
+    def test_set_test_matches_row_space_containment(self):
+        # V_P is the span of P's block indicators: V_inner lies in V_outer
+        # exactly when adding inner's rows leaves outer's rank unchanged
+        for n in range(1, 6):
+            every = [b for mu in partitions_of(n) for b in set_partitions_of_type(mu)]
+            for inner in every:
+                for outer in every:
+                    outer_rows = _indicator_rows(outer, n)
+                    by_rank = rank(outer_rows, QQ) == rank(
+                        outer_rows + _indicator_rows(inner, n), QQ)
+                    assert strata._subspace_within(inner, outer) == by_rank, (inner, outer)
+
+
+class TestOracleIndependence:
+    def test_strata_module_never_reaches_generators(self):
+        # the oracle is the second route; it must not share the first route's
+        # tableaux or Specht generators
+        tree = ast.parse(Path(strata.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "specht" not in (node.module or "").split("."), node.module
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not [name for name in names
+                    if "tableau" in name.lower() or "specht" in name.split(".")]
 
 
 class TestOracle:

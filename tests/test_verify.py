@@ -141,8 +141,11 @@ class TestSuite:
         ok = CheckReport("lexgb", {}, "pass", None, {}, 0)
         bad = CheckReport("lexgb", {}, "fail", "broken", {}, 0)
         skip = CheckReport("lexgb", {}, "skipped", "later", {}, 0)
+        err = CheckReport("lexgb", {}, "error", "out of pairs", {}, 0)
         assert suite_exit_code([ok, skip]) == 0
         assert suite_exit_code([ok, bad]) == 1
+        assert suite_exit_code([ok, err]) == 3
+        assert suite_exit_code([err, bad]) == 1
         assert suite_exit_code([]) == 0
 
 
@@ -340,3 +343,76 @@ class TestCli:
         assert main(["verify", "containment", "--n", "3"]) == 0
         out = capsys.readouterr().out
         assert '"n": 3' in out or "n=3" in out or "pass" in out
+
+
+def _json_rows(capsys):
+    rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    for row in rows:
+        row.pop("timing_ms")
+    return rows
+
+
+class TestErrorVerdict:
+    def test_pair_budget_exhaustion_is_an_error_not_a_failure(self, capsys):
+        assert main(["verify", "reduced", "--n", "3", "--filter", "lower<=[2,1]",
+                     "--pair-budget", "1", "--report", "json"]) == 3
+        (row,) = _json_rows(capsys)
+        assert row["verdict"] == "error"
+        assert row["evidence"] == {"exception": "PairBudgetExceeded"}
+        assert "budget" in row["reason"]
+
+    def test_summary_counts_errors(self, capsys):
+        assert main(["verify", "reduced", "--n", "3", "--filter", "lower<=[2,1]",
+                     "--pair-budget", "1"]) == 3
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("0 pass, 0 fail, 0 skipped, 1 error")
+
+
+class TestSingleRunFlags:
+    def test_shape_must_be_a_partition_of_n(self, capsys):
+        assert main(["verify", "restricted", "--n", "5", "--shape", "[2,1]"]) == 2
+        assert "--shape [2,1] is not a partition of --n 5" in capsys.readouterr().err
+
+    def test_filter_check_takes_no_shape(self, capsys):
+        assert main(["verify", "lexgb", "--n", "3", "--filter", "lower<=[2,1]",
+                     "--shape", "[3]"]) == 2
+        assert "takes no --shape" in capsys.readouterr().err
+
+    def test_all_takes_no_filter(self, capsys):
+        assert main(["verify", "all", "--n", "3", "--filter", "lower<=[2,1]"]) == 2
+        assert "takes no --filter" in capsys.readouterr().err
+
+    def test_a_size_with_no_check_is_rejected(self, capsys):
+        assert main(["verify", "lexgb", "--n", "1"]) == 2
+        assert "runs no check" in capsys.readouterr().err
+
+    def test_rational_only_single_run_over_fp_is_skipped(self, capsys):
+        assert main(["verify", "reduced", "--n", "3", "--filter", "lower<=[2,1]",
+                     "--field", "F7", "--report", "json"]) == 0
+        (row,) = _json_rows(capsys)
+        assert row["verdict"] == "skipped"
+        assert row["parameters"]["field"] == "F7"
+
+    def test_universal_caps_its_order_budget_past_five(self, capsys):
+        assert main(["verify", "universal", "--n", "6", "--filter", "lower<=[1,1,1,1,1,1]",
+                     "--report", "json"]) == 0
+        (row,) = _json_rows(capsys)
+        assert row["parameters"]["order_budget"] == 10
+
+
+class TestSingleRunMatchesGrid:
+    @pytest.mark.parametrize("single, grid", [
+        (["universal", "--n", "4", "--filter", "lower<=[2,1,1]", "--seed", "3",
+          "--order-budget", "6"],
+         ["universal", "--max-n", "4", "--seed", "3", "--order-budget", "6"]),
+        (["restricted", "--n", "4", "--shape", "[2,2]"], ["restricted", "--max-n", "4"]),
+        (["vanishing", "--n", "3", "--samples", "3", "--seed", "2"],
+         ["vanishing", "--max-n", "4", "--samples", "3", "--seed", "2"]),
+        (["reduced", "--n", "3", "--filter", "lower<=[2,1]", "--field", "F7"],
+         ["reduced", "--max-n", "3", "--field", "F7"]),
+    ])
+    def test_single_run_gives_the_grid_row(self, capsys, single, grid):
+        assert main(["verify"] + single + ["--report", "json"]) == 0
+        (row,) = _json_rows(capsys)
+        assert main(["verify"] + grid + ["--report", "json"]) == 0
+        assert row in _json_rows(capsys)

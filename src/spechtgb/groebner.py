@@ -1,15 +1,20 @@
 """Exact Buchberger engine: division, S-pairs, reduced bases, ideal operations.
 
 Determinism contract: identical inputs (same generator sequence, same order)
-give identical outputs. Pairs are selected by lcm total degree with (i, j)
-index tiebreaks, the reducer is the earliest match in basis sequence, and
-reduced bases come out monic and sorted ascending by leading monomial, so two
-independently computed bases of the same ideal can be compared with ==.
+give identical outputs. Completion (`buchberger`) and certification
+(`is_groebner_basis`) share one pair core. Completion pops pairs by lcm total
+degree with (i, j) index tiebreaks. Certification settles pairs in (j, i)
+order: its per-pair statuses are the hashed `pair_counts` evidence of the
+verify checks, and another order changes which pairs the chain criterion
+skips. The reducer is the earliest match in basis sequence, and reduced bases
+come out monic and sorted ascending by leading monomial, so two independently
+computed bases of the same ideal can be compared with ==.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, neg, sub
 
@@ -133,30 +138,90 @@ def division(f: Poly, basis, order) -> tuple[list[Poly], Poly]:
     return qs, Poly._raw(f.nvars, f.field, rem)
 
 
+def _s_terms(ri, rj, field: Field) -> dict:
+    # S-polynomial of two prepared reducers (lm, inv_lc, tail): the leading
+    # terms cancel, so only the tails, shifted up to the lcm, contribute
+    lcm = mono_lcm(ri[0], rj[0])
+    shift = mono_div(lcm, ri[0])
+    terms = {tuple(map(add, m, shift)): c * ri[1] for m, c in ri[2]}
+    shift = mono_div(lcm, rj[0])
+    for m, c in rj[2]:
+        key = tuple(map(add, m, shift))
+        terms[key] = terms.get(key, 0) - c * rj[1]
+    return field.canonical(terms)
+
+
 def s_polynomial(f: Poly, g: Poly, order) -> Poly:
     """lcm/in(f) * f / lc(f) - lcm/in(g) * g / lc(g): leading terms cancel."""
-    lmf, lcf = leading_term(f, order)
-    lmg, lcg = leading_term(g, order)
-    lcm = mono_lcm(lmf, lmg)
-    field = f.field
-    a = f.term_mul(mono_div(lcm, lmf), field.inv(lcf))
-    b = g.term_mul(mono_div(lcm, lmg), field.inv(lcg))
-    return a - b
+    f._check_compatible(g)
+    ri, rj = _prepare_reducers([f, g], order)
+    return Poly._raw(f.nvars, f.field, _s_terms(ri, rj, f.field))
 
 
-def _chain_applies(i: int, j: int, lcm: Monomial, lms, pending) -> bool:
-    # sound at pop time: a linking pair absent from pending was popped earlier,
-    # so the justification chain strictly descends in pop order
+def _chain_link(i: int, j: int, lcm: Monomial, lms, settled) -> int | None:
+    # a third element whose leading monomial divides the lcm and whose two
+    # linking pairs are settled; settled pairs were popped earlier, so the
+    # justifications strictly descend in pop order and never loop
     for k in range(len(lms)):
-        if k == i or k == j:
-            continue
-        if not mono_divides(lms[k], lcm):
+        if k == i or k == j or not mono_divides(lms[k], lcm):
             continue
         a = (i, k) if i < k else (k, i)
         b = (j, k) if j < k else (k, j)
-        if a not in pending and b not in pending:
-            return True
-    return False
+        if a in settled and b in settled:
+            return k
+    return None
+
+
+def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None = None,
+                  use_chain_criterion: bool = True) -> list:
+    """Pop every pair of the basis once and return (i, j, status) in pop order.
+
+    A status is "coprime", "chain:k", "zero_reduction", or, for a nonzero
+    remainder, "added" when completing (the monic remainder joins basis and
+    reducers, and its pairs join the heap) or "failed" when certifying.
+    Completion pops by (lcm degree, i, j), certification by (j, i). A popped
+    pair is settled for the chain criterion unless it failed.
+    """
+    field = basis[0].field if basis else QQ
+    reducers = _prepare_reducers(basis, order)
+    lms = [r[0] for r in reducers]
+    heap: list = []
+    settled: set = set()
+    log: list = []
+
+    def push_pairs(j: int) -> None:
+        for i in range(j):
+            rank = mono_degree(mono_lcm(lms[i], lms[j])) if complete else j
+            heapq.heappush(heap, (rank, i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if pair_budget is not None and len(log) >= pair_budget:
+            raise PairBudgetExceeded(pair_budget, len(basis))
+        lmi, lmj = lms[i], lms[j]
+        lcm = mono_lcm(lmi, lmj)
+        if all(a + b == c for a, b, c in zip(lmi, lmj, lcm)):
+            status = "coprime"
+        elif use_chain_criterion and (k := _chain_link(i, j, lcm, lms, settled)) is not None:
+            status = f"chain:{k}"
+        elif not (rem := _reduce_terms(_s_terms(reducers[i], reducers[j], field),
+                                       reducers, field, order.key)):
+            status = "zero_reduction"
+        elif not complete:
+            status = "failed"
+        else:
+            r = Poly._raw(basis[0].nvars, field, rem)
+            basis.append(r.term_mul((0,) * r.nvars, field.inv(leading_term(r, order)[1])))
+            reducers += _prepare_reducers(basis[-1:], order)
+            lms.append(reducers[-1][0])
+            push_pairs(len(basis) - 1)
+            status = "added"
+        log.append((i, j, status))
+        if status != "failed":
+            settled.add((i, j))
+    return log
 
 
 def buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
@@ -165,92 +230,40 @@ def buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
 
     Raises PairBudgetExceeded once more than pair_budget pairs are popped.
     """
-    stats = {
-        "pairs_processed": 0,
-        "skipped_coprime": 0,
-        "skipped_chain": 0,
-        "zero_reductions": 0,
-        "basis_added": 0,
+    basis = [g.term_mul((0,) * g.nvars, g.field.inv(leading_term(g, order)[1]))
+             for g in generators if g.terms]
+    log = _settle_pairs(basis, order, complete=True, pair_budget=pair_budget,
+                        use_chain_criterion=use_chain_criterion)
+    tally = Counter(status.split(":")[0] for _, _, status in log)
+    return basis, {
+        "pairs_processed": len(log),
+        "skipped_coprime": tally["coprime"],
+        "skipped_chain": tally["chain"],
+        "zero_reductions": tally["zero_reduction"],
+        "basis_added": tally["added"],
     }
-    basis: list[Poly] = []
-    for g in generators:
-        if g.terms:
-            _, lc = leading_term(g, order)
-            basis.append(g.term_mul((0,) * g.nvars, g.field.inv(lc)))
-    if not basis:
-        return [], stats
-    field = basis[0].field
-    reducers = _prepare_reducers(basis, order)
-    lms = [r[0] for r in reducers]
-    heap: list = []
-    pending: set = set()
-
-    def push_pairs(j: int) -> None:
-        for i in range(j):
-            lcm = mono_lcm(lms[i], lms[j])
-            heapq.heappush(heap, (mono_degree(lcm), i, j))
-            pending.add((i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
-
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        stats["pairs_processed"] += 1
-        if stats["pairs_processed"] > pair_budget:
-            raise PairBudgetExceeded(pair_budget, len(basis))
-        lmi, lmj = lms[i], lms[j]
-        lcm = mono_lcm(lmi, lmj)
-        if all(a + b == c for a, b, c in zip(lmi, lmj, lcm)):
-            stats["skipped_coprime"] += 1
-            continue
-        if use_chain_criterion and _chain_applies(i, j, lcm, lms, pending):
-            stats["skipped_chain"] += 1
-            continue
-        s = s_polynomial(basis[i], basis[j], order)
-        rem = _reduce_terms(dict(s.terms), reducers, field, order.key)
-        if not rem:
-            stats["zero_reductions"] += 1
-            continue
-        r = Poly._raw(s.nvars, field, rem)
-        lm, lc = leading_term(r, order)
-        r = r.term_mul((0,) * r.nvars, field.inv(lc))
-        basis.append(r)
-        lms.append(lm)
-        reducers.append((lm, field.one, tuple((m, c) for m, c in r.terms.items() if m != lm)))
-        stats["basis_added"] += 1
-        push_pairs(len(basis) - 1)
-    return basis, stats
 
 
 def reduce_groebner_basis(basis, order) -> list[Poly]:
     """The unique reduced basis: minimal, monic, fully inter-reduced, sorted.
 
     Input must already be a Groebner basis; the leading monomials are first
-    minimalized under divisibility, then each survivor is normal-formed
-    against the others.
+    minimalized under divisibility, then each survivor's tail is reduced by
+    the minimal set (no leading monomial divides a smaller monomial, so an
+    element never reduces its own tail).
     """
     gens = [g for g in basis if g.terms]
     if not gens:
         return []
-    field = gens[0].field
-    ordered = sorted(gens, key=lambda g: order.key(leading_term(g, order)[0]))
-    minimal: list[Poly] = []
-    kept_lms: list[Monomial] = []
-    for g in ordered:
-        lm = leading_term(g, order)[0]
-        if any(mono_divides(p, lm) for p in kept_lms):
-            continue
-        minimal.append(g)
-        kept_lms.append(lm)
+    reducers: list = []
+    for r in sorted(_prepare_reducers(gens, order), key=lambda r: order.key(r[0])):
+        if not any(mono_divides(kept[0], r[0]) for kept in reducers):
+            reducers.append(r)
+    nvars, field = gens[0].nvars, gens[0].field
     out = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        r = normal_form(g, others, order) if others else g
-        _, lc = leading_term(r, order)
-        out.append(r.term_mul((0,) * r.nvars, field.inv(lc)))
-    out.sort(key=lambda g: order.key(leading_term(g, order)[0]))
+    for lm, inv_lc, tail in reducers:
+        rem = _reduce_terms({m: c * inv_lc for m, c in tail}, reducers, field, order.key)
+        out.append(Poly._raw(nvars, field, {lm: field.one, **rem}))
     return out
 
 
@@ -262,55 +275,22 @@ def groebner_basis(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
     return reduce_groebner_basis(basis, order)
 
 
-def _checker_chain(i: int, j: int, lcm: Monomial, lms, statuses) -> int | None:
-    for k in range(len(lms)):
-        if k == i or k == j or not mono_divides(lms[k], lcm):
-            continue
-        a = (i, k) if i < k else (k, i)
-        b = (j, k) if j < k else (k, j)
-        sa = statuses.get(a)
-        sb = statuses.get(b)
-        if sa is not None and sb is not None and sa != "failed" and sb != "failed":
-            return k
-    return None
-
-
 def is_groebner_basis(gens, order, *, use_chain_criterion: bool = True) -> tuple[bool, dict]:
     """Whether every S-polynomial of the set reduces to zero by the set itself.
 
-    The certificate lists one entry per unordered pair with how it settled:
-    reduced to zero, skipped with coprime leading monomials, or skipped via a
-    third element whose leading monomial divides the pair lcm and whose two
-    linking pairs settled earlier without failure (justifications only point
-    backwards in checking order, so they never loop).
+    The certificate lists one entry per unordered pair, in (j, i) order, with
+    how it settled: reduced to zero, failed (a nonzero remainder), skipped
+    with coprime leading monomials, or skipped via a third element k
+    ("chain:k") whose leading monomial divides the pair lcm and whose two
+    linking pairs were settled earlier without failure.
     """
-    basis = _require_nonzero(gens)
-    reducers = _prepare_reducers(basis, order)
-    lms = [r[0] for r in reducers]
-    field = basis[0].field if basis else QQ
-    statuses: dict = {}
-    pairs = []
-    counts = {"total": 0, "zero_reduction": 0, "coprime": 0, "chain": 0, "failed": 0}
-    ok = True
-    for j in range(len(basis)):
-        for i in range(j):
-            lcm = mono_lcm(lms[i], lms[j])
-            if all(a + b == c for a, b, c in zip(lms[i], lms[j], lcm)):
-                status = "coprime"
-            else:
-                k = _checker_chain(i, j, lcm, lms, statuses) if use_chain_criterion else None
-                if k is not None:
-                    status = f"chain:{k}"
-                else:
-                    s = s_polynomial(basis[i], basis[j], order)
-                    rem = _reduce_terms(dict(s.terms), reducers, field, order.key)
-                    status = "zero_reduction" if not rem else "failed"
-                    if rem:
-                        ok = False
-            statuses[(i, j)] = status
-            pairs.append({"i": i, "j": j, "status": status})
-            counts["total"] += 1
-            counts[status.split(":")[0]] += 1
+    log = _settle_pairs(_require_nonzero(gens), order, complete=False,
+                        use_chain_criterion=use_chain_criterion)
+    tally = Counter(status.split(":")[0] for _, _, status in log)
+    counts = {"total": len(log)}
+    counts.update((s, tally[s]) for s in ("zero_reduction", "coprime", "chain", "failed"))
+    ok = not counts["failed"]
+    pairs = [{"i": i, "j": j, "status": status} for i, j, status in log]
     return ok, {"groebner": ok, "pairs": pairs, "counts": counts}
 
 

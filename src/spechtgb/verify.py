@@ -1004,6 +1004,13 @@ def _cmd_verify(args) -> int:
     return suite_exit_code(reports)
 
 
+def _pair_budget(text: str) -> int:
+    budget = int(text)
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {budget}")
+    return budget
+
+
 def _add_output_flags(p) -> None:
     p.add_argument("--report", choices=("text", "json"), default="text",
                    help="text summary or one JSON object per line")
@@ -1033,14 +1040,14 @@ def build_parser() -> argparse.ArgumentParser:
     gb_p.add_argument("--filter", required=True)
     gb_p.add_argument("--order", default=None, help='e.g. "lex:3,1,2" or "grevlex:1,2,3"')
     gb_p.add_argument("--field", default="Q")
-    gb_p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    gb_p.add_argument("--pair-budget", type=_pair_budget, default=DEFAULT_PAIR_BUDGET)
     _add_output_flags(gb_p)
 
     oracle_p = sub.add_parser("oracle", help="reduced basis of a strata vanishing ideal")
     oracle_p.add_argument("--n", type=int, required=True)
     oracle_p.add_argument("--filter", required=True,
                           help="upper filters are used directly, lower ones complemented")
-    oracle_p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    oracle_p.add_argument("--pair-budget", type=_pair_budget, default=DEFAULT_PAIR_BUDGET)
     _add_output_flags(oracle_p)
 
     verify_p = sub.add_parser("verify", help="run verification checks")
@@ -1054,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--samples", type=int, default=10)
     verify_p.add_argument("--trials", type=int, default=20)
     verify_p.add_argument("--order-budget", type=int, default=25)
-    verify_p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    verify_p.add_argument("--pair-budget", type=_pair_budget, default=DEFAULT_PAIR_BUDGET)
     verify_p.add_argument("--no-controls", action="store_true",
                           help="skip the corrupted-fixture controls")
     _add_output_flags(verify_p)
@@ -1076,6 +1083,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except PairBudgetExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,12 +3,35 @@
 Everything here is deliberately naive: brute-force expansion over dicts,
 closed-form counting formulas, definition-chasing predicates.  Nothing
 imports from the package under test, so a bug there cannot hide in its
-own mirror image.
+own mirror image.  The one exception is the last section: the two-loop
+pair engine that the shared pair core replaced, kept verbatim as a
+differential reference.  It reuses the package's division and polynomial
+type, which that change left alone.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+
+from spechtgb.groebner import (
+    DEFAULT_PAIR_BUDGET,
+    PairBudgetExceeded,
+    _prepare_reducers,
+    _reduce_terms,
+    _require_nonzero,
+    normal_form,
+)
+from spechtgb.polyring import (
+    QQ,
+    Monomial,
+    Poly,
+    leading_term,
+    mono_degree,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -195,3 +218,181 @@ def brute_permutation_sign(images) -> int:
 
 def all_permutations(n: int):
     return permutations(range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# the pair engine before the shared core: two pair loops, two chain criteria
+# (completion asks "not pending", certification "settled without failure")
+
+
+def ref_s_polynomial(f: Poly, g: Poly, order) -> Poly:
+    """lcm/in(f) * f / lc(f) - lcm/in(g) * g / lc(g): leading terms cancel."""
+    lmf, lcf = leading_term(f, order)
+    lmg, lcg = leading_term(g, order)
+    lcm = mono_lcm(lmf, lmg)
+    field = f.field
+    a = f.term_mul(mono_div(lcm, lmf), field.inv(lcf))
+    b = g.term_mul(mono_div(lcm, lmg), field.inv(lcg))
+    return a - b
+
+
+def _chain_applies(i: int, j: int, lcm: Monomial, lms, pending) -> bool:
+    # sound at pop time: a linking pair absent from pending was popped earlier,
+    # so the justification chain strictly descends in pop order
+    for k in range(len(lms)):
+        if k == i or k == j:
+            continue
+        if not mono_divides(lms[k], lcm):
+            continue
+        a = (i, k) if i < k else (k, i)
+        b = (j, k) if j < k else (k, j)
+        if a not in pending and b not in pending:
+            return True
+    return False
+
+
+def ref_buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
+                   use_chain_criterion: bool = True) -> tuple[list[Poly], dict]:
+    """Grow the nonzero generators into a Groebner basis; returns (basis, stats).
+
+    Raises PairBudgetExceeded once more than pair_budget pairs are popped.
+    """
+    stats = {
+        "pairs_processed": 0,
+        "skipped_coprime": 0,
+        "skipped_chain": 0,
+        "zero_reductions": 0,
+        "basis_added": 0,
+    }
+    basis: list[Poly] = []
+    for g in generators:
+        if g.terms:
+            _, lc = leading_term(g, order)
+            basis.append(g.term_mul((0,) * g.nvars, g.field.inv(lc)))
+    if not basis:
+        return [], stats
+    field = basis[0].field
+    reducers = _prepare_reducers(basis, order)
+    lms = [r[0] for r in reducers]
+    heap: list = []
+    pending: set = set()
+
+    def push_pairs(j: int) -> None:
+        for i in range(j):
+            lcm = mono_lcm(lms[i], lms[j])
+            heapq.heappush(heap, (mono_degree(lcm), i, j))
+            pending.add((i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        stats["pairs_processed"] += 1
+        if stats["pairs_processed"] > pair_budget:
+            raise PairBudgetExceeded(pair_budget, len(basis))
+        lmi, lmj = lms[i], lms[j]
+        lcm = mono_lcm(lmi, lmj)
+        if all(a + b == c for a, b, c in zip(lmi, lmj, lcm)):
+            stats["skipped_coprime"] += 1
+            continue
+        if use_chain_criterion and _chain_applies(i, j, lcm, lms, pending):
+            stats["skipped_chain"] += 1
+            continue
+        s = ref_s_polynomial(basis[i], basis[j], order)
+        rem = _reduce_terms(dict(s.terms), reducers, field, order.key)
+        if not rem:
+            stats["zero_reductions"] += 1
+            continue
+        r = Poly._raw(s.nvars, field, rem)
+        lm, lc = leading_term(r, order)
+        r = r.term_mul((0,) * r.nvars, field.inv(lc))
+        basis.append(r)
+        lms.append(lm)
+        reducers.append((lm, field.one, tuple((m, c) for m, c in r.terms.items() if m != lm)))
+        stats["basis_added"] += 1
+        push_pairs(len(basis) - 1)
+    return basis, stats
+
+
+def ref_reduce_groebner_basis(basis, order) -> list[Poly]:
+    """The unique reduced basis: minimal, monic, fully inter-reduced, sorted.
+
+    Input must already be a Groebner basis; the leading monomials are first
+    minimalized under divisibility, then each survivor is normal-formed
+    against the others.
+    """
+    gens = [g for g in basis if g.terms]
+    if not gens:
+        return []
+    field = gens[0].field
+    ordered = sorted(gens, key=lambda g: order.key(leading_term(g, order)[0]))
+    minimal: list[Poly] = []
+    kept_lms: list[Monomial] = []
+    for g in ordered:
+        lm = leading_term(g, order)[0]
+        if any(mono_divides(p, lm) for p in kept_lms):
+            continue
+        minimal.append(g)
+        kept_lms.append(lm)
+    out = []
+    for idx, g in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1:]
+        r = normal_form(g, others, order) if others else g
+        _, lc = leading_term(r, order)
+        out.append(r.term_mul((0,) * r.nvars, field.inv(lc)))
+    out.sort(key=lambda g: order.key(leading_term(g, order)[0]))
+    return out
+
+
+def _checker_chain(i: int, j: int, lcm: Monomial, lms, statuses) -> int | None:
+    for k in range(len(lms)):
+        if k == i or k == j or not mono_divides(lms[k], lcm):
+            continue
+        a = (i, k) if i < k else (k, i)
+        b = (j, k) if j < k else (k, j)
+        sa = statuses.get(a)
+        sb = statuses.get(b)
+        if sa is not None and sb is not None and sa != "failed" and sb != "failed":
+            return k
+    return None
+
+
+def ref_is_groebner_basis(gens, order, *, use_chain_criterion: bool = True) -> tuple[bool, dict]:
+    """Whether every S-polynomial of the set reduces to zero by the set itself.
+
+    The certificate lists one entry per unordered pair with how it settled:
+    reduced to zero, skipped with coprime leading monomials, or skipped via a
+    third element whose leading monomial divides the pair lcm and whose two
+    linking pairs settled earlier without failure (justifications only point
+    backwards in checking order, so they never loop).
+    """
+    basis = _require_nonzero(gens)
+    reducers = _prepare_reducers(basis, order)
+    lms = [r[0] for r in reducers]
+    field = basis[0].field if basis else QQ
+    statuses: dict = {}
+    pairs = []
+    counts = {"total": 0, "zero_reduction": 0, "coprime": 0, "chain": 0, "failed": 0}
+    ok = True
+    for j in range(len(basis)):
+        for i in range(j):
+            lcm = mono_lcm(lms[i], lms[j])
+            if all(a + b == c for a, b, c in zip(lms[i], lms[j], lcm)):
+                status = "coprime"
+            else:
+                k = _checker_chain(i, j, lcm, lms, statuses) if use_chain_criterion else None
+                if k is not None:
+                    status = f"chain:{k}"
+                else:
+                    s = ref_s_polynomial(basis[i], basis[j], order)
+                    rem = _reduce_terms(dict(s.terms), reducers, field, order.key)
+                    status = "zero_reduction" if not rem else "failed"
+                    if rem:
+                        ok = False
+            statuses[(i, j)] = status
+            pairs.append({"i": i, "j": j, "status": status})
+            counts["total"] += 1
+            counts[status.split(":")[0]] += 1
+    return ok, {"groebner": ok, "pairs": pairs, "counts": counts}

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from spechtgb import (
     IdealBasis,
     MonomialOrder,
+    DEFAULT_PAIR_BUDGET,
     PairBudgetExceeded,
     Poly,
     QQ,
     GF,
     buchberger,
     division,
+    enumerate_lower_filters,
     filter_generators,
     groebner_basis,
     ideal_equal,
@@ -39,6 +41,13 @@ from spechtgb import (
     shape_generators,
 )
 from spechtgb.specht import _normalized
+
+from oracles import (
+    ref_buchberger,
+    ref_is_groebner_basis,
+    ref_reduce_groebner_basis,
+    ref_s_polynomial,
+)
 
 
 def p(text, n=3, field=QQ):
@@ -155,6 +164,8 @@ class TestSPolynomial:
         s = s_polynomial(f, g, order)
         if s.terms:
             assert order.key(leading_term(s, order)[0]) < lcm_key
+        # built from the two tails alone, it equals the full two-term difference
+        assert typed([s]) == typed([ref_s_polynomial(f, g, order)])
 
 
 class TestBuchberger:
@@ -415,3 +426,85 @@ class TestCanonicalCoefficients:
         assert_canonical([normalized])
         for lam in partitions_of(4):
             assert_canonical(g.polynomial for g in shape_generators(lam))
+
+
+def typed(polys):
+    """Each polynomial's terms with every coefficient's type, in list order."""
+    return [sorted((m, type(c).__name__, c) for m, c in f.terms.items()) for f in polys]
+
+
+def assert_core_matches_two_loop_engine(gens, order, chain, pair_budget=DEFAULT_PAIR_BUDGET):
+    """The shared pair core gives exactly what the two-loop engine gave."""
+    assert (is_groebner_basis(gens, order, use_chain_criterion=chain)
+            == ref_is_groebner_basis(gens, order, use_chain_criterion=chain))
+    try:
+        old_basis, old_stats = ref_buchberger(gens, order, pair_budget=pair_budget,
+                                              use_chain_criterion=chain)
+    except PairBudgetExceeded as e:
+        with pytest.raises(PairBudgetExceeded) as info:
+            buchberger(gens, order, pair_budget=pair_budget, use_chain_criterion=chain)
+        assert (info.value.budget, info.value.basis_size) == (e.budget, e.basis_size)
+        return
+    basis, stats = buchberger(gens, order, pair_budget=pair_budget, use_chain_criterion=chain)
+    assert stats == old_stats
+    assert typed(basis) == typed(old_basis)
+    assert typed(reduce_groebner_basis(basis, order)) == typed(
+        ref_reduce_groebner_basis(old_basis, order))
+
+
+class TestPairCoreMatchesTwoLoopEngine:
+    """Differential tests against the pair loops the shared core replaced
+    (kept verbatim in tests/oracles.py)."""
+
+    @pytest.mark.parametrize("chain", [True, False])
+    def test_filter_generators_under_lex_grevlex_and_weight_orders(self, chain):
+        rng = random.Random(5)
+        for n in (2, 3, 4):
+            for filt in enumerate_lower_filters(n):
+                gens = [g.polynomial for g in filter_generators(filt)]
+                rank = list(range(1, n + 1))
+                rng.shuffle(rank)
+                weights = [Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(n)]
+                for order in (lex_order(n), MonomialOrder("grevlex", n, rank),
+                              MonomialOrder("weight", n, rank, weights)):
+                    assert_core_matches_two_loop_engine(gens, order, chain)
+                    # the generators are a basis already: reduce them directly
+                    assert typed(reduce_groebner_basis(gens, order)) == typed(
+                        ref_reduce_groebner_basis(gens, order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(poly_strategy(max_terms=3), min_size=1, max_size=4),
+           order_strategy(), st.booleans())
+    def test_random_sets_certify_alike(self, gens, order, chain):
+        # most random sets are not bases, so failed pairs and the chain
+        # criterion's treatment of failed links are exercised
+        assert (is_groebner_basis(gens, order, use_chain_criterion=chain)
+                == ref_is_groebner_basis(gens, order, use_chain_criterion=chain))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(mixed_poly_strategy(max_terms=2), min_size=1, max_size=3),
+           order_strategy(), st.booleans(), st.sampled_from([None, 5]))
+    def test_random_sets_complete_and_reduce_alike(self, gens, order, chain, prime):
+        if prime is not None:
+            gens = [Poly(3, GF(prime), g.terms) for g in gens]
+        assert_core_matches_two_loop_engine(gens, order, chain, pair_budget=2_000)
+
+    def test_budget_exhaustion_matches(self):
+        gens = [p("x1^2 + x2^2 + x3^2 - 1"), p("x1*x2 - x3"), p("x1 + x2 + x3")]
+        for budget in (0, 1, 3, 6):
+            assert_core_matches_two_loop_engine(gens, lex_order(3), True, pair_budget=budget)
+
+    def test_a_failed_pair_never_links_a_chain_skip(self):
+        # pair (1,2) would be skipped via k=0 if the failed pair (0,1) counted
+        # as settled; the verdict is the same, the evidence is not
+        gens = [p("-x2*x3"), p("-x2*x3 + 2*x1"), p("2*x1*x2*x3^2")]
+        ok, cert = is_groebner_basis(gens, lex_order(3))
+        assert not ok
+        assert cert["pairs"] == [
+            {"i": 0, "j": 1, "status": "failed"},
+            {"i": 0, "j": 2, "status": "zero_reduction"},
+            {"i": 1, "j": 2, "status": "failed"},
+        ]
+        assert cert["counts"] == {"total": 3, "zero_reduction": 1, "coprime": 0,
+                                  "chain": 0, "failed": 2}
+

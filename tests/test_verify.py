@@ -368,6 +368,26 @@ class TestErrorVerdict:
         assert last.startswith("0 pass, 0 fail, 0 skipped, 1 error")
 
 
+class TestPairBudgetFlag:
+    @pytest.mark.parametrize("argv, size", [
+        (["gb", "--n", "3", "--filter", "lower<=[2,1]"], 4),
+        (["oracle", "--n", "4", "--filter", "lower<=[2,2]"], 5),
+    ])
+    def test_budget_exhaustion_exits_three_with_one_line(self, argv, size, capsys):
+        assert main(argv + ["--pair-budget", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: S-pair budget 1 exhausted with {size} basis elements\n"
+
+    @pytest.mark.parametrize("command", ["gb", "oracle", "verify reduced"])
+    def test_negative_budget_exits_two(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--n", "3", "--filter", "lower<=[2,1]",
+                                    "--pair-budget", "-5"])
+        assert exc.value.code == 2
+        assert "--pair-budget: must be nonnegative, got -5" in capsys.readouterr().err
+
+
 class TestSingleRunFlags:
     def test_shape_must_be_a_partition_of_n(self, capsys):
         assert main(["verify", "restricted", "--n", "5", "--shape", "[2,1]"]) == 2

@@ -9,6 +9,16 @@ verify checks, and another order changes which pairs the chain criterion
 skips. The reducer is the earliest match in basis sequence, and reduced bases
 come out monic and sorted ascending by leading monomial, so two independently
 computed bases of the same ideal can be compared with ==.
+
+A basis element is prepared once as a reducer tuple (lm, inv_lc, tail,
+support): its leading monomial, the inverse of its leading coefficient, its
+other terms as (monomial, coefficient) pairs, and the support of lm as
+(variable index, exponent) pairs for its nonzero exponents. lm divides m
+exactly when m[v] >= e for every (v, e) in the support, so divisor searches,
+the coprime test and the chain criterion read only the variables that lm
+involves instead of scanning whole exponent vectors (the short-vector idea of
+Bachmann & Schoenemann, ISSAC 1998). A constant lm has empty support and
+divides everything.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from dataclasses import dataclass
 from operator import add, neg, sub
 
 from .polyring import (
+    MAX_VARS,
     QQ,
     Field,
     Monomial,
@@ -27,7 +38,6 @@ from .polyring import (
     lex_order,
     mono_degree,
     mono_div,
-    mono_divides,
     mono_lcm,
 )
 
@@ -53,8 +63,17 @@ def _prepare_reducers(basis, order):
     for g in basis:
         lm, lc = leading_term(g, order)
         tail = tuple((m, c) for m, c in g.terms.items() if m != lm)
-        out.append((lm, g.field.inv(lc), tail))
+        support = tuple((v, e) for v, e in enumerate(lm) if e)
+        out.append((lm, g.field.inv(lc), tail, support))
     return out
+
+
+def _divides(support, m: Monomial) -> bool:
+    # whether the leading monomial with this support divides m
+    for v, e in support:
+        if m[v] < e:
+            return False
+    return True
 
 
 def _reduce_terms(terms: dict, reducers, field: Field, keyfn, quotients=None) -> dict:
@@ -74,37 +93,38 @@ def _reduce_terms(terms: dict, reducers, field: Field, keyfn, quotients=None) ->
         c = terms.pop(m, None)
         if c is None:
             continue
-        for idx, (lm, inv_lc, tail) in enumerate(reducers):
-            divisible = True
-            for a, b in zip(m, lm):
-                if a < b:
-                    divisible = False
+        # the earliest reducer in basis order whose leading monomial divides
+        # m; _divides is written out here, the hottest loop of the engine
+        for idx, r in enumerate(reducers):
+            for var, e in r[3]:
+                if m[var] < e:
                     break
-            if not divisible:
-                continue
-            shift = tuple(map(sub, m, lm))
-            factor = field.mul(c, inv_lc)
-            if quotients is not None:
-                q = quotients[idx]
-                q[shift] = field.add(q.get(shift, 0), factor)
-            for tm, tc in tail:
-                key = tuple(map(add, tm, shift))
-                prev = terms.get(key)
-                if prev is None:
-                    v = -factor * tc
-                    terms[key] = v if p is None else v % p
-                    heapq.heappush(heap, (_neg_key(keyfn(key)), key))
-                else:
-                    v = prev - factor * tc
-                    if p is not None:
-                        v %= p
-                    if v:
-                        terms[key] = v
-                    else:
-                        del terms[key]
-            break
+            else:
+                break
         else:
             remainder[m] = c
+            continue
+        lm, inv_lc, tail, _ = r
+        shift = tuple(map(sub, m, lm))
+        factor = field.mul(c, inv_lc)
+        if quotients is not None:
+            q = quotients[idx]
+            q[shift] = field.add(q.get(shift, 0), factor)
+        for tm, tc in tail:
+            key = tuple(map(add, tm, shift))
+            prev = terms.get(key)
+            if prev is None:
+                v = -factor * tc
+                terms[key] = v if p is None else v % p
+                heapq.heappush(heap, (_neg_key(keyfn(key)), key))
+            else:
+                v = prev - factor * tc
+                if p is not None:
+                    v %= p
+                if v:
+                    terms[key] = v
+                else:
+                    del terms[key]
     return field.canonical(remainder)
 
 
@@ -158,12 +178,12 @@ def s_polynomial(f: Poly, g: Poly, order) -> Poly:
     return Poly._raw(f.nvars, f.field, _s_terms(ri, rj, f.field))
 
 
-def _chain_link(i: int, j: int, lcm: Monomial, lms, settled) -> int | None:
+def _chain_link(i: int, j: int, lcm: Monomial, reducers, settled) -> int | None:
     # a third element whose leading monomial divides the lcm and whose two
     # linking pairs are settled; settled pairs were popped earlier, so the
     # justifications strictly descend in pop order and never loop
-    for k in range(len(lms)):
-        if k == i or k == j or not mono_divides(lms[k], lcm):
+    for k, r in enumerate(reducers):
+        if k == i or k == j or not _divides(r[3], lcm):
             continue
         a = (i, k) if i < k else (k, i)
         b = (j, k) if j < k else (k, j)
@@ -200,11 +220,11 @@ def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None
         _, i, j = heapq.heappop(heap)
         if pair_budget is not None and len(log) >= pair_budget:
             raise PairBudgetExceeded(pair_budget, len(basis))
-        lmi, lmj = lms[i], lms[j]
-        lcm = mono_lcm(lmi, lmj)
-        if all(a + b == c for a, b, c in zip(lmi, lmj, lcm)):
+        lmj = lms[j]
+        if not any(lmj[v] for v, _ in reducers[i][3]):
             status = "coprime"
-        elif use_chain_criterion and (k := _chain_link(i, j, lcm, lms, settled)) is not None:
+        elif use_chain_criterion and (k := _chain_link(
+                i, j, mono_lcm(lms[i], lmj), reducers, settled)) is not None:
             status = f"chain:{k}"
         elif not (rem := _reduce_terms(_s_terms(reducers[i], reducers[j], field),
                                        reducers, field, order.key)):
@@ -257,11 +277,11 @@ def reduce_groebner_basis(basis, order) -> list[Poly]:
         return []
     reducers: list = []
     for r in sorted(_prepare_reducers(gens, order), key=lambda r: order.key(r[0])):
-        if not any(mono_divides(kept[0], r[0]) for kept in reducers):
+        if not any(_divides(kept[3], r[0]) for kept in reducers):
             reducers.append(r)
     nvars, field = gens[0].nvars, gens[0].field
     out = []
-    for lm, inv_lc, tail in reducers:
+    for lm, inv_lc, tail, _ in reducers:
         rem = _reduce_terms({m: c * inv_lc for m, c in tail}, reducers, field, order.key)
         out.append(Poly._raw(nvars, field, {lm: field.one, **rem}))
     return out
@@ -355,6 +375,18 @@ class _EliminationOrder:
         return (mono[-1],) + self.inner.key(mono[:-1])
 
 
+def _elimination_order(inner):
+    """The elimination order of one trailing auxiliary variable over inner.
+
+    Over a lex inner order this is lex with the auxiliary variable ranked on
+    top: the same key tuples as _EliminationOrder(inner), from one flat key
+    with no slicing or concatenation per monomial.
+    """
+    if inner.kind == "lex" and inner.nvars < MAX_VARS:
+        return lex_order(inner.nvars + 1, inner.ranking + (inner.nvars + 1,))
+    return _EliminationOrder(inner)
+
+
 def _lift(f: Poly, with_aux: bool) -> Poly:
     # t*f when with_aux, else (1 - t)*f, in one extra trailing variable
     field = f.field
@@ -383,7 +415,7 @@ def ideal_intersection(a: IdealBasis, b: IdealBasis, *, order=None,
     if a.is_zero() or b.is_zero():
         return IdealBasis(a.nvars, a.field, ())
     lifted = [_lift(f, True) for f in a.generators] + [_lift(g, False) for g in b.generators]
-    gb = groebner_basis(lifted, _EliminationOrder(inner), pair_budget=pair_budget)
+    gb = groebner_basis(lifted, _elimination_order(inner), pair_budget=pair_budget)
     kept = tuple(
         Poly._raw(a.nvars, a.field, {m[:-1]: c for m, c in g.terms.items()})
         for g in gb

@@ -107,9 +107,15 @@ def _guarded(check_id: str, parameters: dict, body) -> CheckReport:
     started = time.perf_counter()
     try:
         verdict, reason, evidence = body()
-    except PairBudgetExceeded as e:
-        # running out of pairs is no counterexample
-        verdict, reason, evidence = "error", str(e), {"exception": "PairBudgetExceeded"}
+    except Exception as e:
+        # running out of pairs, or any other crash, is no counterexample; a
+        # crash also leaves its traceback on stderr
+        if not isinstance(e, PairBudgetExceeded):
+            import traceback  # only a crash needs it, so no import of the package pays for it
+
+            traceback.print_exc()
+        name = type(e).__name__
+        verdict, reason, evidence = "error", str(e) or name, {"exception": name}
     return CheckReport(
         check_id=check_id,
         parameters=parameters,
@@ -179,7 +185,9 @@ def _order_failure(polys: list[Poly], orders, where: str) -> str | None:
         if not ok:
             return f"not a basis{where} under {order.text()}"
         induced = order.induced_lex()
-        if any(leading_term(p, order) != leading_term(p, induced) for p in polys):
+        # a lex order induces itself, so only the other kinds compare
+        if induced != order and any(leading_term(p, order) != leading_term(p, induced)
+                                    for p in polys):
             return f"leading term disagrees with the induced lex order{where} under {order.text()}"
     return None
 
@@ -796,7 +804,8 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
 
 
 def suite_exit_code(reports: list[CheckReport]) -> int:
-    """1 when a check failed, else 3 when one ran out of its budget, else 0."""
+    """1 when a check failed, else 3 when one could not finish (out of its budget
+    or crashed), else 0."""
     verdicts = {r.verdict for r in reports}
     if "fail" in verdicts:
         return 1

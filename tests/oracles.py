@@ -3,27 +3,25 @@
 Everything here is deliberately naive: brute-force expansion over dicts,
 closed-form counting formulas, definition-chasing predicates.  Nothing
 imports from the package under test, so a bug there cannot hide in its
-own mirror image.  The one exception is the last section: the two-loop
-pair engine that the shared pair core replaced, kept verbatim as a
-differential reference.  It reuses the package's division and polynomial
-type, which that change left alone.
+own mirror image.  The last sections are the package's earlier Groebner
+kernel, kept verbatim as differential references: the division that scans
+whole exponent vectors for a divisor, the pair core before its coprime and
+chain tests read leading-monomial supports, and the two-loop pair engine
+that the shared pair core replaced.  They take only the polynomial type, its
+leading term and the budget exception from the package, so that both
+engines raise and return the same types.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from operator import add, neg, sub
 
-from spechtgb.groebner import (
-    DEFAULT_PAIR_BUDGET,
-    PairBudgetExceeded,
-    _prepare_reducers,
-    _reduce_terms,
-    _require_nonzero,
-    normal_form,
-)
+from spechtgb.groebner import DEFAULT_PAIR_BUDGET, PairBudgetExceeded
 from spechtgb.polyring import (
     QQ,
+    Field,
     Monomial,
     Poly,
     leading_term,
@@ -221,6 +219,190 @@ def all_permutations(n: int):
 
 
 # ---------------------------------------------------------------------------
+# division before support-indexed divisor search: every reducer test scans
+# the whole exponent vector, and a reducer is (lm, inv_lc, tail)
+
+
+def _neg_key(key):
+    # order keys are flat tuples of ints; negate for min-heap use
+    return tuple(map(neg, key))
+
+
+def ref_prepare_reducers(basis, order):
+    out = []
+    for g in basis:
+        lm, lc = leading_term(g, order)
+        tail = tuple((m, c) for m, c in g.terms.items() if m != lm)
+        out.append((lm, g.field.inv(lc), tail))
+    return out
+
+
+def ref_reduce_terms(terms: dict, reducers, field: Field, keyfn, quotients=None) -> dict:
+    """Fully reduce a term dict in place, returning the remainder dict.
+
+    Monomials are processed in strictly decreasing key order via a lazy heap
+    (stale entries are skipped), so tail substitutions never touch monomials
+    already settled into the remainder. Tail updates use raw int/Fraction
+    arithmetic (reduced mod p over F_p); the remainder is made canonical once.
+    """
+    p = field.p
+    heap = [(_neg_key(keyfn(m)), m) for m in terms]
+    heapq.heapify(heap)
+    remainder: dict = {}
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = terms.pop(m, None)
+        if c is None:
+            continue
+        for idx, (lm, inv_lc, tail) in enumerate(reducers):
+            divisible = True
+            for a, b in zip(m, lm):
+                if a < b:
+                    divisible = False
+                    break
+            if not divisible:
+                continue
+            shift = tuple(map(sub, m, lm))
+            factor = field.mul(c, inv_lc)
+            if quotients is not None:
+                q = quotients[idx]
+                q[shift] = field.add(q.get(shift, 0), factor)
+            for tm, tc in tail:
+                key = tuple(map(add, tm, shift))
+                prev = terms.get(key)
+                if prev is None:
+                    v = -factor * tc
+                    terms[key] = v if p is None else v % p
+                    heapq.heappush(heap, (_neg_key(keyfn(key)), key))
+                else:
+                    v = prev - factor * tc
+                    if p is not None:
+                        v %= p
+                    if v:
+                        terms[key] = v
+                    else:
+                        del terms[key]
+            break
+        else:
+            remainder[m] = c
+    return field.canonical(remainder)
+
+
+def _require_nonzero(basis) -> list[Poly]:
+    gens = list(basis)
+    for g in gens:
+        if not g.terms:
+            raise ValueError("zero polynomial in basis")
+    return gens
+
+
+def ref_normal_form(f: Poly, basis, order) -> Poly:
+    """Remainder of f on division by the basis; no remainder term is reducible."""
+    gens = _require_nonzero(basis)
+    if not gens or not f.terms:
+        return f
+    reducers = ref_prepare_reducers(gens, order)
+    rem = ref_reduce_terms(dict(f.terms), reducers, f.field, order.key)
+    return Poly._raw(f.nvars, f.field, rem)
+
+
+def ref_division(f: Poly, basis, order) -> tuple[list[Poly], Poly]:
+    """Quotients and remainder with f == sum(q_i * basis_i) + remainder."""
+    gens = _require_nonzero(basis)
+    quotients = [dict() for _ in gens]
+    if not gens or not f.terms:
+        return [Poly.zero(f.nvars, f.field) for _ in gens], f
+    reducers = ref_prepare_reducers(gens, order)
+    rem = ref_reduce_terms(dict(f.terms), reducers, f.field, order.key, quotients)
+    qs = [Poly._raw(f.nvars, f.field, q) for q in quotients]
+    return qs, Poly._raw(f.nvars, f.field, rem)
+
+
+# ---------------------------------------------------------------------------
+# the shared pair core before support indexing: full-vector coprime and
+# chain tests, on the reducers above
+
+
+def ref_s_terms(ri, rj, field: Field) -> dict:
+    # S-polynomial of two prepared reducers (lm, inv_lc, tail): the leading
+    # terms cancel, so only the tails, shifted up to the lcm, contribute
+    lcm = mono_lcm(ri[0], rj[0])
+    shift = mono_div(lcm, ri[0])
+    terms = {tuple(map(add, m, shift)): c * ri[1] for m, c in ri[2]}
+    shift = mono_div(lcm, rj[0])
+    for m, c in rj[2]:
+        key = tuple(map(add, m, shift))
+        terms[key] = terms.get(key, 0) - c * rj[1]
+    return field.canonical(terms)
+
+
+def ref_chain_link(i: int, j: int, lcm: Monomial, lms, settled) -> int | None:
+    # a third element whose leading monomial divides the lcm and whose two
+    # linking pairs are settled; settled pairs were popped earlier, so the
+    # justifications strictly descend in pop order and never loop
+    for k in range(len(lms)):
+        if k == i or k == j or not mono_divides(lms[k], lcm):
+            continue
+        a = (i, k) if i < k else (k, i)
+        b = (j, k) if j < k else (k, j)
+        if a in settled and b in settled:
+            return k
+    return None
+
+
+def ref_settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None = None,
+                      use_chain_criterion: bool = True) -> list:
+    """Pop every pair of the basis once and return (i, j, status) in pop order.
+
+    A status is "coprime", "chain:k", "zero_reduction", or, for a nonzero
+    remainder, "added" when completing (the monic remainder joins basis and
+    reducers, and its pairs join the heap) or "failed" when certifying.
+    Completion pops by (lcm degree, i, j), certification by (j, i). A popped
+    pair is settled for the chain criterion unless it failed.
+    """
+    field = basis[0].field if basis else QQ
+    reducers = ref_prepare_reducers(basis, order)
+    lms = [r[0] for r in reducers]
+    heap: list = []
+    settled: set = set()
+    log: list = []
+
+    def push_pairs(j: int) -> None:
+        for i in range(j):
+            rank = mono_degree(mono_lcm(lms[i], lms[j])) if complete else j
+            heapq.heappush(heap, (rank, i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if pair_budget is not None and len(log) >= pair_budget:
+            raise PairBudgetExceeded(pair_budget, len(basis))
+        lmi, lmj = lms[i], lms[j]
+        lcm = mono_lcm(lmi, lmj)
+        if all(a + b == c for a, b, c in zip(lmi, lmj, lcm)):
+            status = "coprime"
+        elif use_chain_criterion and (k := ref_chain_link(i, j, lcm, lms, settled)) is not None:
+            status = f"chain:{k}"
+        elif not (rem := ref_reduce_terms(ref_s_terms(reducers[i], reducers[j], field),
+                                           reducers, field, order.key)):
+            status = "zero_reduction"
+        elif not complete:
+            status = "failed"
+        else:
+            r = Poly._raw(basis[0].nvars, field, rem)
+            basis.append(r.term_mul((0,) * r.nvars, field.inv(leading_term(r, order)[1])))
+            reducers += ref_prepare_reducers(basis[-1:], order)
+            lms.append(reducers[-1][0])
+            push_pairs(len(basis) - 1)
+            status = "added"
+        log.append((i, j, status))
+        if status != "failed":
+            settled.add((i, j))
+    return log
+
+
+# ---------------------------------------------------------------------------
 # the pair engine before the shared core: two pair loops, two chain criteria
 # (completion asks "not pending", certification "settled without failure")
 
@@ -272,7 +454,7 @@ def ref_buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
     if not basis:
         return [], stats
     field = basis[0].field
-    reducers = _prepare_reducers(basis, order)
+    reducers = ref_prepare_reducers(basis, order)
     lms = [r[0] for r in reducers]
     heap: list = []
     pending: set = set()
@@ -301,7 +483,7 @@ def ref_buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
             stats["skipped_chain"] += 1
             continue
         s = ref_s_polynomial(basis[i], basis[j], order)
-        rem = _reduce_terms(dict(s.terms), reducers, field, order.key)
+        rem = ref_reduce_terms(dict(s.terms), reducers, field, order.key)
         if not rem:
             stats["zero_reductions"] += 1
             continue
@@ -339,7 +521,7 @@ def ref_reduce_groebner_basis(basis, order) -> list[Poly]:
     out = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        r = normal_form(g, others, order) if others else g
+        r = ref_normal_form(g, others, order) if others else g
         _, lc = leading_term(r, order)
         out.append(r.term_mul((0,) * r.nvars, field.inv(lc)))
     out.sort(key=lambda g: order.key(leading_term(g, order)[0]))
@@ -369,7 +551,7 @@ def ref_is_groebner_basis(gens, order, *, use_chain_criterion: bool = True) -> t
     backwards in checking order, so they never loop).
     """
     basis = _require_nonzero(gens)
-    reducers = _prepare_reducers(basis, order)
+    reducers = ref_prepare_reducers(basis, order)
     lms = [r[0] for r in reducers]
     field = basis[0].field if basis else QQ
     statuses: dict = {}
@@ -387,7 +569,7 @@ def ref_is_groebner_basis(gens, order, *, use_chain_criterion: bool = True) -> t
                     status = f"chain:{k}"
                 else:
                     s = ref_s_polynomial(basis[i], basis[j], order)
-                    rem = _reduce_terms(dict(s.terms), reducers, field, order.key)
+                    rem = ref_reduce_terms(dict(s.terms), reducers, field, order.key)
                     status = "zero_reduction" if not rem else "failed"
                     if rem:
                         ok = False

@@ -40,13 +40,17 @@ from spechtgb import (
     s_polynomial,
     shape_generators,
 )
+from spechtgb.groebner import _EliminationOrder, _elimination_order, _settle_pairs
+from spechtgb.polyring import MAX_VARS
 from spechtgb.specht import _normalized
 
 from oracles import (
     ref_buchberger,
+    ref_division,
     ref_is_groebner_basis,
     ref_reduce_groebner_basis,
     ref_s_polynomial,
+    ref_settle_pairs,
 )
 
 
@@ -508,3 +512,129 @@ class TestPairCoreMatchesTwoLoopEngine:
         assert cert["counts"] == {"total": 3, "zero_reduction": 1, "coprime": 0,
                                   "chain": 0, "failed": 2}
 
+
+
+def any_order_strategy(nvars=3):
+    """Orders of all four kinds, with weights for the weight orders."""
+    weights = st.lists(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)),
+                       min_size=nvars, max_size=nvars)
+    return st.tuples(
+        st.sampled_from(MonomialOrder.KINDS), st.permutations(list(range(1, nvars + 1))), weights,
+    ).map(lambda kr: MonomialOrder(kr[0], nvars, kr[1], kr[2] if kr[0] == "weight" else None))
+
+
+def kernel_order_strategy(nvars=3):
+    """Plain orders, and elimination orders of one trailing variable over any
+    inner order: the flat key over lex inners, the block order over the rest."""
+    return st.one_of(any_order_strategy(nvars),
+                     any_order_strategy(nvars - 1).map(_elimination_order),
+                     any_order_strategy(nvars - 1).map(_EliminationOrder))
+
+
+def field_polys(field, nvars=3, max_terms=3, min_size=1, max_size=3):
+    """Lists of nonzero polynomials over the field, exponents up to 2."""
+    polys = st.lists(mixed_poly_strategy(nvars, max_terms), min_size=min_size, max_size=max_size)
+    return polys.map(lambda gens: [Poly(nvars, field, g.terms) for g in gens])
+
+
+def settled_alike(gens, order, *, complete, chain, pair_budget=None):
+    """The support-indexed pair core settles every pair as the full-vector one
+    did, and completion grows the same basis."""
+    new_basis, old_basis = list(gens), list(gens)
+    try:
+        old_log = ref_settle_pairs(old_basis, order, complete=complete, pair_budget=pair_budget,
+                                   use_chain_criterion=chain)
+    except PairBudgetExceeded as e:
+        with pytest.raises(PairBudgetExceeded) as info:
+            _settle_pairs(new_basis, order, complete=complete, pair_budget=pair_budget,
+                          use_chain_criterion=chain)
+        assert (info.value.budget, info.value.basis_size) == (e.budget, e.basis_size)
+        return
+    assert _settle_pairs(new_basis, order, complete=complete, pair_budget=pair_budget,
+                         use_chain_criterion=chain) == old_log
+    assert typed(new_basis) == typed(old_basis)
+
+
+class TestSupportIndexedKernel:
+    """Differential tests of the support-indexed divisor search, coprime test
+    and chain criterion against the full-vector kernel (kept verbatim in
+    tests/oracles.py)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([QQ, GF(5)]).flatmap(
+               lambda field: st.tuples(field_polys(field, min_size=1, max_size=1),
+                                       field_polys(field, max_terms=2, max_size=4))),
+           kernel_order_strategy())
+    def test_division_matches_the_full_vector_kernel(self, polys, order):
+        (f,), basis = polys
+        quotients, remainder = division(f, basis, order)
+        old_quotients, old_remainder = ref_division(f, basis, order)
+        assert typed(quotients + [remainder]) == typed(old_quotients + [old_remainder])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([QQ, GF(5)]).flatmap(lambda field: field_polys(field, max_size=4)),
+           kernel_order_strategy(), st.booleans())
+    def test_certification_logs_match(self, gens, order, chain):
+        settled_alike(gens, order, complete=False, chain=chain)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([QQ, GF(5)]).flatmap(
+               lambda field: field_polys(field, max_terms=2, max_size=3)),
+           kernel_order_strategy(), st.booleans())
+    def test_completion_logs_and_bases_match(self, gens, order, chain):
+        monic = [g.term_mul((0,) * g.nvars, g.field.inv(leading_term(g, order)[1])) for g in gens]
+        settled_alike(monic, order, complete=True, chain=chain, pair_budget=500)
+
+    def test_a_shared_variable_is_not_divisibility(self):
+        # x1^2 shares x1 with x1*x2 but does not divide it; x1 does
+        order = lex_order(2, [2, 1])  # x1 > x2
+        quotients, remainder = division(p("x1*x2", 2), [p("x1^2", 2)], order)
+        assert quotients == [Poly.zero(2)] and remainder == p("x1*x2", 2)
+        quotients, remainder = division(p("x1*x2", 2), [p("x1^2 + x2", 2)], order)
+        assert quotients == [Poly.zero(2)] and remainder == p("x1*x2", 2)
+        quotients, remainder = division(p("x1*x2", 2), [p("x1^2 + x2", 2), p("x1 - 1", 2)],
+                                        order)
+        assert quotients == [Poly.zero(2), p("x2", 2)] and remainder == p("x2", 2)
+        # under x2 > x1, x1^2 sorts first and must not absorb x1*x2
+        assert reduce_groebner_basis([p("x1*x2", 2), p("x1^2", 2)], lex_order(2)) == [
+            p("x1^2", 2), p("x1*x2", 2)]
+
+    def test_a_constant_leading_monomial_divides_everything(self):
+        order = lex_order(3)
+        quotients, remainder = division(p("x1*x2 + 2*x3"), [p("3")], order)
+        assert quotients == [p("1/3*x1*x2 + 2/3*x3")] and not remainder
+        assert reduce_groebner_basis([p("x1 + 1"), p("2")], order) == [p("1")]
+        ok, cert = is_groebner_basis([p("x1 + 1"), p("2")], order)
+        assert ok and cert["pairs"] == [{"i": 0, "j": 1, "status": "coprime"}]
+
+    def test_coprime_and_chain_read_exponents_not_only_variables(self):
+        order = lex_order(3)
+        ok, cert = is_groebner_basis([p("x1^2"), p("x2^3")], order)
+        assert ok and cert["pairs"] == [{"i": 0, "j": 1, "status": "coprime"}]
+        # x1^2 shares x1 with x1*x2 and x1*x3, but does not divide the lcm
+        # x1*x2*x3 of the last pair, so it cannot link that pair as a chain
+        ok, cert = is_groebner_basis([p("x1^2"), p("x1*x2"), p("x1*x3")], order)
+        assert ok and [pair["status"] for pair in cert["pairs"]] == ["zero_reduction"] * 3
+        for gens in ([p("x1^2"), p("x1*x2"), p("x1*x3")],
+                     [p("x1*x3"), p("x1*x2 + x3"), p("x1^2 + x2")]):
+            for chain in (True, False):
+                settled_alike(gens, order, complete=False, chain=chain)
+                settled_alike(gens, lex_order(3, [3, 2, 1]), complete=True, chain=chain)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.permutations(list(range(1, n + 1))),
+        st.lists(st.tuples(*[st.integers(0, 3)] * (n + 1)), min_size=1, max_size=8))))
+    def test_flat_elimination_key_equals_the_block_key(self, case):
+        ranking, monos = case
+        inner = lex_order(len(ranking), ranking)
+        flat = _elimination_order(inner)
+        assert isinstance(flat, MonomialOrder) and flat.nvars == inner.nvars + 1
+        block = _EliminationOrder(inner)
+        for m in monos:
+            assert flat.key(m) == block.key(m)
+        assert sorted(monos, key=flat.key) == sorted(monos, key=block.key)
+
+    def test_non_lex_and_widest_inner_orders_keep_the_block_order(self):
+        assert type(_elimination_order(MonomialOrder("grevlex", 3))) is _EliminationOrder
+        assert type(_elimination_order(lex_order(MAX_VARS))) is _EliminationOrder

@@ -26,6 +26,7 @@ from spechtgb import (
     run_suite,
     suite_exit_code,
 )
+from spechtgb import verify
 
 
 def assert_clean_pass(report, check_id):
@@ -156,6 +157,13 @@ class TestPinnedHash:
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("89 pass, 0 fail, 0 skipped")
         assert last.endswith("[determinism sha256:862a5afc81a1813c]")
+
+    def test_verify_all_max_n_4_seed_3_f7_hash(self, capsys):
+        # the one pin whose Groebner work runs the kernel's mod-p arithmetic
+        assert main(["verify", "all", "--max-n", "4", "--seed", "3", "--field", "F7"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("40 pass, 0 fail, 29 skipped")
+        assert last.endswith("[determinism sha256:26024c6fa061035d]")
 
 
 class TestCli:
@@ -366,6 +374,28 @@ class TestErrorVerdict:
                      "--pair-budget", "1"]) == 3
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("0 pass, 0 fail, 0 skipped, 1 error")
+
+    def test_a_crashing_check_is_an_error_and_the_suite_goes_on(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            return 1 // 0
+
+        # lexgb builds filter generators; containment only shape generators
+        monkeypatch.setattr(verify, "filter_generators", crash)
+        reports = run_suite(SuiteConfig(checks=("lexgb", "containment"), max_n=3,
+                                        include_controls=False))
+        lexgb = [r for r in reports if r.check_id == "lexgb"]
+        containment = [r for r in reports if r.check_id == "containment"]
+        assert lexgb and containment
+        for r in lexgb:
+            assert (r.verdict, r.reason, r.evidence) == (
+                "error", "integer division or modulo by zero", {"exception": "ZeroDivisionError"})
+        assert all(r.verdict == "pass" for r in containment)
+        assert suite_exit_code(reports) == 3
+        assert "ZeroDivisionError" in capsys.readouterr().err
+        assert main(["verify", "all", "--max-n", "3", "--report", "json"]) == 3
+        rows = _json_rows(capsys)
+        assert {"exception": "ZeroDivisionError"} in [r["evidence"] for r in rows]
+        assert "pass" in {r["verdict"] for r in rows}
 
 
 class TestPairBudgetFlag:

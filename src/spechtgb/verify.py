@@ -20,7 +20,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 from .combinatorics import (
@@ -62,6 +62,7 @@ from .polyring import (
     polynomial_text,
 )
 from .specht import (
+    _normalized,
     filter_generators,
     restricted_shapes,
     restricted_standard_generators,
@@ -70,15 +71,16 @@ from .specht import (
 from .strata import sample_stratum, vanishing_ideal_oracle
 
 SCHEMA_VERSION = 1
-# most tableaux `gens` enumerates, and most terms its generators expand to,
-# for one request summed over its shapes
-MAX_GENS_TABLEAUX = 10**5
-MAX_GENS_TERMS = 2 * 10**6
+# most tableaux one CLI request enumerates, and most terms its generators
+# expand to, summed over its shapes (checked per input and mode by `verify`)
+MAX_TABLEAUX = 10**5
+MAX_TERMS = 2 * 10**6
 
 
 @dataclass
 class CheckReport:
-    """One check outcome. payload() excludes timing so identical runs hash identically."""
+    """One check outcome. payload() excludes timing and metrics, the counts of
+    how the work was done, so identical runs hash identically."""
 
     check_id: str
     parameters: dict
@@ -86,6 +88,7 @@ class CheckReport:
     reason: str | None
     evidence: dict
     timing_ms: int
+    metrics: dict = dataclass_field(default_factory=dict)
 
     def payload(self) -> dict:
         return {
@@ -100,10 +103,12 @@ class CheckReport:
     def record(self) -> dict:
         rec = self.payload()
         rec["timing_ms"] = self.timing_ms
+        rec["metrics"] = self.metrics
         return rec
 
 
-def _guarded(check_id: str, parameters: dict, body) -> CheckReport:
+def _guarded(check_id: str, parameters: dict, body, metrics: dict | None = None) -> CheckReport:
+    """Run body, which returns (verdict, reason, evidence) and may fill metrics."""
     started = time.perf_counter()
     try:
         verdict, reason, evidence = body()
@@ -123,6 +128,7 @@ def _guarded(check_id: str, parameters: dict, body) -> CheckReport:
         reason=reason,
         evidence=evidence,
         timing_ms=int((time.perf_counter() - started) * 1000),
+        metrics=metrics if metrics is not None else {},
     )
 
 
@@ -177,26 +183,98 @@ def _sampled_orders(n: int, count: int, rng: random.Random, kinds: tuple[str, ..
     return orders
 
 
-def _order_failure(polys: list[Poly], orders, where: str) -> str | None:
+def _symmetric_lex_basis(polys: list[Poly], lex_basis: bool | None = None) -> bool:
+    """Whether polys are homogeneous, stable up to scalars under every
+    permutation of the variables, and a basis under lex x1 < ... < xn.
+
+    Stability is tested on the n-1 adjacent transpositions, which generate
+    S_n: each swapped polynomial, normalized under lex, must be one of polys
+    normalized the same way. lex_basis is the lex certificate when the caller
+    already holds it; it is computed last, only for a stable set."""
+    if not polys or any(len({sum(m) for m in p.terms}) != 1 for p in polys):
+        return False
+    n = polys[0].nvars
+    reference = lex_order(n)
+    normalized = {_normalized(p, reference) for p in polys}
+    for i in range(n - 1):
+        for p in normalized:
+            swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2:]: c for m, c in p.terms.items()}
+            if _normalized(Poly._raw(n, p.field, swapped), reference) not in normalized:
+                return False
+    if lex_basis is None:
+        lex_basis, _ = is_groebner_basis(polys, reference)
+    return lex_basis
+
+
+def _order_failure(polys: list[Poly], orders, where: str, metrics: dict, *,
+                   lex_basis: bool | None = None) -> str | None:
     """Why polys is not a basis with induced-lex leading terms under every
-    order, or None when it is one under each."""
+    order, or None when it is one under each.
+
+    When _symmetric_lex_basis holds, polys is a basis under every lex
+    ranking, since a permutation of the variables carries one ranking to
+    another and maps the set to itself. An order that gives polys the
+    leading terms of its induced lex order then needs no Buchberger run: the
+    ideal is homogeneous, so both initial ideals have its Hilbert function,
+    and the one generated by those leading terms is contained in the other.
+    The first two non-lex orders are certified anyway, as referees, and so is
+    every order when the shortcut does not apply. metrics counts both kinds.
+    """
+    symmetric = _symmetric_lex_basis(polys, lex_basis)
+    settled = certified = referees = 0
+    failure = None
     for order in orders:
-        ok, _ = is_groebner_basis(polys, order)
-        if not ok:
-            return f"not a basis{where} under {order.text()}"
         induced = order.induced_lex()
         # a lex order induces itself, so only the other kinds compare
-        if induced != order and any(leading_term(p, order) != leading_term(p, induced)
-                                    for p in polys):
-            return f"leading term disagrees with the induced lex order{where} under {order.text()}"
-    return None
+        agree = induced == order or all(leading_term(p, order) == leading_term(p, induced)
+                                        for p in polys)
+        referee = induced != order and referees < 2
+        if referee:
+            referees += 1
+        elif symmetric and agree:
+            settled += 1
+            continue
+        certified += 1
+        ok, _ = is_groebner_basis(polys, order)
+        if not ok:
+            failure = f"not a basis{where} under {order.text()}"
+        elif not agree:
+            failure = f"leading term disagrees with the induced lex order{where} under {order.text()}"
+        if failure:
+            break
+    metrics["orders_settled_by_symmetry"] = settled
+    metrics["orders_certified_by_buchberger"] = certified
+    return failure
+
+
+def _universal_orders(n: int, order_budget: int, seed: int,
+                      exhaustive_lex: bool) -> tuple[list[MonomialOrder], int]:
+    """The orders check_universal tests, and how many of them, first, are lex:
+    every lex ranking, or order_budget distinct ones drawn from the seed,
+    then order_budget sampled graded and weight orders."""
+    rng = random.Random(seed)
+    if exhaustive_lex:
+        rankings = itertools.permutations(range(1, n + 1))
+    else:
+        want = min(order_budget, math.factorial(n))
+        seen: set = set()
+        while len(seen) < want:
+            seen.add(tuple(rng.sample(range(1, n + 1), n)))
+        rankings = sorted(seen)
+    orders = [MonomialOrder("lex", n, r) for r in rankings]
+    lex_count = len(orders)
+    orders += _sampled_orders(n, order_budget, rng, ("grlex", "grevlex", "weight"),
+                              fractional_weights=True)
+    return orders, lex_count
 
 
 def check_universal(filt: PartitionFilter, *, order_budget: int = 25, seed: int = 0,
                     field: Field = QQ, exhaustive_lex: bool = True) -> CheckReport:
     """The generator set stays a basis under every tested monomial order, and
     each generator's leading term under an order equals its leading term under
-    the lex order induced by how that order ranks the single variables."""
+    the lex order induced by how that order ranks the single variables.
+    Buchberger runs once under lex and under two referee orders; the other
+    orders are settled by the symmetry argument of _order_failure."""
     parameters = {
         "n": filt.n,
         "filter": filter_text(filt),
@@ -205,24 +283,12 @@ def check_universal(filt: PartitionFilter, *, order_budget: int = 25, seed: int 
         "seed": seed,
         "exhaustive_lex": exhaustive_lex,
     }
+    metrics: dict = {}
 
     def body():
-        n = filt.n
         polys = [g.polynomial for g in filter_generators(filt, field=field)]
-        rng = random.Random(seed)
-        if exhaustive_lex:
-            rankings = itertools.permutations(range(1, n + 1))
-        else:
-            want = min(order_budget, math.factorial(n))
-            seen: set = set()
-            while len(seen) < want:
-                seen.add(tuple(rng.sample(range(1, n + 1), n)))
-            rankings = sorted(seen)
-        orders = [MonomialOrder("lex", n, r) for r in rankings]
-        lex_count = len(orders)
-        orders += _sampled_orders(n, order_budget, rng, ("grlex", "grevlex", "weight"),
-                                  fractional_weights=True)
-        failure = _order_failure(polys, orders, "")
+        orders, lex_count = _universal_orders(filt.n, order_budget, seed, exhaustive_lex)
+        failure = _order_failure(polys, orders, "", metrics)
         if failure:
             return "fail", failure, {"generators": len(polys)}
         evidence = {
@@ -233,7 +299,7 @@ def check_universal(filt: PartitionFilter, *, order_budget: int = 25, seed: int 
         }
         return "pass", None, evidence
 
-    return _guarded("universal", parameters, body)
+    return _guarded("universal", parameters, body, metrics)
 
 
 def check_reduced(filt: PartitionFilter, *,
@@ -438,6 +504,7 @@ def check_finite_field(filt: PartitionFilter, p: int, *, order_budget: int = 10,
         "order_budget": order_budget,
         "seed": seed,
     }
+    metrics: dict = {}
 
     def body():
         fp = GF(p)
@@ -450,7 +517,7 @@ def check_finite_field(filt: PartitionFilter, p: int, *, order_budget: int = 10,
             return "fail", f"not a lex basis over F_{p}", evidence
         orders = _sampled_orders(n, order_budget, random.Random(seed),
                                  ("lex", "grlex", "grevlex", "weight"), fractional_weights=False)
-        failure = _order_failure(polys_p, orders, f" over F_{p}")
+        failure = _order_failure(polys_p, orders, f" over F_{p}", metrics, lex_basis=True)
         if failure:
             return "fail", failure, evidence
         rgb_p = reduce_groebner_basis(polys_p, order)
@@ -466,7 +533,7 @@ def check_finite_field(filt: PartitionFilter, p: int, *, order_budget: int = 10,
             return "fail", "the reduced basis mod p is not the image of the rational one", evidence
         return "pass", None, evidence
 
-    return _guarded("finite_field", parameters, body)
+    return _guarded("finite_field", parameters, body, metrics)
 
 
 def check_containment(n: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
@@ -698,8 +765,9 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
 def _suite_lower_filters(n: int):
     if n <= 5:
         return enumerate_lower_filters(n)
-    # beyond n = 5 the lattice of filters explodes; principal filters only
-    return tuple(filter_closure(n, [lam], "lower") for lam in partitions_of(n))
+    # beyond n = 5 the lattice of filters explodes; principal filters only,
+    # built lazily, so that an oversized grid is refused at its first input
+    return (filter_closure(n, [lam], "lower") for lam in partitions_of(n))
 
 
 # what one run of a check takes -> (the suite's inputs at size n, the
@@ -711,6 +779,16 @@ _INPUTS = {
 }
 
 
+def _members(*modes):
+    """What a check on a filter expands: the filter's members, in each mode."""
+    return lambda filt: [(filt.sorted_members(), mode) for mode in modes]
+
+
+def _every_shape(*modes):
+    """What a check on a size n expands: every shape of n, in each mode."""
+    return lambda n: [(partitions_of(n), mode) for mode in modes]
+
+
 @dataclass(frozen=True)
 class _Check:
     """How the suite runs one check.
@@ -719,34 +797,42 @@ class _Check:
     over is "any"; "Q" for a check that is skipped over F_p; or "F_p" for a
     check that runs over SuiteConfig.field when it is finite and once per
     SuiteConfig.primes otherwise. run calls the check by its module-level
-    name, so that wrapping that name reaches the suite too.
+    name, so that wrapping that name reaches the suite too. expands maps an
+    input to the (shapes, tableau mode) pairs whose generators the check
+    builds, so that an oversized input is refused before any of it runs.
     """
 
     takes: str | None
     over: str
     run: Callable[[SuiteConfig, object], CheckReport]
     max_n: int | None = None
+    expands: Callable[[object], list] = lambda _: []
 
 
 _CHECKS = {
     "lexgb": _Check("filter", "any", lambda c, filt: check_lexgb(
-        filt, field=c.field, pair_budget=c.pair_budget)),
+        filt, field=c.field, pair_budget=c.pair_budget),
+        expands=_members("column_standard", "all")),
+    # n=5 samples order_budget of its 120 lex rankings, as the pinned
+    # --max-n 5 hash records; every other size tests all n! of them
     "universal": _Check("filter", "any", lambda c, filt: check_universal(
-        filt, order_budget=c.order_budget if filt.n <= 5 else min(c.order_budget, 10),
-        seed=c.seed, field=c.field, exhaustive_lex=filt.n <= 4)),
+        filt, order_budget=c.order_budget, seed=c.seed, field=c.field,
+        exhaustive_lex=filt.n != 5), expands=_members("column_standard")),
     "reduced": _Check("filter", "Q", lambda c, filt: check_reduced(
-        filt, pair_budget=c.pair_budget)),
+        filt, pair_budget=c.pair_budget), expands=_members("column_standard")),
     "vanishing": _Check("n", "Q", lambda c, n: check_stratum_vanishing(
-        n, samples=c.samples, seed=c.seed)),
+        n, samples=c.samples, seed=c.seed), expands=_every_shape("column_standard")),
     "descent": _Check("n", "Q", lambda c, n: check_coefficient_descent(
         n, trials=c.trials, seed=c.seed, pair_budget=c.pair_budget)),
     "restricted": _Check("shape", "Q", lambda c, lam: check_restricted(
-        lam, pair_budget=c.pair_budget)),
+        lam, pair_budget=c.pair_budget), expands=lambda lam: [
+            (restricted_shapes(lam), "standard"),
+            (filter_closure(sum(lam), [lam], "lower").sorted_members(), "column_standard")]),
     "finite_field": _Check("filter", "F_p", lambda c, filt: check_finite_field(
         filt, c.field.p, order_budget=min(c.order_budget, 10), seed=c.seed,
-        pair_budget=c.pair_budget), max_n=4),
+        pair_budget=c.pair_budget), max_n=4, expands=_members("column_standard")),
     "containment": _Check("n", "Q", lambda c, n: check_containment(
-        n, pair_budget=c.pair_budget)),
+        n, pair_budget=c.pair_budget), expands=_every_shape("column_standard", "standard")),
     "engine": _Check(None, "any", lambda c, _: check_engine(
         trials=c.engine_trials, seed=c.seed, pair_budget=c.pair_budget)),
 }
@@ -781,6 +867,17 @@ def _run_check(name: str, config: SuiteConfig, arg) -> list[CheckReport]:
     return [spec.run(config, arg)]
 
 
+def _grid(name: str, config: SuiteConfig):
+    """The inputs the suite runs one check on, generated in order."""
+    spec = _CHECKS[name]
+    if spec.takes is None:
+        yield None
+        return
+    top = config.max_n if spec.max_n is None else min(config.max_n, spec.max_n)
+    for n in range(max(config.min_n, 2), top + 1):
+        yield from _INPUTS[spec.takes][0](n)
+
+
 def run_suite(config: SuiteConfig) -> list[CheckReport]:
     """Run the configured checks over their grids, deterministically ordered."""
     for name in config.checks:
@@ -788,14 +885,7 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
             raise ValueError(f"unknown check {name!r}")
     reports: list[CheckReport] = []
     for name in config.checks:
-        spec = _CHECKS[name]
-        if spec.takes is None:
-            inputs = [None]
-        else:
-            top = config.max_n if spec.max_n is None else min(config.max_n, spec.max_n)
-            grid = _INPUTS[spec.takes][0]
-            inputs = [arg for n in range(max(config.min_n, 2), top + 1) for arg in grid(n)]
-        for arg in inputs:
+        for arg in _grid(name, config):
             reports.extend(_run_check(name, config, arg))
     if config.include_controls:
         reports.extend(negative_controls(seed=config.seed))
@@ -852,7 +942,7 @@ def _emit(reports: list[CheckReport], fmt: str, out_path: str | None) -> None:
         sys.stdout.write(body)
 
 
-def _check_enumeration_size(shapes, mode: str) -> None:
+def _check_enumeration_size(shapes, mode: str, hint: str = "") -> None:
     """Refuse a request whose tableau enumeration or polynomial expansion
     alone would be exponential: a tableau's polynomial has prod h_j! terms
     over its column heights h_j."""
@@ -860,17 +950,29 @@ def _check_enumeration_size(shapes, mode: str) -> None:
               for mu in shapes]
     tabs = sum(c for c, _ in counts)
     terms = sum(c * t for c, t in counts)
-    if tabs > MAX_GENS_TABLEAUX:
+    if tabs > MAX_TABLEAUX:
         raise ValueError(
             f"this request enumerates {tabs} {mode} tableaux, more than the "
-            f"limit of {MAX_GENS_TABLEAUX}; use a smaller --n, shape or filter, "
-            f"or --mode standard"
+            f"limit of {MAX_TABLEAUX}; use a smaller --n, shape or filter{hint}"
         )
-    if terms > MAX_GENS_TERMS:
+    if terms > MAX_TERMS:
         raise ValueError(
             f"this request expands polynomials with {terms} terms in all, more "
-            f"than the limit of {MAX_GENS_TERMS}; use shapes with shorter columns"
+            f"than the limit of {MAX_TERMS}; use shapes with shorter columns"
         )
+
+
+def _check_selection_size(config: SuiteConfig, single) -> None:
+    """Refuse, before any check runs, a selection with an input whose
+    generators would be exponential to build; single is the one input of a
+    single run, or None for the grid."""
+    for name in config.checks:
+        spec = _CHECKS[name]
+        if spec.over == "Q" and config.field.p is not None:
+            continue  # skipped, so nothing is expanded
+        for arg in _grid(name, config) if single is None else [single]:
+            for shapes, mode in spec.expands(arg):
+                _check_enumeration_size(shapes, mode)
 
 
 def _cmd_gens(args) -> int:
@@ -883,13 +985,13 @@ def _cmd_gens(args) -> int:
             _check_enumeration_size(restricted_shapes(lam), "standard")
             gens = restricted_standard_generators(lam, field=field)
         else:
-            _check_enumeration_size((lam,), args.mode)
+            _check_enumeration_size((lam,), args.mode, ", or --mode standard")
             gens = shape_generators(lam, mode=args.mode, field=field)
     elif args.mode == "restricted_standard":
         raise ValueError("mode restricted_standard needs --shape")
     elif args.filter:
         filt = parse_filter_text(args.filter, args.n, default_kind="lower")
-        _check_enumeration_size(filt.sorted_members(), args.mode)
+        _check_enumeration_size(filt.sorted_members(), args.mode, ", or --mode standard")
         gens = filter_generators(filt, mode=args.mode, field=field)
     else:
         raise ValueError("gens needs --filter or --shape")
@@ -922,6 +1024,7 @@ def _cmd_gb(args) -> int:
     field = parse_field(args.field)
     filt = parse_filter_text(args.filter, args.n, default_kind="lower")
     order = parse_order(args.order, args.n) if args.order else lex_order(args.n)
+    _check_enumeration_size(filt.sorted_members(), "column_standard")
     gens = [g.polynomial for g in filter_generators(filt, field=field)]
     basis = groebner_basis(gens, order, pair_budget=args.pair_budget)
     _print_basis(basis, order, args)
@@ -1000,6 +1103,7 @@ def _cmd_verify(args) -> int:
         include_controls=args.check == "all" and not args.no_controls,
     )
     single = _single_input(args)
+    _check_selection_size(config, single)
     if single is None:
         reports = run_suite(config)
     elif _CHECKS[args.check].over == "F_p" and field.p is None:
@@ -1013,11 +1117,18 @@ def _cmd_verify(args) -> int:
     return suite_exit_code(reports)
 
 
-def _pair_budget(text: str) -> int:
-    budget = int(text)
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {budget}")
-    return budget
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _add_output_flags(p) -> None:
@@ -1049,14 +1160,14 @@ def build_parser() -> argparse.ArgumentParser:
     gb_p.add_argument("--filter", required=True)
     gb_p.add_argument("--order", default=None, help='e.g. "lex:3,1,2" or "grevlex:1,2,3"')
     gb_p.add_argument("--field", default="Q")
-    gb_p.add_argument("--pair-budget", type=_pair_budget, default=DEFAULT_PAIR_BUDGET)
+    gb_p.add_argument("--pair-budget", type=_nonnegative, default=DEFAULT_PAIR_BUDGET)
     _add_output_flags(gb_p)
 
     oracle_p = sub.add_parser("oracle", help="reduced basis of a strata vanishing ideal")
     oracle_p.add_argument("--n", type=int, required=True)
     oracle_p.add_argument("--filter", required=True,
                           help="upper filters are used directly, lower ones complemented")
-    oracle_p.add_argument("--pair-budget", type=_pair_budget, default=DEFAULT_PAIR_BUDGET)
+    oracle_p.add_argument("--pair-budget", type=_nonnegative, default=DEFAULT_PAIR_BUDGET)
     _add_output_flags(oracle_p)
 
     verify_p = sub.add_parser("verify", help="run verification checks")
@@ -1067,10 +1178,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--shape", default=None)
     verify_p.add_argument("--field", default="Q")
     verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--samples", type=int, default=10)
-    verify_p.add_argument("--trials", type=int, default=20)
-    verify_p.add_argument("--order-budget", type=int, default=25)
-    verify_p.add_argument("--pair-budget", type=_pair_budget, default=DEFAULT_PAIR_BUDGET)
+    verify_p.add_argument("--samples", type=_positive, default=10)
+    verify_p.add_argument("--trials", type=_positive, default=20)
+    verify_p.add_argument("--order-budget", type=_nonnegative, default=25)
+    verify_p.add_argument("--pair-budget", type=_nonnegative, default=DEFAULT_PAIR_BUDGET)
     verify_p.add_argument("--no-controls", action="store_true",
                           help="skip the corrupted-fixture controls")
     _add_output_flags(verify_p)

@@ -9,7 +9,10 @@ whole exponent vectors for a divisor, the pair core before its coprime and
 chain tests read leading-monomial supports, and the two-loop pair engine
 that the shared pair core replaced.  They take only the polynomial type, its
 leading term and the budget exception from the package, so that both
-engines raise and return the same types.
+engines raise and return the same types.  The last section is the
+universal-order sweep that certified every order by Buchberger before the
+symmetry shortcut. It referees the shortcut, not the kernel, so it runs
+the package's checker.
 """
 
 import heapq
@@ -18,7 +21,7 @@ from itertools import permutations
 from math import factorial
 from operator import add, neg, sub
 
-from spechtgb.groebner import DEFAULT_PAIR_BUDGET, PairBudgetExceeded
+from spechtgb.groebner import DEFAULT_PAIR_BUDGET, PairBudgetExceeded, is_groebner_basis
 from spechtgb.polyring import (
     QQ,
     Field,
@@ -578,3 +581,24 @@ def ref_is_groebner_basis(gens, order, *, use_chain_criterion: bool = True) -> t
             counts["total"] += 1
             counts[status.split(":")[0]] += 1
     return ok, {"groebner": ok, "pairs": pairs, "counts": counts}
+
+
+# ---------------------------------------------------------------------------
+# the universal-order sweep before the symmetry shortcut: one certification
+# per order. It certifies with the package's checker, since what it referees
+# is the shortcut, not the kernel (the checker above referees that)
+
+
+def ref_order_failure(polys: list[Poly], orders, where: str) -> str | None:
+    """Why polys is not a basis with induced-lex leading terms under every
+    order, or None when it is one under each."""
+    for order in orders:
+        ok, _ = is_groebner_basis(polys, order)
+        if not ok:
+            return f"not a basis{where} under {order.text()}"
+        induced = order.induced_lex()
+        # a lex order induces itself, so only the other kinds compare
+        if induced != order and any(leading_term(p, order) != leading_term(p, induced)
+                                    for p in polys):
+            return f"leading term disagrees with the induced lex order{where} under {order.text()}"
+    return None

@@ -1,5 +1,6 @@
 """Check battery, negative controls, suite determinism, CLI behavior."""
 
+import itertools
 import json
 import time
 
@@ -7,8 +8,11 @@ import pytest
 
 from spechtgb import (
     CHECK_NAMES,
+    QQ,
     CheckReport,
     GF,
+    Poly,
+    MonomialOrder,
     SuiteConfig,
     check_coefficient_descent,
     check_containment,
@@ -20,13 +24,18 @@ from spechtgb import (
     check_stratum_vanishing,
     check_universal,
     determinism_hash,
+    enumerate_lower_filters,
     filter_closure,
+    filter_generators,
+    is_groebner_basis,
     main,
     negative_controls,
     run_suite,
     suite_exit_code,
 )
 from spechtgb import verify
+
+from oracles import ref_order_failure
 
 
 def assert_clean_pass(report, check_id):
@@ -157,6 +166,12 @@ class TestPinnedHash:
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("89 pass, 0 fail, 0 skipped")
         assert last.endswith("[determinism sha256:862a5afc81a1813c]")
+
+    def test_verify_all_max_n_5_seed_7_hash(self, capsys):
+        assert main(["verify", "all", "--max-n", "5", "--seed", "7"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("120 pass, 0 fail, 0 skipped")
+        assert last.endswith("[determinism sha256:c6984f01696bea5e]")
 
     def test_verify_all_max_n_4_seed_3_f7_hash(self, capsys):
         # the one pin whose Groebner work runs the kernel's mod-p arithmetic
@@ -443,11 +458,49 @@ class TestSingleRunFlags:
         assert row["verdict"] == "skipped"
         assert row["parameters"]["field"] == "F7"
 
-    def test_universal_caps_its_order_budget_past_five(self, capsys):
+    def test_universal_covers_every_ranking_past_five(self, capsys):
         assert main(["verify", "universal", "--n", "6", "--filter", "lower<=[1,1,1,1,1,1]",
                      "--report", "json"]) == 0
         (row,) = _json_rows(capsys)
-        assert row["parameters"]["order_budget"] == 10
+        assert row["parameters"]["order_budget"] == 25
+        assert row["parameters"]["exhaustive_lex"] is True
+        assert row["evidence"]["lex_orders"] == 720
+        assert row["evidence"]["orders_tested"] == 745
+        assert row["metrics"] == {"orders_settled_by_symmetry": 743,
+                                  "orders_certified_by_buchberger": 2}
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "0", "must be positive, got 0"),
+        ("--samples", "-2", "must be positive, got -2"),
+        ("--trials", "0", "must be positive, got 0"),
+        ("--order-budget", "-1", "must be nonnegative, got -1"),
+    ])
+    def test_budget_flags_refuse_values_that_void_a_check(self, flag, value, message, capsys):
+        check = {"--samples": "vanishing", "--trials": "descent"}.get(flag, "universal")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", check, "--n", "3", flag, value])
+        assert exc.value.code == 2
+        assert f"{flag}: {message}" in capsys.readouterr().err
+
+
+class TestEnumerationLimits:
+    @pytest.mark.parametrize("argv, what", [
+        (["verify", "universal", "--n", "12"], "1191578522 column_standard tableaux"),
+        (["verify", "lexgb", "--n", "9"], "column_standard tableaux"),
+        # lexgb's all-mode expansion at n=7, before any n=2 check has run
+        (["verify", "all", "--max-n", "12"], "32402160 terms"),
+        (["verify", "restricted", "--shape", "[1,1,1,1,1,1,1,1,1,1,1,1]"], "terms"),
+        (["gb", "--n", "12", "--filter", "lower<=[12]"], "column_standard tableaux"),
+    ])
+    def test_oversized_requests_exit_two_at_once(self, argv, what, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert what in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_no_grid_input_up_to_six_is_refused(self, field):
+        verify._check_selection_size(SuiteConfig(max_n=6, field=field), None)
 
 
 class TestSingleRunMatchesGrid:
@@ -466,3 +519,133 @@ class TestSingleRunMatchesGrid:
         (row,) = _json_rows(capsys)
         assert main(["verify"] + grid + ["--report", "json"]) == 0
         assert row in _json_rows(capsys)
+
+
+def _monomial_symmetric(n: int, exponents) -> dict:
+    """The terms of the monomial symmetric polynomial with the given exponents."""
+    return {m: 1 for m in itertools.permutations(exponents, n)}
+
+
+class TestOrderShortcut:
+    """_order_failure settles orders by symmetry; it must say exactly what the
+    sweep that certifies every order by Buchberger says."""
+
+    FIELDS = [QQ, GF(2), GF(3), GF(7)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.text())
+    def test_matches_the_sweep_on_every_filter_up_to_four(self, field):
+        for n in (2, 3, 4):
+            orders, _ = verify._universal_orders(n, 25, 7, True)
+            for filt in enumerate_lower_filters(n):
+                polys = [g.polynomial for g in filter_generators(filt, field=field)]
+                metrics = {}
+                assert verify._order_failure(polys, orders, "", metrics) == ref_order_failure(
+                    polys, orders, "")
+                assert sum(metrics.values()) == len(orders)
+                assert metrics["orders_certified_by_buchberger"] == 2
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.text())
+    def test_matches_the_sweep_at_five_under_the_suites_orders(self, field):
+        orders, _ = verify._universal_orders(5, 25, 7, False)
+        for filt in enumerate_lower_filters(5):
+            polys = [g.polynomial for g in filter_generators(filt, field=field)]
+            assert verify._order_failure(polys, orders, "", {}) == ref_order_failure(
+                polys, orders, "")
+
+    def test_a_dropped_generator_is_refused(self):
+        orders, _ = verify._universal_orders(3, 25, 0, True)
+        gens = filter_generators(filter_closure(3, [(2, 1)], "lower"))
+        polys = [g.polynomial for g in gens]
+        verdicts = set()
+        # a [2,1] generator; dropping the [1,1,1] one leaves the stable [2,1] set
+        for k in (k for k, g in enumerate(gens) if g.shape == (2, 1)):
+            dropped = polys[:k] + polys[k + 1:]
+            assert not verify._symmetric_lex_basis(dropped)
+            verdict = verify._order_failure(dropped, orders, "", {})
+            assert verdict == ref_order_failure(dropped, orders, "")
+            verdicts.add(verdict)
+        # dropping the first generator leaves a lex basis that fails under
+        # another lex ranking: only the stability test tells the two apart
+        assert verify._symmetric_lex_basis(polys)
+        assert "not a basis under lex:1,3,2" in verdicts
+
+    def test_a_non_homogeneous_element_is_refused(self):
+        # (1 + x1 + x2 + x3) * sum (xi - xj)^2 lies in the ideal and is
+        # symmetric, so adding it keeps a stable lex basis: only the
+        # homogeneity test refuses the set
+        orders, _ = verify._universal_orders(3, 25, 0, True)
+        polys = [g.polynomial for g in filter_generators(filter_closure(3, [(2, 1)], "lower"))]
+        x1, x2, x3 = (Poly.variable(i, 3) for i in (1, 2, 3))
+        mixed = polys + [(1 + x1 + x2 + x3) * ((x1 - x2)**2 + (x1 - x3)**2 + (x2 - x3)**2)]
+        assert verify._symmetric_lex_basis(polys)
+        assert not verify._symmetric_lex_basis(mixed)
+        metrics = {}
+        verdict = verify._order_failure(mixed, orders, "", metrics)
+        assert verdict == ref_order_failure(mixed, orders, "")
+        assert metrics["orders_settled_by_symmetry"] == 0
+
+    def test_a_stable_set_that_is_no_lex_basis_is_refused(self):
+        # x1^2 + x2^2 and x1*x2: their S-polynomial x1^3 reduces no further
+        polys = [Poly(2, QQ, {(2, 0): 1, (0, 2): 1}), Poly(2, QQ, {(1, 1): 1})]
+        assert not verify._symmetric_lex_basis(polys)
+        orders, _ = verify._universal_orders(2, 25, 0, True)
+        metrics = {}
+        verdict = verify._order_failure(polys, orders, "", metrics)
+        assert verdict == ref_order_failure(polys, orders, "") == "not a basis under lex:1,2"
+        assert metrics == {"orders_settled_by_symmetry": 0, "orders_certified_by_buchberger": 1}
+
+    def test_an_order_whose_leading_terms_disagree_is_certified(self):
+        # one symmetric form is a basis under every order, but under these
+        # weights its leading monomial has exponents (3,3), not the lex (4,1,1)
+        terms = _monomial_symmetric(3, (4, 1, 1))
+        terms.update(_monomial_symmetric(3, (3, 3, 0)))
+        polys = [Poly(3, QQ, terms)]
+        assert verify._symmetric_lex_basis(polys)
+        orders = [MonomialOrder("grlex", 3, (1, 2, 3)), MonomialOrder("grlex", 3, (3, 1, 2)),
+                  MonomialOrder("lex", 3, (2, 1, 3)),
+                  MonomialOrder("weight", 3, (1, 2, 3), (1, 10, 10))]
+        metrics = {}
+        verdict = verify._order_failure(polys, orders, "", metrics)
+        assert verdict == ref_order_failure(polys, orders, "")
+        assert verdict == ("leading term disagrees with the induced lex order under "
+                           "weight:1,10,10:lex:1,2,3")
+        assert metrics == {"orders_settled_by_symmetry": 1, "orders_certified_by_buchberger": 3}
+
+    def test_finite_field_reuses_its_lex_certificate(self, monkeypatch):
+        calls = []
+
+        def counted(polys, order, **kwargs):
+            calls.append(order.text())
+            return is_groebner_basis(polys, order, **kwargs)
+
+        monkeypatch.setattr(verify, "is_groebner_basis", counted)
+        report = check_finite_field(filter_closure(4, [(2, 2)], "lower"), 3, order_budget=10,
+                                    seed=3)
+        assert report.verdict == "pass"
+        assert report.metrics == {"orders_settled_by_symmetry": 8,
+                                  "orders_certified_by_buchberger": 2}
+        # the lex certificate, then the two referees, and nothing more
+        assert len(calls) == 3 and calls[0] == "lex:1,2,3,4"
+
+
+class TestMetrics:
+    def test_metrics_stay_out_of_the_payload(self):
+        report = check_universal(filter_closure(3, [(2, 1)], "lower"), order_budget=5, seed=1)
+        assert set(report.payload()) == {"schema", "check_id", "parameters", "verdict",
+                                         "reason", "evidence"}
+        record = report.record()
+        assert set(record) == set(report.payload()) | {"timing_ms", "metrics"}
+        # 6 lex rankings and 5 sampled orders, two of those the referees
+        assert record["metrics"] == {"orders_settled_by_symmetry": 9,
+                                     "orders_certified_by_buchberger": 2}
+
+    def test_json_rows_carry_metrics(self, capsys):
+        assert main(["verify", "finite_field", "--n", "3", "--filter", "lower<=[2,1]",
+                     "--field", "F5", "--report", "json"]) == 0
+        (row,) = _json_rows(capsys)
+        assert set(row["metrics"]) == {"orders_settled_by_symmetry",
+                                       "orders_certified_by_buchberger"}
+        assert main(["verify", "lexgb", "--n", "3", "--filter", "lower<=[2,1]",
+                     "--report", "json"]) == 0
+        (row,) = _json_rows(capsys)
+        assert row["metrics"] == {}

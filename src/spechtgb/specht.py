@@ -10,9 +10,12 @@ on which order a later computation uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 from ._linalg import rank as _matrix_rank
 from .combinatorics import (
+    TABLEAU_MODES,
     Partition,
     PartitionFilter,
     Tableau,
@@ -35,26 +38,51 @@ class SpechtGenerator:
     polynomial: Poly
 
 
+@lru_cache(maxsize=None)
+def _column_terms(h: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The terms (exponents, coefficient) of prod_{a<b} (y_a - y_b) in h variables.
+
+    By the Vandermonde determinant this is (-1)^C(h,2) sum_sigma sgn(sigma)
+    prod_a y_a^sigma(a), over the permutations sigma of 0..h-1: h! terms with
+    coefficient +-1 and no cancellation. The permutations of 0..m are built by
+    inserting m into those of 0..m-1; at position k it passes the m - k
+    smaller entries after it, each an inversion.
+    """
+    perms: list = [((), 1)]
+    for m in range(h):
+        perms = [(p[:k] + (m,) + p[k:], -s if (m - k) % 2 else s)
+                 for p, s in perms for k in range(m + 1)]
+    flip = -1 if h * (h - 1) // 2 % 2 else 1
+    return tuple((p, flip * s) for p, s in perms)
+
+
 def specht_polynomial(t: Tableau, field: Field = QQ) -> Poly:
-    """Expanded column-difference product of a tableau."""
+    """Expanded column-difference product of a tableau.
+
+    Columns share no variables, so every term is one term of each column's
+    Vandermonde expansion (see _column_terms), concatenated: prod h_j! terms,
+    each with coefficient +-1.
+    """
     n = t.n
-    terms: dict = {(0,) * n: 1}
-    for column in t.columns():
-        for a in range(len(column)):
-            for b in range(a + 1, len(column)):
-                # fold the factor x_i - x_j into the integer term dict
-                i, j = column[a] - 1, column[b] - 1
-                out: dict = {}
-                get = out.get
-                for m, c in terms.items():
-                    if not c:
-                        continue
-                    mi = m[:i] + (m[i] + 1,) + m[i + 1:]
-                    out[mi] = get(mi, 0) + c
-                    mj = m[:j] + (m[j] + 1,) + m[j + 1:]
-                    out[mj] = get(mj, 0) - c
-                terms = out
-    return Poly._raw(n, field, field.canonical(terms))
+    columns = [c for c in t.columns() if len(c) > 1]
+    if not columns:
+        return Poly.constant(1, n, field)
+    # a term's exponents are laid out as the singleton entries' zeros, then each
+    # column's entries top to bottom; slot[i] is where x_(i+1)'s exponent sits
+    stacked = [e for c in columns for e in c]
+    layout = sorted(set(range(1, n + 1)).difference(stacked)) + stacked
+    slot = [0] * n
+    for idx, v in enumerate(layout):
+        slot[v - 1] = idx
+    monos: list = [(0,) * (n - len(stacked))]
+    signs: list = [1]
+    for c in columns:
+        table = _column_terms(len(c))
+        monos = [m + e for m in monos for e, _ in table]
+        signs = [s * u for s in signs for _, u in table]
+    coefficient = {1: field.one, -1: field.neg(field.one)}
+    terms = dict(zip(map(itemgetter(*slot), monos), map(coefficient.__getitem__, signs)))
+    return Poly._raw(n, field, terms)
 
 
 def _normalized(p: Poly, reference) -> Poly:
@@ -70,18 +98,26 @@ def shape_generators(shape, *, mode: str = "column_standard",
 
     Sign twins collapse under the normalization, and so do tableaux that only
     shuffle entries across singleton columns (those never enter the product).
-    The first tableau producing each polynomial is the one kept.
+    The first tableau producing each polynomial is the one kept. Each (shape,
+    mode, field) is expanded once per process; every call returns that tuple.
     """
-    lam = validate_partition(shape)
+    if mode not in TABLEAU_MODES:
+        raise ValueError(f"mode must be one of {TABLEAU_MODES}, got {mode!r}")
+    return _shape_generators_cached(validate_partition(shape), mode, field)
+
+
+@lru_cache(maxsize=None)
+def _shape_generators_cached(lam: Partition, mode: str,
+                             field: Field) -> tuple[SpechtGenerator, ...]:
     reference = lex_order(sum(lam))
     seen: set[Poly] = set()
     out = []
     for t in tableaux(lam, mode):
         p = _normalized(specht_polynomial(t, field), reference)
-        if p in seen:
-            continue
+        size = len(seen)  # one hash per polynomial: a new one grows the set
         seen.add(p)
-        out.append(SpechtGenerator(shape=lam, tableau=t, polynomial=p))
+        if len(seen) > size:
+            out.append(SpechtGenerator(shape=lam, tableau=t, polynomial=p))
     return tuple(out)
 
 

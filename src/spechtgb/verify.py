@@ -75,6 +75,9 @@ SCHEMA_VERSION = 1
 # expand to, summed over its shapes (checked per input and mode by `verify`)
 MAX_TABLEAUX = 10**5
 MAX_TERMS = 2 * 10**6
+# the filter lattice of n is found by scanning all 2^p(n) subsets of the p(n)
+# partitions of n; a request may scan it for p(n) up to this (n <= 7)
+MAX_LATTICE_PARTS = 16
 
 
 @dataclass
@@ -800,6 +803,8 @@ class _Check:
     name, so that wrapping that name reaches the suite too. expands maps an
     input to the (shapes, tableau mode) pairs whose generators the check
     builds, so that an oversized input is refused before any of it runs.
+    scans_lattice marks a check that enumerates the whole filter lattice of
+    its n, refused the same way when that lattice is too large to scan.
     """
 
     takes: str | None
@@ -807,6 +812,7 @@ class _Check:
     run: Callable[[SuiteConfig, object], CheckReport]
     max_n: int | None = None
     expands: Callable[[object], list] = lambda _: []
+    scans_lattice: bool = False
 
 
 _CHECKS = {
@@ -823,7 +829,7 @@ _CHECKS = {
     "vanishing": _Check("n", "Q", lambda c, n: check_stratum_vanishing(
         n, samples=c.samples, seed=c.seed), expands=_every_shape("column_standard")),
     "descent": _Check("n", "Q", lambda c, n: check_coefficient_descent(
-        n, trials=c.trials, seed=c.seed, pair_budget=c.pair_budget)),
+        n, trials=c.trials, seed=c.seed, pair_budget=c.pair_budget), scans_lattice=True),
     "restricted": _Check("shape", "Q", lambda c, lam: check_restricted(
         lam, pair_budget=c.pair_budget), expands=lambda lam: [
             (restricted_shapes(lam), "standard"),
@@ -962,15 +968,31 @@ def _check_enumeration_size(shapes, mode: str, hint: str = "") -> None:
         )
 
 
+def _check_lattice_size(n: int) -> None:
+    """Refuse a request that scans the filter lattice of n when n has more
+    than MAX_LATTICE_PARTS partitions."""
+    # p(n) >= n, so a large n is refused without listing its partitions
+    parts = n if n > MAX_LATTICE_PARTS else len(partitions_of(n))
+    if parts > MAX_LATTICE_PARTS:
+        raise ValueError(
+            f"this request scans all 2^p({n}) subsets of the partitions of {n} for "
+            f"dominance filters, more than the limit of 2^{MAX_LATTICE_PARTS}; "
+            f"use a smaller --n or --max-n"
+        )
+
+
 def _check_selection_size(config: SuiteConfig, single) -> None:
     """Refuse, before any check runs, a selection with an input whose
-    generators would be exponential to build; single is the one input of a
-    single run, or None for the grid."""
+    generators would be exponential to build, or whose filter lattice would
+    be exponential to scan; single is the one input of a single run, or None
+    for the grid."""
     for name in config.checks:
         spec = _CHECKS[name]
         if spec.over == "Q" and config.field.p is not None:
             continue  # skipped, so nothing is expanded
         for arg in _grid(name, config) if single is None else [single]:
+            if spec.scans_lattice:
+                _check_lattice_size(arg)
             for shapes, mode in spec.expands(arg):
                 _check_enumeration_size(shapes, mode)
 

@@ -9,7 +9,9 @@ whole exponent vectors for a divisor, the pair core before its coprime and
 chain tests read leading-monomial supports, and the two-loop pair engine
 that the shared pair core replaced.  They take only the polynomial type, its
 leading term and the budget exception from the package, so that both
-engines raise and return the same types.  The last section is the
+engines raise and return the same types.  Then the Specht expansion that
+folded one factor x_i - x_j at a time into a term dict, before each column was
+expanded as a Vandermonde determinant. The last section is the
 universal-order sweep that certified every order by Buchberger before the
 symmetry shortcut. It referees the shortcut, not the kernel, so it runs
 the package's checker.
@@ -581,6 +583,32 @@ def ref_is_groebner_basis(gens, order, *, use_chain_criterion: bool = True) -> t
             counts["total"] += 1
             counts[status.split(":")[0]] += 1
     return ok, {"groebner": ok, "pairs": pairs, "counts": counts}
+
+
+# ---------------------------------------------------------------------------
+# the Specht expansion before the Vandermonde terms: a fold over the factors
+
+
+def ref_specht_polynomial(t, field: Field = QQ) -> Poly:
+    """Expanded column-difference product of a tableau."""
+    n = t.n
+    terms: dict = {(0,) * n: 1}
+    for column in t.columns():
+        for a in range(len(column)):
+            for b in range(a + 1, len(column)):
+                # fold the factor x_i - x_j into the integer term dict
+                i, j = column[a] - 1, column[b] - 1
+                out: dict = {}
+                get = out.get
+                for m, c in terms.items():
+                    if not c:
+                        continue
+                    mi = m[:i] + (m[i] + 1,) + m[i + 1:]
+                    out[mi] = get(mi, 0) + c
+                    mj = m[:j] + (m[j] + 1,) + m[j + 1:]
+                    out[mj] = get(mj, 0) - c
+                terms = out
+    return Poly._raw(n, field, field.canonical(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spechtgb import (
     GF,
+    SuiteConfig,
     Poly,
     QQ,
     Tableau,
@@ -22,18 +23,21 @@ from spechtgb import (
     partitions_of,
     permutation_sign,
     restricted_standard_generators,
+    run_suite,
     shape_generators,
     specht_polynomial,
     standard_span_rank,
     tableaux,
     dominates,
 )
+from spechtgb import specht
 
 from oracles import (
     column_pairs,
     difference_product,
     eval_poly,
     hook_length_count,
+    ref_specht_polynomial,
 )
 
 shapes_small = st.integers(2, 6).flatmap(
@@ -114,6 +118,87 @@ class TestSpechtPolynomial:
             },
         )
         assert substituted == fu
+
+
+class TestVandermondeExpansion:
+    """The column-by-column Vandermonde terms against the factor-by-factor fold
+    they replaced."""
+
+    FIELDS = (QQ, GF(2), GF(3))
+
+    def assert_matches_fold(self, t):
+        for field in self.FIELDS:
+            assert specht_polynomial(t, field) == ref_specht_polynomial(t, field)
+
+    def test_every_filling_up_to_five(self):
+        for n in range(1, 6):
+            for lam in partitions_of(n):
+                for t in tableaux(lam, "all"):
+                    self.assert_matches_fold(t)
+
+    def test_every_column_standard_tableau_of_six(self):
+        for lam in partitions_of(6):
+            for t in tableaux(lam, "column_standard"):
+                self.assert_matches_fold(t)
+
+    @pytest.mark.parametrize("rows", [
+        [[4], [7], [1], [6], [2], [5], [3]],
+        [[5, 2, 12, 9], [1, 8, 3, 4], [11, 6, 10, 7]],
+    ])
+    def test_tall_and_wide_columns(self, rows):
+        self.assert_matches_fold(Tableau(rows))
+
+
+class TestShapeGeneratorMemo:
+    def test_repeated_call_returns_the_same_tuple(self):
+        first = shape_generators((3, 2), mode="all")
+        assert shape_generators((3, 2), mode="all") is first
+
+    def test_equal_requests_share_one_entry(self):
+        cache = specht._shape_generators_cached
+        gens = shape_generators((2, 1))
+        size = cache.cache_info().currsize
+        assert shape_generators([2, 1]) is gens
+        assert shape_generators((2, 1), field=QQ) is gens
+        assert shape_generators((2, 1), mode="column_standard") is gens
+        assert cache.cache_info().currsize == size
+
+    def test_modes_and_fields_get_their_own_entries(self):
+        cache = specht._shape_generators_cached
+        cache.cache_clear()
+        variants = [shape_generators((2, 1), mode=mode) for mode in ("all", "standard")]
+        variants += [shape_generators((2, 1), field=field) for field in (QQ, GF(2), GF(3))]
+        assert cache.cache_info().currsize == len(variants)
+        assert {g.polynomial.field for g in variants[-1]} == {GF(3)}
+
+    @pytest.mark.parametrize("shape, mode", [
+        ((1, 2), "standard"), ((0,), "standard"), ((), "all"),
+        ((2, 1), "fancy"), ((2, 1), ["standard"]),
+    ])
+    def test_invalid_requests_still_raise(self, shape, mode):
+        with pytest.raises(ValueError):
+            shape_generators(shape, mode=mode)
+
+    def test_no_caller_mutates_a_cached_entry(self):
+        # every entry the suite leaves in the cache equals a fresh expansion;
+        # a probe that grows the cache was not one of them
+        cache = specht._shape_generators_cached
+        cache.cache_clear()
+        run_suite(SuiteConfig(max_n=4))
+        cached = cache.cache_info().currsize
+        checked = 0
+        for n in range(1, 5):
+            for lam in partitions_of(n):
+                for mode in ("all", "column_standard", "standard"):
+                    for field in (QQ, GF(2), GF(3), GF(7)):
+                        size = cache.cache_info().currsize
+                        gens = shape_generators(lam, mode=mode, field=field)
+                        if cache.cache_info().currsize > size:
+                            continue
+                        fresh = cache.__wrapped__(lam, mode, field)
+                        assert gens == fresh
+                        checked += 1
+        assert checked == cached > 0
 
 
 class TestColumnStabilizer:

@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -180,8 +184,24 @@ class TestPinnedHash:
         assert last.startswith("40 pass, 0 fail, 29 skipped")
         assert last.endswith("[determinism sha256:26024c6fa061035d]")
 
+    def test_verify_lexgb_n_6_seed_7_hash(self, capsys):
+        # every principal filter of 6, with the n! fillings of all-mode
+        assert main(["verify", "lexgb", "--n", "6", "--seed", "7"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("11 pass, 0 fail, 0 skipped")
+        assert last.endswith("[determinism sha256:51ffceae6267f8bd]")
+
 
 class TestCli:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(verify.__file__).resolve().parents[1])
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-m", "spechtgb", "verify", "lexgb", "--n", "3"],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "0 fail" in done.stdout.strip().splitlines()[-1]
+
     def test_gens_by_filter(self, capsys):
         assert main(["gens", "--n", "3", "--filter", "lower<=[2,1]"]) == 0
         out = capsys.readouterr().out
@@ -491,6 +511,10 @@ class TestEnumerationLimits:
         (["verify", "all", "--max-n", "12"], "32402160 terms"),
         (["verify", "restricted", "--shape", "[1,1,1,1,1,1,1,1,1,1,1,1]"], "terms"),
         (["gb", "--n", "12", "--filter", "lower<=[12]"], "column_standard tableaux"),
+        # descent expands no tableaux, but scans the 2^p(n) subsets of the
+        # partitions of n for the filter lattice: 2^22 at n=8, 2^30 at n=9
+        (["verify", "descent", "--n", "8"], "2^p(8) subsets"),
+        (["verify", "descent", "--n", "9"], "2^p(9) subsets"),
     ])
     def test_oversized_requests_exit_two_at_once(self, argv, what, capsys):
         start = time.perf_counter()
@@ -501,6 +525,9 @@ class TestEnumerationLimits:
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_no_grid_input_up_to_six_is_refused(self, field):
         verify._check_selection_size(SuiteConfig(max_n=6, field=field), None)
+
+    def test_no_descent_input_up_to_seven_is_refused(self):
+        verify._check_selection_size(SuiteConfig(checks=("descent",), max_n=7), None)
 
 
 class TestSingleRunMatchesGrid:

@@ -100,16 +100,23 @@ class PartitionFilter:
         for m in mem:
             if sum(m) != n:
                 raise ValueError(f"{m} is not a partition of {n}")
-        for lam in mem:
-            for mu in partitions_of(n):
-                if mu in mem:
-                    continue
-                violates = dominates(lam, mu) if kind == "lower" else dominates(mu, lam)
-                if violates:
-                    raise ValueError(
-                        f"{kind} filter is not dominance-closed: "
-                        f"contains {lam} but not {mu}"
-                    )
+        # bit j of masks[i]: partition i dominates partition j. A lower filter
+        # holds each member's down-set; an upper filter meets no non-member's
+        ps = partitions_of(n)
+        masks = _downset_masks(n)
+        inside = sum(1 << i for i, p in enumerate(ps) if p in mem)
+        for i, down in enumerate(masks):
+            if kind == "lower":
+                bad = down & ~inside if inside >> i & 1 else 0
+            else:
+                bad = 0 if inside >> i & 1 else down & inside
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                lam, mu = (ps[i], ps[j]) if kind == "lower" else (ps[j], ps[i])
+                raise ValueError(
+                    f"{kind} filter is not dominance-closed: "
+                    f"contains {lam} but not {mu}"
+                )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "members", mem)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from ._linalg import rank as _matrix_rank
 from .combinatorics import (
     TABLEAU_MODES,
     Partition,
@@ -26,6 +25,7 @@ from .combinatorics import (
     tableaux,
     validate_partition,
 )
+from .groebner import normal_form
 from .polyring import QQ, Field, Monomial, Poly, leading_term, lex_order
 
 
@@ -182,16 +182,17 @@ def standard_span_rank(shape, *, field: Field = QQ) -> tuple[int, int]:
     Every filling column-sorts to a column-standard one with the same
     polynomial up to sign (the sign rule has its own check), so the span is
     computed from the deduplicated column-standard representatives.
+
+    They are homogeneous of one degree, so one of their monomials divides
+    another only when the two are equal, and division by the rows kept so
+    far is Gaussian elimination: a generator joins them exactly when it
+    leaves a nonzero remainder, whose leading monomial no kept row shares.
     """
     lam = validate_partition(shape)
-    gens = shape_generators(lam, mode="column_standard", field=field)
-    monomials = sorted({m for g in gens for m in g.polynomial.terms})
-    index = {m: i for i, m in enumerate(monomials)}
-    rows = []
-    for g in gens:
-        row = [field.zero] * len(monomials)
-        for m, c in g.polynomial.terms.items():
-            row[index[m]] = c
-        rows.append(row)
-    standard_count = len(tableaux(lam, "standard"))
-    return _matrix_rank(rows, field), standard_count
+    order = lex_order(sum(lam))
+    rows: list[Poly] = []
+    for g in shape_generators(lam, mode="column_standard", field=field):
+        remainder = normal_form(g.polynomial, rows, order)
+        if remainder.terms:
+            rows.append(remainder)
+    return len(rows), len(tableaux(lam, "standard"))

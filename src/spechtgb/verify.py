@@ -75,9 +75,10 @@ SCHEMA_VERSION = 1
 # expand to, summed over its shapes (checked per input and mode by `verify`)
 MAX_TABLEAUX = 10**5
 MAX_TERMS = 2 * 10**6
-# the filter lattice of n is found by scanning all 2^p(n) subsets of the p(n)
-# partitions of n; a request may scan it for p(n) up to this (n <= 7)
-MAX_LATTICE_PARTS = 16
+# engine's randomized trials, and the primes finite_field runs over when the
+# suite's field is Q
+ENGINE_TRIALS = 100
+PRIMES = (2, 3, 7)
 
 
 @dataclass
@@ -774,22 +775,15 @@ def _suite_lower_filters(n: int):
 
 
 # what one run of a check takes -> (the suite's inputs at size n, the
-# parameters that name one input)
+# parameters that name one input, the shapes whose generators it may build)
 _INPUTS = {
-    "filter": (_suite_lower_filters, lambda filt: {"n": filt.n, "filter": filter_text(filt)}),
-    "shape": (partitions_of, lambda lam: {"n": sum(lam), "shape": partition_text(lam)}),
-    "n": (lambda n: (n,), lambda n: {"n": n}),
+    "filter": (_suite_lower_filters, lambda filt: {"n": filt.n, "filter": filter_text(filt)},
+               lambda filt: filt.sorted_members()),
+    # a shape's check builds at most its principal lower filter
+    "shape": (partitions_of, lambda lam: {"n": sum(lam), "shape": partition_text(lam)},
+              lambda lam: filter_closure(sum(lam), [lam], "lower").sorted_members()),
+    "n": (lambda n: (n,), lambda n: {"n": n}, partitions_of),
 }
-
-
-def _members(*modes):
-    """What a check on a filter expands: the filter's members, in each mode."""
-    return lambda filt: [(filt.sorted_members(), mode) for mode in modes]
-
-
-def _every_shape(*modes):
-    """What a check on a size n expands: every shape of n, in each mode."""
-    return lambda n: [(partitions_of(n), mode) for mode in modes]
 
 
 @dataclass(frozen=True)
@@ -799,48 +793,47 @@ class _Check:
     takes is a key of _INPUTS, or None for a check run once with no input.
     over is "any"; "Q" for a check that is skipped over F_p; or "F_p" for a
     check that runs over SuiteConfig.field when it is finite and once per
-    SuiteConfig.primes otherwise. run calls the check by its module-level
-    name, so that wrapping that name reaches the suite too. expands maps an
-    input to the (shapes, tableau mode) pairs whose generators the check
-    builds, so that an oversized input is refused before any of it runs.
-    scans_lattice marks a check that enumerates the whole filter lattice of
-    its n, refused the same way when that lattice is too large to scan.
+    PRIMES otherwise. run calls the check by its module-level name, so that
+    wrapping that name reaches the suite too. max_n is the largest n its grid
+    runs. expands names the tableau modes in which it may build the
+    generators of its input's shapes (see _INPUTS), so that an oversized
+    input is refused before any of it runs; a mode with fewer tableaux per
+    shape that the check also uses is covered by a larger one.
     """
 
     takes: str | None
     over: str
     run: Callable[[SuiteConfig, object], CheckReport]
     max_n: int | None = None
-    expands: Callable[[object], list] = lambda _: []
-    scans_lattice: bool = False
+    expands: tuple[str, ...] = ("column_standard",)
 
 
 _CHECKS = {
     "lexgb": _Check("filter", "any", lambda c, filt: check_lexgb(
         filt, field=c.field, pair_budget=c.pair_budget),
-        expands=_members("column_standard", "all")),
+        expands=("column_standard", "all")),
     # n=5 samples order_budget of its 120 lex rankings, as the pinned
     # --max-n 5 hash records; every other size tests all n! of them
     "universal": _Check("filter", "any", lambda c, filt: check_universal(
         filt, order_budget=c.order_budget, seed=c.seed, field=c.field,
-        exhaustive_lex=filt.n != 5), expands=_members("column_standard")),
+        exhaustive_lex=filt.n != 5)),
     "reduced": _Check("filter", "Q", lambda c, filt: check_reduced(
-        filt, pair_budget=c.pair_budget), expands=_members("column_standard")),
+        filt, pair_budget=c.pair_budget)),
     "vanishing": _Check("n", "Q", lambda c, n: check_stratum_vanishing(
-        n, samples=c.samples, seed=c.seed), expands=_every_shape("column_standard")),
+        n, samples=c.samples, seed=c.seed)),
+    # builds no tableaux, but the strata oracles of every upper filter of 7
+    # and of its derived filters do not finish in minutes
     "descent": _Check("n", "Q", lambda c, n: check_coefficient_descent(
-        n, trials=c.trials, seed=c.seed, pair_budget=c.pair_budget), scans_lattice=True),
+        n, trials=c.trials, seed=c.seed, pair_budget=c.pair_budget), max_n=6, expands=()),
     "restricted": _Check("shape", "Q", lambda c, lam: check_restricted(
-        lam, pair_budget=c.pair_budget), expands=lambda lam: [
-            (restricted_shapes(lam), "standard"),
-            (filter_closure(sum(lam), [lam], "lower").sorted_members(), "column_standard")]),
+        lam, pair_budget=c.pair_budget)),
     "finite_field": _Check("filter", "F_p", lambda c, filt: check_finite_field(
         filt, c.field.p, order_budget=min(c.order_budget, 10), seed=c.seed,
-        pair_budget=c.pair_budget), max_n=4, expands=_members("column_standard")),
+        pair_budget=c.pair_budget), max_n=4),
     "containment": _Check("n", "Q", lambda c, n: check_containment(
-        n, pair_budget=c.pair_budget), expands=_every_shape("column_standard", "standard")),
+        n, pair_budget=c.pair_budget)),
     "engine": _Check(None, "any", lambda c, _: check_engine(
-        trials=c.engine_trials, seed=c.seed, pair_budget=c.pair_budget)),
+        trials=ENGINE_TRIALS, seed=c.seed, pair_budget=c.pair_budget), expands=()),
 }
 CHECK_NAMES = tuple(_CHECKS)
 _RATIONAL_ONLY_REASON = "needs the rational field: strata are only dense there"
@@ -855,10 +848,8 @@ class SuiteConfig:
     seed: int = 0
     samples: int = 10
     trials: int = 20
-    engine_trials: int = 100
     order_budget: int = 25
     pair_budget: int = DEFAULT_PAIR_BUDGET
-    primes: tuple[int, ...] = (2, 3, 7)
     include_controls: bool = True
 
 
@@ -869,7 +860,7 @@ def _run_check(name: str, config: SuiteConfig, arg) -> list[CheckReport]:
         parameters = {**_INPUTS[spec.takes][1](arg), "field": config.field.text()}
         return [CheckReport(name, parameters, "skipped", _RATIONAL_ONLY_REASON, {}, 0)]
     if spec.over == "F_p" and config.field.p is None:
-        return [spec.run(replace(config, field=GF(p)), arg) for p in config.primes]
+        return [spec.run(replace(config, field=GF(p)), arg) for p in PRIMES]
     return [spec.run(config, arg)]
 
 
@@ -935,17 +926,23 @@ def _summary_table(reports: list[CheckReport]) -> str:
     return "\n".join(lines)
 
 
+def _write(body: str, out_path: str | None) -> None:
+    """Write body to the --out file, or to stdout when there is none."""
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
+
+
 def _emit(reports: list[CheckReport], fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         body = "\n".join(json.dumps(r.record(), sort_keys=True) for r in reports) + "\n"
     else:
         body = _summary_table(reports) + "\n"
+    _write(body, out_path)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(body)
         print(f"wrote {len(reports)} report(s) to {out_path}")
-    else:
-        sys.stdout.write(body)
 
 
 def _check_enumeration_size(shapes, mode: str, hint: str = "") -> None:
@@ -968,32 +965,18 @@ def _check_enumeration_size(shapes, mode: str, hint: str = "") -> None:
         )
 
 
-def _check_lattice_size(n: int) -> None:
-    """Refuse a request that scans the filter lattice of n when n has more
-    than MAX_LATTICE_PARTS partitions."""
-    # p(n) >= n, so a large n is refused without listing its partitions
-    parts = n if n > MAX_LATTICE_PARTS else len(partitions_of(n))
-    if parts > MAX_LATTICE_PARTS:
-        raise ValueError(
-            f"this request scans all 2^p({n}) subsets of the partitions of {n} for "
-            f"dominance filters, more than the limit of 2^{MAX_LATTICE_PARTS}; "
-            f"use a smaller --n or --max-n"
-        )
-
-
 def _check_selection_size(config: SuiteConfig, single) -> None:
     """Refuse, before any check runs, a selection with an input whose
-    generators would be exponential to build, or whose filter lattice would
-    be exponential to scan; single is the one input of a single run, or None
-    for the grid."""
+    generators would be exponential to build; single is the one input of a
+    single run, or None for the grid."""
     for name in config.checks:
         spec = _CHECKS[name]
-        if spec.over == "Q" and config.field.p is not None:
-            continue  # skipped, so nothing is expanded
+        if not spec.expands or spec.over == "Q" and config.field.p is not None:
+            continue  # builds no generators, or is skipped
+        shapes_of = _INPUTS[spec.takes][2]
         for arg in _grid(name, config) if single is None else [single]:
-            if spec.scans_lattice:
-                _check_lattice_size(arg)
-            for shapes, mode in spec.expands(arg):
+            shapes = shapes_of(arg)
+            for mode in spec.expands:
                 _check_enumeration_size(shapes, mode)
 
 
@@ -1012,7 +995,7 @@ def _cmd_gens(args) -> int:
     elif args.mode == "restricted_standard":
         raise ValueError("mode restricted_standard needs --shape")
     elif args.filter:
-        filt = parse_filter_text(args.filter, args.n, default_kind="lower")
+        filt = parse_filter_text(args.filter, args.n)
         _check_enumeration_size(filt.sorted_members(), args.mode, ", or --mode standard")
         gens = filter_generators(filt, mode=args.mode, field=field)
     else:
@@ -1034,17 +1017,13 @@ def _cmd_gens(args) -> int:
             f"{polynomial_text(g.polynomial)}"
             for g in gens
         ) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _write(body, args.out)
     return 0
 
 
 def _cmd_gb(args) -> int:
     field = parse_field(args.field)
-    filt = parse_filter_text(args.filter, args.n, default_kind="lower")
+    filt = parse_filter_text(args.filter, args.n)
     order = parse_order(args.order, args.n) if args.order else lex_order(args.n)
     _check_enumeration_size(filt.sorted_members(), "column_standard")
     gens = [g.polynomial for g in filter_generators(filt, field=field)]
@@ -1054,7 +1033,7 @@ def _cmd_gb(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    filt = parse_filter_text(args.filter, args.n, default_kind="lower")
+    filt = parse_filter_text(args.filter, args.n)
     if filt.kind == "lower":
         target = filt.complement()
         if not len(target):
@@ -1085,11 +1064,7 @@ def _print_basis(basis, order, args, note: str | None = None) -> None:
             lines.append("0  (zero ideal)")
         lines.extend(polynomial_text(p, order) for p in basis)
         body = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _write(body, args.out)
 
 
 def _single_input(args):
@@ -1101,7 +1076,7 @@ def _single_input(args):
     if args.filter is not None:
         if args.n is None:
             raise ValueError(f"{args.check} needs --n with --filter")
-        return parse_filter_text(args.filter, args.n, default_kind="lower")
+        return parse_filter_text(args.filter, args.n)
     if args.shape is not None:
         lam = parse_partition_text(args.shape)
         if args.n is not None and sum(lam) != args.n:
@@ -1133,8 +1108,10 @@ def _cmd_verify(args) -> int:
     else:
         reports = _run_check(args.check, config, single)
     if not reports:
-        raise ValueError("this selection runs no check at the requested sizes; "
-                         "grids start at n=2")
+        tops = "".join(f", {name}'s ends at n={_CHECKS[name].max_n}"
+                       for name in config.checks if _CHECKS[name].max_n is not None)
+        raise ValueError(f"this selection runs no check at the requested sizes; "
+                         f"grids start at n=2{tops}")
     _emit(reports, args.report, args.out)
     return suite_exit_code(reports)
 

@@ -14,7 +14,10 @@ folded one factor x_i - x_j at a time into a term dict, before each column was
 expanded as a Vandermonde determinant. The last section is the
 universal-order sweep that certified every order by Buchberger before the
 symmetry shortcut. It referees the shortcut, not the kernel, so it runs
-the package's checker.
+the package's checker. Then dense row reduction, which computed span ranks
+before generators were divided by one another; the dominance-closure test
+that compared every member with every partition; and the per-check size
+rules that listed what each verify check expands.
 """
 
 import heapq
@@ -630,3 +633,104 @@ def ref_order_failure(polys: list[Poly], orders, where: str) -> str | None:
                                     for p in polys):
             return f"leading term disagrees with the induced lex order{where} under {order.text()}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# dense row reduction: rows are lists of field elements
+
+
+def ref_echelon_basis(rows: list[list], field: Field) -> list[list]:
+    """Reduced row echelon basis of the row space. Zero rows are dropped."""
+    basis: list[list] = []
+    pivots: list[int] = []
+    zero = field.zero
+    for row in rows:
+        r = list(row)
+        for b, p in zip(basis, pivots):
+            c = r[p]
+            if c != zero:
+                r = [field.sub(x, field.mul(c, y)) for x, y in zip(r, b)]
+        pivot = next((j for j, x in enumerate(r) if x != zero), None)
+        if pivot is None:
+            continue
+        inv = field.inv(r[pivot])
+        r = [field.mul(x, inv) for x in r]
+        # clear the new pivot column in earlier rows to keep the basis reduced
+        for k, b in enumerate(basis):
+            c = b[pivot]
+            if c != zero:
+                basis[k] = [field.sub(x, field.mul(c, y)) for x, y in zip(b, r)]
+        basis.append(r)
+        pivots.append(pivot)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return [basis[i] for i in order]
+
+
+def ref_rank(rows: list[list], field: Field) -> int:
+    return len(ref_echelon_basis(rows, field))
+
+
+def ref_poly_rank(polys: list[Poly], field: Field) -> int:
+    """Rank of the span of polys, from their dense coefficient matrix."""
+    monomials = sorted({m for p in polys for m in p.terms})
+    index = {m: i for i, m in enumerate(monomials)}
+    rows = []
+    for p in polys:
+        row = [field.zero] * len(monomials)
+        for m, c in p.terms.items():
+            row[index[m]] = c
+        rows.append(row)
+    return ref_rank(rows, field)
+
+
+# ---------------------------------------------------------------------------
+# dominance closure by comparing every member with every partition of n
+
+
+def ref_closure_violations(n: int, members, kind: str) -> set:
+    """Every (member, missing) pair that keeps members from being a filter of
+    the kind: missing lies below the member (lower) or above it (upper)."""
+    mem = {tuple(m) for m in members}
+    out = set()
+    for lam in mem:
+        for mu in brute_partitions(n):
+            if mu in mem:
+                continue
+            if kind == "lower":
+                violates = dominates_by_partial_sums(lam, mu)
+            else:
+                violates = dominates_by_partial_sums(mu, lam)
+            if violates:
+                out.add((lam, mu))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# what each verify check expanded, per check, before the registry stated one
+# size rule per check: (shapes, tableau mode) pairs of one grid input
+
+
+def _principal_members(lam):
+    return [mu for mu in brute_partitions(sum(lam)) if dominates_by_partial_sums(lam, mu)]
+
+
+def _filter_members(*modes):
+    return lambda filt: [(filt.sorted_members(), mode) for mode in modes]
+
+
+def _every_shape(*modes):
+    return lambda n: [(brute_partitions(n), mode) for mode in modes]
+
+
+REF_EXPANDS = {
+    "lexgb": _filter_members("column_standard", "all"),
+    "universal": _filter_members("column_standard"),
+    "reduced": _filter_members("column_standard"),
+    "vanishing": _every_shape("column_standard"),
+    "restricted": lambda lam: [
+        ([mu for mu in _principal_members(lam) if mu[0] == lam[0]], "standard"),
+        (_principal_members(lam), "column_standard")],
+    "finite_field": _filter_members("column_standard"),
+    "containment": _every_shape("column_standard", "standard"),
+    "engine": lambda _: [],
+}

@@ -1,6 +1,8 @@
 """Partitions, dominance, filters, tableaux, set partitions."""
 
+import ast
 import itertools
+import re
 from math import factorial
 
 import pytest
@@ -38,6 +40,7 @@ from oracles import (
     column_group_order,
     dominates_by_partial_sums,
     hook_length_count,
+    ref_closure_violations,
     set_partition_count,
     bell_number,
 )
@@ -156,6 +159,27 @@ class TestFilters:
             PartitionFilter(4, [(2, 1, 1)], "upper")  # missing everything above
         with pytest.raises(ValueError):
             PartitionFilter(4, [(2, 1)], "lower")  # wrong total
+
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_closure_test_matches_pairwise_reference(self, kind):
+        # every subset of the partitions of n <= 6: accepted exactly when no
+        # member misses a partition on its side, and a refusal names such a pair
+        for n in range(1, 7):
+            ps = partitions_of(n)
+            for mask in range(1 << len(ps)):
+                members = [lam for i, lam in enumerate(ps) if mask >> i & 1]
+                violations = ref_closure_violations(n, members, kind)
+                try:
+                    PartitionFilter(n, members, kind)
+                except ValueError as e:
+                    named = re.fullmatch(
+                        rf"{kind} filter is not dominance-closed: contains (.*) but not (.*)",
+                        str(e))
+                    assert named, str(e)
+                    pair = tuple(ast.literal_eval(g) for g in named.groups())
+                    assert pair in violations, (n, members, pair)
+                else:
+                    assert not violations, (n, members)
 
     def test_closure_generates_minimal_filter(self):
         f = filter_closure(6, [(4, 1, 1), (3, 3)], "upper")

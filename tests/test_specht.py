@@ -37,6 +37,7 @@ from oracles import (
     difference_product,
     eval_poly,
     hook_length_count,
+    ref_poly_rank,
     ref_specht_polynomial,
 )
 
@@ -379,3 +380,13 @@ class TestStandardSpanRank:
             rank_p, count_p = standard_span_rank(lam, field=GF(2))
             assert count_p == count
             assert rank_p <= rank_q
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=lambda f: f.text())
+    def test_matches_dense_row_reduction(self, field):
+        # the generators divided by one another against their dense
+        # coefficient matrix row-reduced, on every shape of n <= 7
+        for n in range(1, 8):
+            for lam in partitions_of(n):
+                gens = [g.polynomial for g in shape_generators(lam, field=field)]
+                rank, _ = standard_span_rank(lam, field=field)
+                assert rank == ref_poly_rank(gens, field), (lam, field)

@@ -39,7 +39,7 @@ from spechtgb import (
 )
 from spechtgb import verify
 
-from oracles import ref_order_failure
+from oracles import REF_EXPANDS, ref_order_failure
 
 
 def assert_clean_pass(report, check_id):
@@ -511,10 +511,10 @@ class TestEnumerationLimits:
         (["verify", "all", "--max-n", "12"], "32402160 terms"),
         (["verify", "restricted", "--shape", "[1,1,1,1,1,1,1,1,1,1,1,1]"], "terms"),
         (["gb", "--n", "12", "--filter", "lower<=[12]"], "column_standard tableaux"),
-        # descent expands no tableaux, but scans the 2^p(n) subsets of the
-        # partitions of n for the filter lattice: 2^22 at n=8, 2^30 at n=9
-        (["verify", "descent", "--n", "8"], "2^p(8) subsets"),
-        (["verify", "descent", "--n", "9"], "2^p(9) subsets"),
+        # descent expands no tableaux; its grid ends at n=6, so a larger
+        # --n runs no check
+        (["verify", "descent", "--n", "8"], "descent's ends at n=6"),
+        (["verify", "descent", "--n", "9"], "descent's ends at n=6"),
     ])
     def test_oversized_requests_exit_two_at_once(self, argv, what, capsys):
         start = time.perf_counter()
@@ -526,8 +526,42 @@ class TestEnumerationLimits:
     def test_no_grid_input_up_to_six_is_refused(self, field):
         verify._check_selection_size(SuiteConfig(max_n=6, field=field), None)
 
-    def test_no_descent_input_up_to_seven_is_refused(self):
-        verify._check_selection_size(SuiteConfig(checks=("descent",), max_n=7), None)
+    def test_descent_grid_stops_at_six(self, capsys):
+        # its oracles at n=7 ran for over 15 minutes; n=6 takes seconds
+        start = time.perf_counter()
+        assert main(["verify", "descent", "--n", "7"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "descent's ends at n=6" in capsys.readouterr().err
+        grid = verify._grid("descent", SuiteConfig(checks=("descent",), max_n=12))
+        assert list(grid) == [2, 3, 4, 5, 6]
+        verify._check_selection_size(SuiteConfig(checks=("descent",), max_n=12), None)
+
+    def test_refusals_match_the_per_check_expansion_lists(self):
+        # each check's one size rule refuses a grid input of n = 2..12 exactly
+        # when the (shapes, mode) pairs it was listed to build exceed a limit
+        decisions = set()
+        for name in CHECK_NAMES:
+            if name == "descent":
+                continue  # its grid ends at n=6 instead
+            takes = verify._CHECKS[name].takes
+            for n in range(2, 13):
+                inputs = verify._INPUTS[takes][0](n) if takes else [None]
+                for arg in inputs:
+                    try:
+                        for shapes, mode in REF_EXPANDS[name](arg):
+                            verify._check_enumeration_size(shapes, mode)
+                        listed = False
+                    except ValueError:
+                        listed = True
+                    config = SuiteConfig(checks=(name,), min_n=n, max_n=n)
+                    try:
+                        verify._check_selection_size(config, arg)
+                        ruled = False
+                    except ValueError:
+                        ruled = True
+                    assert ruled == listed, (name, arg)
+                    decisions.add(ruled)
+        assert decisions == {True, False}
 
 
 class TestSingleRunMatchesGrid:

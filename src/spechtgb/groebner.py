@@ -193,7 +193,7 @@ def _chain_link(i: int, j: int, lcm: Monomial, reducers, settled) -> int | None:
 
 
 def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None = None,
-                  use_chain_criterion: bool = True) -> list:
+                  use_chain_criterion: bool = True, known=()) -> list:
     """Pop every pair of the basis once and return (i, j, status) in pop order.
 
     A status is "coprime", "chain:k", "zero_reduction", or, for a nonzero
@@ -201,6 +201,11 @@ def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None
     reducers, and its pairs join the heap) or "failed" when certifying.
     Completion pops by (lcm degree, i, j), certification by (j, i). A popped
     pair is settled for the chain criterion unless it failed.
+
+    known lists (start, stop) index ranges of the input whose elements are
+    already a Groebner basis on their own: a pair inside one range has a
+    standard representation by that range, so it is settled without being
+    pushed, popped or logged, and still links chain-criterion skips.
     """
     field = basis[0].field if basis else QQ
     reducers = _prepare_reducers(basis, order)
@@ -209,13 +214,17 @@ def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None
     settled: set = set()
     log: list = []
 
-    def push_pairs(j: int) -> None:
-        for i in range(j):
+    def push_pairs(j: int, stop: int) -> None:
+        for i in range(stop):
             rank = mono_degree(mono_lcm(lms[i], lms[j])) if complete else j
             heapq.heappush(heap, (rank, i, j))
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    block_start = list(range(len(basis)))
+    for start, stop in known:
+        block_start[start:stop] = [start] * (stop - start)
+        settled.update((i, j) for j in range(start, stop) for i in range(start, j))
+    for j, start in enumerate(block_start):
+        push_pairs(j, start)
     while heap:
         _, i, j = heapq.heappop(heap)
         if pair_budget is not None and len(log) >= pair_budget:
@@ -236,7 +245,7 @@ def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None
             basis.append(r.term_mul((0,) * r.nvars, field.inv(leading_term(r, order)[1])))
             reducers += _prepare_reducers(basis[-1:], order)
             lms.append(reducers[-1][0])
-            push_pairs(len(basis) - 1)
+            push_pairs(len(basis) - 1, len(basis) - 1)
             status = "added"
         log.append((i, j, status))
         if status != "failed":
@@ -249,11 +258,22 @@ def buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
     """Grow the nonzero generators into a Groebner basis; returns (basis, stats).
 
     Raises PairBudgetExceeded once more than pair_budget pairs are popped.
+    The stats count popped pairs (pairs_processed) by how each settled, so
+    pairs_processed == skipped_coprime + skipped_chain + zero_reductions +
+    basis_added; skipped_known counts the pairs settled unpopped inside known
+    blocks, which only the elimination of two Groebner bases declares.
     """
+    return _complete(generators, order, pair_budget, use_chain_criterion, ())
+
+
+def _complete(generators, order, pair_budget: int, use_chain_criterion: bool,
+              known) -> tuple[list[Poly], dict]:
+    # buchberger with the known blocks of _settle_pairs, which index the
+    # generators after the zero ones are dropped
     basis = [g.term_mul((0,) * g.nvars, g.field.inv(leading_term(g, order)[1]))
              for g in generators if g.terms]
     log = _settle_pairs(basis, order, complete=True, pair_budget=pair_budget,
-                        use_chain_criterion=use_chain_criterion)
+                        use_chain_criterion=use_chain_criterion, known=known)
     tally = Counter(status.split(":")[0] for _, _, status in log)
     return basis, {
         "pairs_processed": len(log),
@@ -261,6 +281,7 @@ def buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
         "skipped_chain": tally["chain"],
         "zero_reductions": tally["zero_reduction"],
         "basis_added": tally["added"],
+        "skipped_known": sum((stop - start) * (stop - start - 1) // 2 for start, stop in known),
     }
 
 
@@ -404,10 +425,24 @@ def ideal_intersection(a: IdealBasis, b: IdealBasis, *, order=None,
                        pair_budget: int = DEFAULT_PAIR_BUDGET) -> IdealBasis:
     """Intersection via t*A + (1-t)*B and elimination of the auxiliary t.
 
-    The generators of the result are exactly the auxiliary-free elements of
-    the reduced elimination basis, which form the reduced basis of the
-    intersection under the inner order (every element involving t keeps t in
-    its leading monomial, so dropping them cannot lose leading terms).
+    The auxiliary-free elements of the elimination basis form a Groebner
+    basis of the intersection (every element involving t keeps t in its
+    leading monomial); the generators of the result are that basis,
+    inter-reduced under the inner order, so they are the reduced basis of
+    the intersection.
+    """
+    return _intersect(a, b, order, pair_budget, known_bases=False)
+
+
+def _intersect(a: IdealBasis, b: IdealBasis, order, pair_budget: int,
+               known_bases: bool) -> IdealBasis:
+    """ideal_intersection, told by known_bases whether a's generators and
+    b's are each a Groebner basis under order.
+
+    If they are, so are t*A and (1-t)*B under the elimination order: an
+    S-polynomial inside either block is t*S(a_i, a_j) or (1-t)*S(b_i, b_j),
+    which has a standard representation. The pairs inside each block are
+    then settled without being reduced.
     """
     if a.nvars != b.nvars or a.field != b.field:
         raise ValueError("ideals live in different rings")
@@ -415,10 +450,12 @@ def ideal_intersection(a: IdealBasis, b: IdealBasis, *, order=None,
     if a.is_zero() or b.is_zero():
         return IdealBasis(a.nvars, a.field, ())
     lifted = [_lift(f, True) for f in a.generators] + [_lift(g, False) for g in b.generators]
-    gb = groebner_basis(lifted, _elimination_order(inner), pair_budget=pair_budget)
-    kept = tuple(
+    split = len(a.generators)
+    known = ((0, split), (split, len(lifted))) if known_bases else ()
+    basis, _ = _complete(lifted, _elimination_order(inner), pair_budget, True, known)
+    free = [
         Poly._raw(a.nvars, a.field, {m[:-1]: c for m, c in g.terms.items()})
-        for g in gb
+        for g in basis
         if all(m[-1] == 0 for m in g.terms)
-    )
-    return IdealBasis(a.nvars, a.field, kept)
+    ]
+    return IdealBasis(a.nvars, a.field, tuple(reduce_groebner_basis(free, inner)))

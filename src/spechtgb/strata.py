@@ -5,28 +5,43 @@ vanishing on a union of strata WITHOUT touching the generator machinery that
 will later be tested against it: each stratum closure is a union of
 coordinate-equality subspaces, so the vanishing ideal is an intersection of
 the subspaces' linear prime ideals and nothing else. Radical by construction.
+
+The subspaces of one stratum form an orbit under permuting coordinates, so
+the oracle works per type: a member type whose subspaces lie inside another
+member's is dropped by one test per pair of types, the size of the rest is
+counted in closed form before anything is enumerated, and the intersection
+is a left fold memoized per prefix of kept types, so filters that share a
+prefix share its eliminations. Each elimination intersects two Groebner
+bases and tells the pair core so.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .combinatorics import (
     Partition,
     PartitionFilter,
-    SetPartition,
     orbit_type,
     partitions_of,
     set_partitions_of_type,
     validate_partition,
     validate_set_partition,
 )
-from .groebner import DEFAULT_PAIR_BUDGET, IdealBasis, groebner_basis, ideal_intersection
+from .groebner import DEFAULT_PAIR_BUDGET, IdealBasis, _intersect, groebner_basis
 from .polyring import QQ, Field, Poly, lex_order
 
 _SAMPLE_POOL = range(-1000, 1001)
+
+# the oracle refuses an upper filter whose kept types have more subspaces:
+# every upper filter of n <= 6 (at most 90) and every principal complement of
+# n = 7 (at most 350) stay below it, the n=8 complement of [5,1,1,1] (966)
+# does not
+MAX_ORACLE_SUBSPACES = 500
 
 
 class UnsupportedFieldError(RuntimeError):
@@ -93,40 +108,78 @@ def subspace_ideal(blocks, n: int, *, field: Field = QQ) -> IdealBasis:
     return IdealBasis(n, field, tuple(gens))
 
 
-def _subspace_within(inner: SetPartition, outer: SetPartition) -> bool:
-    """Whether the inner subspace sits inside the outer one.
+def _merges_into(nu: Partition, mu: Partition) -> bool:
+    """Whether mu comes from nu by merging parts.
 
-    A subspace is spanned by the indicator vectors of its blocks, so the
-    inner one lies in the outer one exactly when each inner block is a union
-    of outer blocks: when every block of outer lies inside one block of inner.
+    Then the blocks of some set partition of type nu group into the blocks
+    of any given one of type mu, so each subspace of type mu lies inside a
+    subspace of type nu. The parts of nu are placed one at a time into bins
+    of the sizes of mu; bins with equal room are interchangeable.
     """
-    block_of = {i: k for k, block in enumerate(inner) for i in block}
-    return all(len({block_of[i] for i in block}) == 1 for block in outer)
+    def place(k: int, room: tuple) -> bool:
+        if k == len(nu):
+            return True
+        tried = set()
+        for i, r in enumerate(room):
+            if r >= nu[k] and r not in tried:
+                tried.add(r)
+                if place(k + 1, room[:i] + (r - nu[k],) + room[i + 1:]):
+                    return True
+        return False
+
+    return place(0, tuple(mu))
+
+
+def _kept_types(n: int, members) -> tuple[Partition, ...]:
+    """The member types whose subspaces no other member's subspace contains.
+
+    A stratum's subspaces form one orbit under permuting coordinates, so a
+    type is absorbed exactly when one of its subspaces lies inside a subspace
+    of another member type, which is decided once per pair of types. Kept
+    types come in partitions_of order.
+    """
+    return tuple(mu for mu in partitions_of(n) if mu in members
+                 and not any(nu != mu and _merges_into(nu, mu) for nu in members))
+
+
+def _subspace_count(mu: Partition) -> int:
+    # set partitions of type mu: n! / (prod of part factorials * prod of
+    # factorials of part multiplicities)
+    count = factorial(sum(mu))
+    for part in mu:
+        count //= factorial(part)
+    for multiplicity in Counter(mu).values():
+        count //= factorial(multiplicity)
+    return count
+
+
+_COUNTS = Counter()
 
 
 @lru_cache(maxsize=None)
-def _oracle_cached(n: int, members: frozenset, pair_budget: int) -> IdealBasis:
-    collected: list[SetPartition] = []
-    for mu in partitions_of(n):
-        if mu in members:
-            collected.extend(set_partitions_of_type(mu))
-    kept = []
-    for idx, blocks in enumerate(collected):
-        absorbed = any(
-            jdx != idx and _subspace_within(blocks, other)
-            for jdx, other in enumerate(collected)
-        )
-        if not absorbed:
-            kept.append(blocks)
+def _fold(n: int, types: tuple, pair_budget: int) -> IdealBasis:
+    """Left fold of the subspace ideals of every set partition of each type.
+
+    The fold over types extends the fold over types[:-1], so filters whose
+    kept types share a prefix share its intersection. Every running result
+    is a Groebner basis under lex x1 < ... < xn (the first subspace's
+    consecutive differences have pairwise coprime leading variables, later
+    results are reduced bases), as is every subspace ideal, so each
+    elimination skips the pairs inside its two inputs.
+    """
+    ideals = [subspace_ideal(blocks, n) for blocks in set_partitions_of_type(types[-1])]
+    result = _fold(n, types[:-1], pair_budget) if len(types) > 1 else ideals.pop(0)
     order = lex_order(n)
-    result = subspace_ideal(kept[0], n)
-    for blocks in kept[1:]:
-        result = ideal_intersection(result, subspace_ideal(blocks, n), order=order,
-                                    pair_budget=pair_budget)
-    if len(kept) == 1:
-        result = IdealBasis(n, QQ, tuple(groebner_basis(result.generators, order,
-                                                        pair_budget=pair_budget)))
+    for ideal in ideals:
+        result = _intersect(result, ideal, order, pair_budget, known_bases=True)
+        _COUNTS["oracle_eliminations"] += 1
     return result
+
+
+def oracle_counts() -> dict:
+    """Eliminations run and fold prefixes reused by the oracle in this process."""
+    return {"oracle_eliminations": _COUNTS["oracle_eliminations"],
+            "oracle_prefixes_reused": _fold.cache_info().hits}
 
 
 def vanishing_ideal_oracle(g: PartitionFilter, *,
@@ -134,16 +187,37 @@ def vanishing_ideal_oracle(g: PartitionFilter, *,
     """Ideal of everything vanishing on the strata of the given upper filter.
 
     Only valid over the rationals, where each stratum is dense in the union
-    of its equality subspaces. Subspaces contained in another listed subspace
-    are dropped first (that cannot change the intersection), the survivors'
-    prime ideals are then intersected pairwise in enumeration order, and the
-    returned generators are the reduced basis under lex x1 < ... < xn.
+    of its equality subspaces. A member type whose subspaces lie inside those
+    of another member type is dropped first (that cannot change the
+    intersection; the test is one per pair of types). The subspaces of the
+    kept types, in partitions_of order, are then intersected in a left fold
+    that is memoized per prefix of kept types, and the returned generators
+    are the reduced basis under lex x1 < ... < xn.
+
+    Raises ValueError, before any enumeration, when the kept types have
+    more than MAX_ORACLE_SUBSPACES subspaces in all. Below that limit an
+    elimination is bounded only by pair_budget.
     """
     if g.kind != "upper":
         raise ValueError("the oracle takes an upper filter")
     if not len(g):
         raise ValueError("the oracle needs a nonempty filter")
-    return _oracle_cached(g.n, frozenset(g.members), pair_budget)
+    types = _kept_types(g.n, g.members)
+    count = sum(map(_subspace_count, types))
+    if count > MAX_ORACLE_SUBSPACES:
+        raise ValueError(f"the oracle would intersect {count} subspace ideals, "
+                         f"more than the limit of {MAX_ORACLE_SUBSPACES}")
+    return _oracle_cached(g.n, types, pair_budget)
+
+
+@lru_cache(maxsize=None)
+def _oracle_cached(n: int, types: tuple, pair_budget: int) -> IdealBasis:
+    result = _fold(n, types, pair_budget)
+    if sum(map(_subspace_count, types)) == 1:
+        # a lone subspace was never intersected, so it is not reduced yet
+        result = IdealBasis(n, QQ, tuple(groebner_basis(result.generators, lex_order(n),
+                                                        pair_budget=pair_budget)))
+    return result
 
 
 def check_vanishing(f: Poly, g: PartitionFilter, samples_per_stratum: int, seed: int) -> bool:

@@ -68,7 +68,7 @@ from .specht import (
     restricted_standard_generators,
     shape_generators,
 )
-from .strata import sample_stratum, vanishing_ideal_oracle
+from .strata import oracle_counts, sample_stratum, vanishing_ideal_oracle
 
 SCHEMA_VERSION = 1
 # most tableaux one CLI request enumerates, and most terms its generators
@@ -134,6 +134,19 @@ def _guarded(check_id: str, parameters: dict, body, metrics: dict | None = None)
         timing_ms=int((time.perf_counter() - started) * 1000),
         metrics=metrics if metrics is not None else {},
     )
+
+
+def _counting_oracle(body, metrics: dict):
+    """body, filling metrics with the eliminations the strata oracle ran while
+    it did and the fold prefixes it found computed already."""
+    def counted():
+        start = oracle_counts()
+        try:
+            return body()
+        finally:
+            metrics.update((k, v - start[k]) for k, v in oracle_counts().items())
+
+    return counted
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +356,8 @@ def check_reduced(filt: PartitionFilter, *,
             return "pass", None, evidence
         return "fail", "generated ideal and strata oracle disagree", evidence
 
-    return _guarded("reduced", parameters, body)
+    metrics: dict = {}
+    return _guarded("reduced", parameters, _counting_oracle(body, metrics), metrics)
 
 
 def check_stratum_vanishing(n: int, *, samples: int = 10, seed: int = 0) -> CheckReport:
@@ -465,7 +479,8 @@ def check_coefficient_descent(n: int, *, trials: int = 20, seed: int = 0,
         }
         return "pass", None, evidence
 
-    return _guarded("descent", parameters, body)
+    metrics: dict = {}
+    return _guarded("descent", parameters, _counting_oracle(body, metrics), metrics)
 
 
 def check_restricted(shape, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:

@@ -17,7 +17,9 @@ symmetry shortcut. It referees the shortcut, not the kernel, so it runs
 the package's checker. Then dense row reduction, which computed span ranks
 before generators were divided by one another; the dominance-closure test
 that compared every member with every partition; and the per-check size
-rules that listed what each verify check expands.
+rules that listed what each verify check expands. Last, the strata oracle
+that scanned every pair of set partitions, folded each filter from scratch
+and interreduced each whole elimination basis.
 """
 
 import heapq
@@ -734,3 +736,71 @@ REF_EXPANDS = {
     "containment": _every_shape("column_standard", "standard"),
     "engine": lambda _: [],
 }
+
+
+# ---------------------------------------------------------------------------
+# the strata oracle before absorption was decided per type: every pair of
+# collected set partitions scanned, one left fold per filter with no memo,
+# and each elimination interreduced in full before its t-free part was kept.
+# It runs the package's Buchberger, so it referees the oracle's plan, not the
+# kernel; public buchberger declares no known blocks, so no pair is skipped.
+
+
+def ref_subspace_within(inner, outer) -> bool:
+    block_of = {i: k for k, block in enumerate(inner) for i in block}
+    return all(len({block_of[i] for i in block}) == 1 for block in outer)
+
+
+def ref_kept_subspaces(n: int, members) -> list:
+    from spechtgb.combinatorics import partitions_of, set_partitions_of_type
+
+    collected = []
+    for mu in partitions_of(n):
+        if mu in members:
+            collected.extend(set_partitions_of_type(mu))
+    kept = []
+    for idx, blocks in enumerate(collected):
+        absorbed = any(
+            jdx != idx and ref_subspace_within(blocks, other)
+            for jdx, other in enumerate(collected)
+        )
+        if not absorbed:
+            kept.append(blocks)
+    return kept
+
+
+def ref_ideal_intersection(a, b, *, order=None, pair_budget: int = DEFAULT_PAIR_BUDGET):
+    from spechtgb.groebner import IdealBasis, _elimination_order, _lift, groebner_basis
+    from spechtgb.polyring import lex_order
+
+    if a.nvars != b.nvars or a.field != b.field:
+        raise ValueError("ideals live in different rings")
+    inner = order if order is not None else lex_order(a.nvars)
+    if a.is_zero() or b.is_zero():
+        return IdealBasis(a.nvars, a.field, ())
+    lifted = [_lift(f, True) for f in a.generators] + [_lift(g, False) for g in b.generators]
+    gb = groebner_basis(lifted, _elimination_order(inner), pair_budget=pair_budget)
+    kept = tuple(
+        Poly._raw(a.nvars, a.field, {m[:-1]: c for m, c in g.terms.items()})
+        for g in gb
+        if all(m[-1] == 0 for m in g.terms)
+    )
+    return IdealBasis(a.nvars, a.field, kept)
+
+
+def ref_vanishing_ideal_oracle(g, *, pair_budget: int = DEFAULT_PAIR_BUDGET):
+    from spechtgb.groebner import IdealBasis, groebner_basis
+    from spechtgb.polyring import lex_order
+    from spechtgb.strata import subspace_ideal
+
+    n = g.n
+    kept = ref_kept_subspaces(n, frozenset(g.members))
+    order = lex_order(n)
+    result = subspace_ideal(kept[0], n)
+    for blocks in kept[1:]:
+        result = ref_ideal_intersection(result, subspace_ideal(blocks, n), order=order,
+                                        pair_budget=pair_budget)
+    if len(kept) == 1:
+        result = IdealBasis(n, QQ, tuple(groebner_basis(result.generators, order,
+                                                        pair_budget=pair_budget)))
+    return result

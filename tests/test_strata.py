@@ -2,7 +2,9 @@
 
 import ast
 import random
+import time
 from functools import reduce
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -27,9 +29,17 @@ from spechtgb import (
     subspace_ideal,
     vanishing_ideal_oracle,
 )
-from spechtgb import strata
+from spechtgb import groebner, strata
+from spechtgb.verify import main
 
-from oracles import ref_rank
+from oracles import (
+    ref_ideal_intersection,
+    ref_kept_subspaces,
+    ref_rank,
+    ref_subspace_within,
+    ref_vanishing_ideal_oracle,
+    set_partition_count,
+)
 
 
 def p(text, n):
@@ -102,7 +112,142 @@ class TestSubspaceContainment:
                     outer_rows = _indicator_rows(outer, n)
                     by_rank = ref_rank(outer_rows, QQ) == ref_rank(
                         outer_rows + _indicator_rows(inner, n), QQ)
-                    assert strata._subspace_within(inner, outer) == by_rank, (inner, outer)
+                    assert ref_subspace_within(inner, outer) == by_rank, (inner, outer)
+
+
+def typed(ideal):
+    """Each generator's terms with every coefficient's type, in order."""
+    return [sorted((m, type(c).__name__, c) for m, c in f.terms.items())
+            for f in ideal.generators]
+
+
+def clear_oracle_caches():
+    strata._oracle_cached.cache_clear()
+    strata._fold.cache_clear()
+
+
+class TestTypeAbsorption:
+    def test_matches_the_set_level_scan(self):
+        # every nonempty family of types of n <= 5, and every upper filter of 6
+        cases = [(n, set(members)) for n in range(1, 6)
+                 for size in range(1, len(partitions_of(n)) + 1)
+                 for members in combinations(partitions_of(n), size)]
+        cases += [(6, set(g.members)) for g in enumerate_upper_filters(6)]
+        for n, members in cases:
+            by_type = [blocks for mu in strata._kept_types(n, members)
+                       for blocks in set_partitions_of_type(mu)]
+            assert by_type == ref_kept_subspaces(n, members), (n, members)
+
+    def test_subspace_count_is_the_orbit_size(self):
+        for n in range(1, 8):
+            for mu in partitions_of(n):
+                assert strata._subspace_count(mu) == set_partition_count(mu)
+        assert strata._subspace_count((2, 2, 1, 1)) == len(set_partitions_of_type((2, 2, 1, 1)))
+
+    def test_merging_is_not_dominance(self):
+        # [4,2] dominates [3,3], but a block of 3 does not fit in a block of 2
+        assert not strata._merges_into((3, 3), (4, 2))
+        assert strata._merges_into((2, 2, 1, 1), (3, 3))
+        assert strata._merges_into((3, 1, 1), (5,))
+
+
+class TestOracleMatchesReference:
+    """The type-level, prefix-memoized fold with known-block eliminations
+    against the frozen set-level, one-fold-per-filter oracle."""
+
+    def test_every_upper_filter_up_to_five(self):
+        clear_oracle_caches()
+        for n in range(1, 6):
+            for g in enumerate_upper_filters(n):
+                assert typed(vanishing_ideal_oracle(g)) == typed(ref_vanishing_ideal_oracle(g)), g
+
+    @pytest.mark.parametrize("lam", [(5, 1), (4, 2), (3, 3), (4, 1, 1), (3, 2, 1), (2, 2, 2)])
+    def test_six_complements(self, lam):
+        g = filter_closure(6, [lam], "lower").complement()
+        assert typed(vanishing_ideal_oracle(g)) == typed(ref_vanishing_ideal_oracle(g))
+
+    def test_prefix_memo_ignores_call_order(self):
+        # upper >= [3,1,1] keeps ([3,1,1],), a prefix of upper >= [2,2,1]'s
+        # ([3,1,1], [2,2,1]); the shared fold is built once either way
+        x = filter_closure(5, [(3, 1, 1)], "upper")
+        y = filter_closure(5, [(2, 2, 1)], "upper")
+        results = []
+        for first, second in ((x, y), (y, x)):
+            clear_oracle_caches()
+            start = strata.oracle_counts()
+            got = {str(g): typed(vanishing_ideal_oracle(g)) for g in (first, second)}
+            end = strata.oracle_counts()
+            results.append((got, {k: end[k] - start[k] for k in end}))
+        assert results[0][0] == results[1][0]
+        assert results[0][1]["oracle_eliminations"] == results[1][1]["oracle_eliminations"]
+        assert results[0][1]["oracle_prefixes_reused"] == 1
+        assert results[1][1]["oracle_prefixes_reused"] == 1
+
+
+def random_subspace_meet(n, rng):
+    """The intersection of one to three random subspace ideals of n."""
+    every = [b for mu in partitions_of(n)[:-1] for b in set_partitions_of_type(mu)]
+    ideals = [subspace_ideal(b, n) for b in rng.sample(every, rng.randint(1, 3))]
+    return reduce(lambda a, b: ideal_intersection(a, b, order=lex_order(n)), ideals)
+
+
+class TestKnownBlockElimination:
+    def test_private_path_matches_public_intersection(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randint(3, 5)
+            a, b = random_subspace_meet(n, rng), random_subspace_meet(n, rng)
+            known = groebner._intersect(a, b, lex_order(n), 10_000, known_bases=True)
+            assert typed(known) == typed(ideal_intersection(a, b, order=lex_order(n)))
+            assert typed(known) == typed(ref_ideal_intersection(a, b, order=lex_order(n)))
+
+    def test_known_pairs_are_settled_unpopped(self):
+        n = 4
+        order = lex_order(n)
+        a = ideal_intersection(subspace_ideal([[1, 2], [3], [4]], n),
+                               subspace_ideal([[1], [2], [3, 4]], n))
+        b = subspace_ideal([[1, 3, 4], [2]], n)
+        lifted = ([groebner._lift(f, True) for f in a.generators]
+                  + [groebner._lift(g, False) for g in b.generators])
+        split = len(a.generators)
+        elimination = groebner._elimination_order(order)
+        plain, plain_stats = groebner._complete(lifted, elimination, 10_000, True, ())
+        basis, stats = groebner._complete(lifted, elimination, 10_000, True,
+                                          ((0, split), (split, len(lifted))))
+        assert stats["skipped_known"] == split * (split - 1) // 2 + 1
+        assert plain_stats["skipped_known"] == 0
+        for st in (stats, plain_stats):
+            assert st["pairs_processed"] == (st["skipped_coprime"] + st["skipped_chain"]
+                                             + st["zero_reductions"] + st["basis_added"])
+        assert stats["pairs_processed"] < plain_stats["pairs_processed"]
+        assert (groebner.reduce_groebner_basis(basis, elimination)
+                == groebner.reduce_groebner_basis(plain, elimination))
+
+
+class TestOracleSizeRule:
+    def test_limit_admits_small_grids_and_refuses_large_ones(self):
+        def count(g):
+            return sum(map(strata._subspace_count, strata._kept_types(g.n, g.members)))
+
+        small = [g for n in range(1, 7) for g in enumerate_upper_filters(n)]
+        small += [filter_closure(7, [lam], "lower").complement() for lam in partitions_of(7)[1:]]
+        assert max(map(count, small)) == 350
+        assert max(map(count, small)) <= strata.MAX_ORACLE_SUBSPACES
+        big = filter_closure(8, [(5, 1, 1, 1)], "lower").complement()
+        assert count(big) == 966 > strata.MAX_ORACLE_SUBSPACES
+
+    def test_refusal_comes_before_any_enumeration(self):
+        big = filter_closure(8, [(5, 1, 1, 1)], "lower").complement()
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="966 subspace ideals"):
+            vanishing_ideal_oracle(big)
+        assert time.perf_counter() - started < 1.0
+
+    def test_cli_exits_two_at_once(self, capsys):
+        started = time.perf_counter()
+        assert main(["oracle", "--n", "8", "--filter", "lower<=[5,1,1,1]"]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "966 subspace ideals" in capsys.readouterr().err
 
 
 class TestOracleIndependence:

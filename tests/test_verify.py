@@ -700,6 +700,28 @@ class TestMetrics:
         assert record["metrics"] == {"orders_settled_by_symmetry": 9,
                                      "orders_certified_by_buchberger": 2}
 
+    def test_reduced_and_descent_count_oracle_work(self):
+        from spechtgb import strata
+
+        strata._oracle_cached.cache_clear()
+        strata._fold.cache_clear()
+        filt = filter_closure(5, [(3, 1, 1)], "lower")
+        report = check_reduced(filt)
+        assert report.verdict == "pass"
+        assert set(report.payload()) == {"schema", "check_id", "parameters", "verdict",
+                                         "reason", "evidence"}
+        # the complement keeps [3,2] and [4,1]: 10 + 5 subspaces, 14 eliminations
+        assert report.metrics == {"oracle_eliminations": 14, "oracle_prefixes_reused": 0}
+        assert check_reduced(filt).metrics == {"oracle_eliminations": 0,
+                                               "oracle_prefixes_reused": 0}
+        # upper >= [4,1] keeps ([4,1],), the prefix just built
+        report = check_reduced(filter_closure(5, [(3, 2)], "lower"))
+        assert report.metrics == {"oracle_eliminations": 0, "oracle_prefixes_reused": 1}
+        report = check_coefficient_descent(4, trials=2, seed=1)
+        assert report.verdict == "pass"
+        assert set(report.metrics) == {"oracle_eliminations", "oracle_prefixes_reused"}
+        assert report.metrics["oracle_eliminations"] > 0
+
     def test_json_rows_carry_metrics(self, capsys):
         assert main(["verify", "finite_field", "--n", "3", "--filter", "lower<=[2,1]",
                      "--field", "F5", "--report", "json"]) == 0

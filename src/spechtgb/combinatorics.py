@@ -477,14 +477,14 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
-def parse_filter_text(text: str, n: int, default_kind: str = "lower") -> PartitionFilter:
-    """Parse a filter: principal form, or an explicit comma-separated member list."""
+def parse_filter_text(text: str, n: int) -> PartitionFilter:
+    """Parse a filter: principal form, or a member list (lower unless prefixed upper:)."""
     s = text.strip()
     if s.startswith("lower<="):
         return filter_closure(n, [parse_partition_text(s[7:])], "lower")
     if s.startswith("upper>="):
         return filter_closure(n, [parse_partition_text(s[7:])], "upper")
-    kind = default_kind
+    kind = "lower"
     if s.startswith("lower:"):
         kind, s = "lower", s[6:]
     elif s.startswith("upper:"):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as attribute
 from operator import add, neg, sub
 
 from .polyring import (
@@ -260,20 +260,12 @@ def buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
     Raises PairBudgetExceeded once more than pair_budget pairs are popped.
     The stats count popped pairs (pairs_processed) by how each settled, so
     pairs_processed == skipped_coprime + skipped_chain + zero_reductions +
-    basis_added; skipped_known counts the pairs settled unpopped inside known
-    blocks, which only the elimination of two Groebner bases declares.
+    basis_added.
     """
-    return _complete(generators, order, pair_budget, use_chain_criterion, ())
-
-
-def _complete(generators, order, pair_budget: int, use_chain_criterion: bool,
-              known) -> tuple[list[Poly], dict]:
-    # buchberger with the known blocks of _settle_pairs, which index the
-    # generators after the zero ones are dropped
     basis = [g.term_mul((0,) * g.nvars, g.field.inv(leading_term(g, order)[1]))
              for g in generators if g.terms]
     log = _settle_pairs(basis, order, complete=True, pair_budget=pair_budget,
-                        use_chain_criterion=use_chain_criterion, known=known)
+                        use_chain_criterion=use_chain_criterion)
     tally = Counter(status.split(":")[0] for _, _, status in log)
     return basis, {
         "pairs_processed": len(log),
@@ -281,7 +273,6 @@ def _complete(generators, order, pair_budget: int, use_chain_criterion: bool,
         "skipped_chain": tally["chain"],
         "zero_reductions": tally["zero_reduction"],
         "basis_added": tally["added"],
-        "skipped_known": sum((stop - start) * (stop - start - 1) // 2 for start, stop in known),
     }
 
 
@@ -342,6 +333,9 @@ class IdealBasis:
     nvars: int
     field: Field
     generators: tuple[Poly, ...]
+    # the order under which the generators are known to be a Groebner basis;
+    # only package code that has built such generators sets it
+    _groebner_order: object = attribute(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kept = []
@@ -429,33 +423,30 @@ def ideal_intersection(a: IdealBasis, b: IdealBasis, *, order=None,
     basis of the intersection (every element involving t keeps t in its
     leading monomial); the generators of the result are that basis,
     inter-reduced under the inner order, so they are the reduced basis of
-    the intersection.
-    """
-    return _intersect(a, b, order, pair_budget, known_bases=False)
+    the intersection, and the result is marked as a basis under that order.
 
-
-def _intersect(a: IdealBasis, b: IdealBasis, order, pair_budget: int,
-               known_bases: bool) -> IdealBasis:
-    """ideal_intersection, told by known_bases whether a's generators and
-    b's are each a Groebner basis under order.
-
-    If they are, so are t*A and (1-t)*B under the elimination order: an
-    S-polynomial inside either block is t*S(a_i, a_j) or (1-t)*S(b_i, b_j),
-    which has a standard representation. The pairs inside each block are
-    then settled without being reduced.
+    When an input is marked as a basis under the inner order (an earlier
+    result, or a subspace ideal under lex), its block t*A or (1-t)*B is one
+    under the elimination order: an S-polynomial inside it is t*S(a_i, a_j)
+    or (1-t)*S(b_i, b_j), which has a standard representation. The pairs
+    inside that block are then settled without being reduced.
     """
     if a.nvars != b.nvars or a.field != b.field:
         raise ValueError("ideals live in different rings")
     inner = order if order is not None else lex_order(a.nvars)
     if a.is_zero() or b.is_zero():
         return IdealBasis(a.nvars, a.field, ())
-    lifted = [_lift(f, True) for f in a.generators] + [_lift(g, False) for g in b.generators]
+    basis = [_lift(f, True) for f in a.generators] + [_lift(g, False) for g in b.generators]
     split = len(a.generators)
-    known = ((0, split), (split, len(lifted))) if known_bases else ()
-    basis, _ = _complete(lifted, _elimination_order(inner), pair_budget, True, known)
+    known = [block for block, ideal in (((0, split), a), ((split, len(basis)), b))
+             if ideal._groebner_order == inner]
+    _settle_pairs(basis, _elimination_order(inner), complete=True,
+                  pair_budget=pair_budget, known=known)
     free = [
         Poly._raw(a.nvars, a.field, {m[:-1]: c for m, c in g.terms.items()})
         for g in basis
         if all(m[-1] == 0 for m in g.terms)
     ]
-    return IdealBasis(a.nvars, a.field, tuple(reduce_groebner_basis(free, inner)))
+    result = IdealBasis(a.nvars, a.field, tuple(reduce_groebner_basis(free, inner)))
+    object.__setattr__(result, "_groebner_order", inner)
+    return result

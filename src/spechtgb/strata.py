@@ -12,7 +12,7 @@ member's is dropped by one test per pair of types, the size of the rest is
 counted in closed form before anything is enumerated, and the intersection
 is a left fold memoized per prefix of kept types, so filters that share a
 prefix share its eliminations. Each elimination intersects two Groebner
-bases and tells the pair core so.
+bases, which ideal_intersection knows from how they were built.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .combinatorics import (
     validate_partition,
     validate_set_partition,
 )
-from .groebner import DEFAULT_PAIR_BUDGET, IdealBasis, _intersect, groebner_basis
+from .groebner import DEFAULT_PAIR_BUDGET, IdealBasis, ideal_intersection, reduce_groebner_basis
 from .polyring import QQ, Field, Poly, lex_order
 
 _SAMPLE_POOL = range(-1000, 1001)
@@ -99,13 +99,17 @@ def subspace_ideal(blocks, n: int, *, field: Field = QQ) -> IdealBasis:
 
     Generators are the consecutive differences x_i - x_j along each sorted
     block; the all-singletons partition gives the zero ideal (no generators).
+    Their leading variables under lex x1 < ... < xn are pairwise coprime, so
+    they are a basis under that order, and the ideal is marked so.
     """
     canon = validate_set_partition(blocks, n)
     gens = []
     for block in canon:
         for i, j in zip(block, block[1:]):
             gens.append(Poly.variable(i, n, field) - Poly.variable(j, n, field))
-    return IdealBasis(n, field, tuple(gens))
+    ideal = IdealBasis(n, field, tuple(gens))
+    object.__setattr__(ideal, "_groebner_order", lex_order(n))
+    return ideal
 
 
 def _merges_into(nu: Partition, mu: Partition) -> bool:
@@ -161,17 +165,12 @@ def _fold(n: int, types: tuple, pair_budget: int) -> IdealBasis:
     """Left fold of the subspace ideals of every set partition of each type.
 
     The fold over types extends the fold over types[:-1], so filters whose
-    kept types share a prefix share its intersection. Every running result
-    is a Groebner basis under lex x1 < ... < xn (the first subspace's
-    consecutive differences have pairwise coprime leading variables, later
-    results are reduced bases), as is every subspace ideal, so each
-    elimination skips the pairs inside its two inputs.
+    kept types share a prefix share its intersection.
     """
     ideals = [subspace_ideal(blocks, n) for blocks in set_partitions_of_type(types[-1])]
     result = _fold(n, types[:-1], pair_budget) if len(types) > 1 else ideals.pop(0)
-    order = lex_order(n)
     for ideal in ideals:
-        result = _intersect(result, ideal, order, pair_budget, known_bases=True)
+        result = ideal_intersection(result, ideal, pair_budget=pair_budget)
         _COUNTS["oracle_eliminations"] += 1
     return result
 
@@ -207,16 +206,12 @@ def vanishing_ideal_oracle(g: PartitionFilter, *,
     if count > MAX_ORACLE_SUBSPACES:
         raise ValueError(f"the oracle would intersect {count} subspace ideals, "
                          f"more than the limit of {MAX_ORACLE_SUBSPACES}")
-    return _oracle_cached(g.n, types, pair_budget)
-
-
-@lru_cache(maxsize=None)
-def _oracle_cached(n: int, types: tuple, pair_budget: int) -> IdealBasis:
-    result = _fold(n, types, pair_budget)
-    if sum(map(_subspace_count, types)) == 1:
-        # a lone subspace was never intersected, so it is not reduced yet
-        result = IdealBasis(n, QQ, tuple(groebner_basis(result.generators, lex_order(n),
-                                                        pair_budget=pair_budget)))
+    result = _fold(g.n, types, pair_budget)
+    if count == 1:
+        # a lone subspace was never intersected; its generators are a lex
+        # basis already, but not a reduced one
+        result = IdealBasis(g.n, QQ, tuple(reduce_groebner_basis(result.generators,
+                                                                lex_order(g.n))))
     return result
 
 

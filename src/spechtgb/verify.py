@@ -1064,7 +1064,7 @@ def _cmd_oracle(args) -> int:
 def _print_basis(basis, order, args, note: str | None = None) -> None:
     if args.report == "json":
         payload = {
-            "order": order.text() if hasattr(order, "text") else "lex",
+            "order": order.text(),
             "basis": [polynomial_text(p, order) for p in basis],
             "size": len(basis),
         }
@@ -1091,7 +1091,10 @@ def _single_input(args):
     if args.filter is not None:
         if args.n is None:
             raise ValueError(f"{args.check} needs --n with --filter")
-        return parse_filter_text(args.filter, args.n)
+        filt = parse_filter_text(args.filter, args.n)
+        if filt.kind != "lower":
+            raise ValueError(f"verify {args.check} takes a lower filter")
+        return filt
     if args.shape is not None:
         lam = parse_partition_text(args.shape)
         if args.n is not None and sum(lam) != args.n:

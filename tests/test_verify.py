@@ -467,6 +467,14 @@ class TestSingleRunFlags:
         assert main(["verify", "all", "--n", "3", "--filter", "lower<=[2,1]"]) == 2
         assert "takes no --filter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check, extra", [
+        ("lexgb", []), ("reduced", []), ("universal", []), ("finite_field", ["--field", "F5"]),
+    ])
+    def test_filter_check_refuses_an_upper_filter(self, check, extra, capsys):
+        assert main(["verify", check, "--n", "3", "--filter", "upper:[3]", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: verify {check} takes a lower filter\n"
+
     def test_a_size_with_no_check_is_rejected(self, capsys):
         assert main(["verify", "lexgb", "--n", "1"]) == 2
         assert "runs no check" in capsys.readouterr().err
@@ -703,7 +711,6 @@ class TestMetrics:
     def test_reduced_and_descent_count_oracle_work(self):
         from spechtgb import strata
 
-        strata._oracle_cached.cache_clear()
         strata._fold.cache_clear()
         filt = filter_closure(5, [(3, 1, 1)], "lower")
         report = check_reduced(filt)
@@ -712,8 +719,9 @@ class TestMetrics:
                                          "reason", "evidence"}
         # the complement keeps [3,2] and [4,1]: 10 + 5 subspaces, 14 eliminations
         assert report.metrics == {"oracle_eliminations": 14, "oracle_prefixes_reused": 0}
+        # a repeat is served by the fold memo, as a reused prefix
         assert check_reduced(filt).metrics == {"oracle_eliminations": 0,
-                                               "oracle_prefixes_reused": 0}
+                                               "oracle_prefixes_reused": 1}
         # upper >= [4,1] keeps ([4,1],), the prefix just built
         report = check_reduced(filter_closure(5, [(3, 2)], "lower"))
         assert report.metrics == {"oracle_eliminations": 0, "oracle_prefixes_reused": 1}

@@ -1,4 +1,4 @@
-"""Exact Buchberger engine: division, S-pairs, reduced bases, ideal operations.
+"""Exact Buchberger engine: normal forms, S-pairs, reduced bases, intersections.
 
 Determinism contract: identical inputs (same generator sequence, same order)
 give identical outputs. Completion (`buchberger`) and certification
@@ -76,7 +76,7 @@ def _divides(support, m: Monomial) -> bool:
     return True
 
 
-def _reduce_terms(terms: dict, reducers, field: Field, keyfn, quotients=None) -> dict:
+def _reduce_terms(terms: dict, reducers, field: Field, keyfn) -> dict:
     """Fully reduce a term dict in place, returning the remainder dict.
 
     Monomials are processed in strictly decreasing key order via a lazy heap
@@ -95,7 +95,7 @@ def _reduce_terms(terms: dict, reducers, field: Field, keyfn, quotients=None) ->
             continue
         # the earliest reducer in basis order whose leading monomial divides
         # m; _divides is written out here, the hottest loop of the engine
-        for idx, r in enumerate(reducers):
+        for r in reducers:
             for var, e in r[3]:
                 if m[var] < e:
                     break
@@ -107,9 +107,6 @@ def _reduce_terms(terms: dict, reducers, field: Field, keyfn, quotients=None) ->
         lm, inv_lc, tail, _ = r
         shift = tuple(map(sub, m, lm))
         factor = field.mul(c, inv_lc)
-        if quotients is not None:
-            q = quotients[idx]
-            q[shift] = field.add(q.get(shift, 0), factor)
         for tm, tc in tail:
             key = tuple(map(add, tm, shift))
             prev = terms.get(key)
@@ -144,18 +141,6 @@ def normal_form(f: Poly, basis, order) -> Poly:
     reducers = _prepare_reducers(gens, order)
     rem = _reduce_terms(dict(f.terms), reducers, f.field, order.key)
     return Poly._raw(f.nvars, f.field, rem)
-
-
-def division(f: Poly, basis, order) -> tuple[list[Poly], Poly]:
-    """Quotients and remainder with f == sum(q_i * basis_i) + remainder."""
-    gens = _require_nonzero(basis)
-    quotients = [dict() for _ in gens]
-    if not gens or not f.terms:
-        return [Poly.zero(f.nvars, f.field) for _ in gens], f
-    reducers = _prepare_reducers(gens, order)
-    rem = _reduce_terms(dict(f.terms), reducers, f.field, order.key, quotients)
-    qs = [Poly._raw(f.nvars, f.field, q) for q in quotients]
-    return qs, Poly._raw(f.nvars, f.field, rem)
 
 
 def _s_terms(ri, rj, field: Field) -> dict:
@@ -333,9 +318,9 @@ class IdealBasis:
     nvars: int
     field: Field
     generators: tuple[Poly, ...]
-    # the order under which the generators are known to be a Groebner basis;
-    # only package code that has built such generators sets it
-    _groebner_order: object = attribute(default=None, init=False, repr=False, compare=False)
+    # whether the generators are known to be a Groebner basis under lex
+    # x1 < ... < xn; only package code that has built such generators sets it
+    _lex_basis: bool = attribute(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kept = []
@@ -349,57 +334,10 @@ class IdealBasis:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def groebner(self, order=None, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
-                 use_chain_criterion: bool = True) -> list[Poly]:
-        order = order if order is not None else lex_order(self.nvars)
-        return groebner_basis(self.generators, order, pair_budget=pair_budget,
-                              use_chain_criterion=use_chain_criterion)
-
-    def contains(self, f: Poly, order=None, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-        order = order if order is not None else lex_order(self.nvars)
-        return ideal_membership(f, self.groebner(order, pair_budget=pair_budget), order)
-
 
 def ideal_membership(f: Poly, groebner: list[Poly], order) -> bool:
     """Membership test against an already-computed Groebner basis."""
-    if not groebner:
-        return not f.terms
     return not normal_form(f, groebner, order).terms
-
-
-def ideal_equal(a: IdealBasis, b: IdealBasis, order=None, *,
-                pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-    """Exact ideal equality via reduced-basis identity under one shared order."""
-    if a.nvars != b.nvars or a.field != b.field:
-        raise ValueError("ideals live in different rings")
-    order = order if order is not None else lex_order(a.nvars)
-    return a.groebner(order, pair_budget=pair_budget) == b.groebner(order, pair_budget=pair_budget)
-
-
-class _EliminationOrder:
-    """Block order for one trailing auxiliary variable: it dominates, the inner
-    order breaks ties on the remaining coordinates."""
-
-    __slots__ = ("inner", "nvars")
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.nvars = inner.nvars + 1
-
-    def key(self, mono: Monomial):
-        return (mono[-1],) + self.inner.key(mono[:-1])
-
-
-def _elimination_order(inner):
-    """The elimination order of one trailing auxiliary variable over inner.
-
-    Over a lex inner order this is lex with the auxiliary variable ranked on
-    top: the same key tuples as _EliminationOrder(inner), from one flat key
-    with no slicing or concatenation per monomial.
-    """
-    if inner.kind == "lex" and inner.nvars < MAX_VARS:
-        return lex_order(inner.nvars + 1, inner.ranking + (inner.nvars + 1,))
-    return _EliminationOrder(inner)
 
 
 def _lift(f: Poly, with_aux: bool) -> Poly:
@@ -415,38 +353,42 @@ def _lift(f: Poly, with_aux: bool) -> Poly:
     return Poly._raw(f.nvars + 1, field, terms)
 
 
-def ideal_intersection(a: IdealBasis, b: IdealBasis, *, order=None,
+def ideal_intersection(a: IdealBasis, b: IdealBasis, *,
                        pair_budget: int = DEFAULT_PAIR_BUDGET) -> IdealBasis:
     """Intersection via t*A + (1-t)*B and elimination of the auxiliary t.
 
-    The auxiliary-free elements of the elimination basis form a Groebner
-    basis of the intersection (every element involving t keeps t in its
-    leading monomial); the generators of the result are that basis,
-    inter-reduced under the inner order, so they are the reduced basis of
-    the intersection, and the result is marked as a basis under that order.
+    The elimination runs under lex x1 < ... < xn < t. Its auxiliary-free
+    elements form a Groebner basis of the intersection under lex
+    x1 < ... < xn (every element involving t keeps t in its leading
+    monomial); the generators of the result are that basis, inter-reduced,
+    so they are the reduced lex basis of the intersection, and the result
+    is marked so. The auxiliary variable is one more than the ring has, so
+    at most MAX_VARS - 1 variables are accepted.
 
-    When an input is marked as a basis under the inner order (an earlier
-    result, or a subspace ideal under lex), its block t*A or (1-t)*B is one
-    under the elimination order: an S-polynomial inside it is t*S(a_i, a_j)
-    or (1-t)*S(b_i, b_j), which has a standard representation. The pairs
-    inside that block are then settled without being reduced.
+    When an input is marked as a lex basis (an earlier result, or a subspace
+    ideal), its block t*A or (1-t)*B is one under the elimination order: an
+    S-polynomial inside it is t*S(a_i, a_j) or (1-t)*S(b_i, b_j), which has
+    a standard representation. The pairs inside that block are then settled
+    without being reduced.
     """
     if a.nvars != b.nvars or a.field != b.field:
         raise ValueError("ideals live in different rings")
-    inner = order if order is not None else lex_order(a.nvars)
+    if a.nvars >= MAX_VARS:
+        raise ValueError(f"intersection needs an auxiliary variable, so it takes at most "
+                         f"{MAX_VARS - 1} variables, got {a.nvars}")
     if a.is_zero() or b.is_zero():
         return IdealBasis(a.nvars, a.field, ())
     basis = [_lift(f, True) for f in a.generators] + [_lift(g, False) for g in b.generators]
     split = len(a.generators)
     known = [block for block, ideal in (((0, split), a), ((split, len(basis)), b))
-             if ideal._groebner_order == inner]
-    _settle_pairs(basis, _elimination_order(inner), complete=True,
+             if ideal._lex_basis]
+    _settle_pairs(basis, lex_order(a.nvars + 1), complete=True,
                   pair_budget=pair_budget, known=known)
     free = [
         Poly._raw(a.nvars, a.field, {m[:-1]: c for m, c in g.terms.items()})
         for g in basis
         if all(m[-1] == 0 for m in g.terms)
     ]
-    result = IdealBasis(a.nvars, a.field, tuple(reduce_groebner_basis(free, inner)))
-    object.__setattr__(result, "_groebner_order", inner)
+    result = IdealBasis(a.nvars, a.field, tuple(reduce_groebner_basis(free, lex_order(a.nvars))))
+    object.__setattr__(result, "_lex_basis", True)
     return result

@@ -32,8 +32,8 @@ from .combinatorics import (
     validate_partition,
     validate_set_partition,
 )
-from .groebner import DEFAULT_PAIR_BUDGET, IdealBasis, ideal_intersection, reduce_groebner_basis
-from .polyring import QQ, Field, Poly, lex_order
+from .groebner import DEFAULT_PAIR_BUDGET, IdealBasis, ideal_intersection
+from .polyring import QQ, Field, Poly
 
 _SAMPLE_POOL = range(-1000, 1001)
 
@@ -97,18 +97,18 @@ def sample_stratum(mu, count: int, seed: int, *, field: Field = QQ) -> StratumSa
 def subspace_ideal(blocks, n: int, *, field: Field = QQ) -> IdealBasis:
     """Ideal of the subspace of points constant on each block.
 
-    Generators are the consecutive differences x_i - x_j along each sorted
-    block; the all-singletons partition gives the zero ideal (no generators).
-    Their leading variables under lex x1 < ... < xn are pairwise coprime, so
-    they are a basis under that order, and the ideal is marked so.
+    Generators are x_j - x_i for every j in a block other than its least
+    element i, sorted by j; the all-singletons partition gives the zero
+    ideal (no generators). Under lex x1 < ... < xn their leading variables
+    x_j are distinct and no other generator involves them, so they are the
+    reduced basis under that order, and the ideal is marked so.
     """
     canon = validate_set_partition(blocks, n)
-    gens = []
-    for block in canon:
-        for i, j in zip(block, block[1:]):
-            gens.append(Poly.variable(i, n, field) - Poly.variable(j, n, field))
-    ideal = IdealBasis(n, field, tuple(gens))
-    object.__setattr__(ideal, "_groebner_order", lex_order(n))
+    least = {j: block[0] for block in canon for j in block[1:]}
+    gens = tuple(Poly.variable(j, n, field) - Poly.variable(least[j], n, field)
+                 for j in sorted(least))
+    ideal = IdealBasis(n, field, gens)
+    object.__setattr__(ideal, "_lex_basis", True)
     return ideal
 
 
@@ -206,13 +206,7 @@ def vanishing_ideal_oracle(g: PartitionFilter, *,
     if count > MAX_ORACLE_SUBSPACES:
         raise ValueError(f"the oracle would intersect {count} subspace ideals, "
                          f"more than the limit of {MAX_ORACLE_SUBSPACES}")
-    result = _fold(g.n, types, pair_budget)
-    if count == 1:
-        # a lone subspace was never intersected; its generators are a lex
-        # basis already, but not a reduced one
-        result = IdealBasis(g.n, QQ, tuple(reduce_groebner_basis(result.generators,
-                                                                lex_order(g.n))))
-    return result
+    return _fold(g.n, types, pair_budget)
 
 
 def check_vanishing(f: Poly, g: PartitionFilter, samples_per_stratum: int, seed: int) -> bool:

@@ -19,7 +19,8 @@ before generators were divided by one another; the dominance-closure test
 that compared every member with every partition; and the per-check size
 rules that listed what each verify check expands. Last, the strata oracle
 that scanned every pair of set partitions, folded each filter from scratch
-and interreduced each whole elimination basis.
+and interreduced each whole elimination basis, starting from subspace ideals
+given by consecutive differences.
 """
 
 import heapq
@@ -769,17 +770,16 @@ def ref_kept_subspaces(n: int, members) -> list:
     return kept
 
 
-def ref_ideal_intersection(a, b, *, order=None, pair_budget: int = DEFAULT_PAIR_BUDGET):
-    from spechtgb.groebner import IdealBasis, _elimination_order, _lift, groebner_basis
+def ref_ideal_intersection(a, b, *, pair_budget: int = DEFAULT_PAIR_BUDGET):
+    from spechtgb.groebner import IdealBasis, _lift, groebner_basis
     from spechtgb.polyring import lex_order
 
     if a.nvars != b.nvars or a.field != b.field:
         raise ValueError("ideals live in different rings")
-    inner = order if order is not None else lex_order(a.nvars)
     if a.is_zero() or b.is_zero():
         return IdealBasis(a.nvars, a.field, ())
     lifted = [_lift(f, True) for f in a.generators] + [_lift(g, False) for g in b.generators]
-    gb = groebner_basis(lifted, _elimination_order(inner), pair_budget=pair_budget)
+    gb = groebner_basis(lifted, lex_order(a.nvars + 1), pair_budget=pair_budget)
     kept = tuple(
         Poly._raw(a.nvars, a.field, {m[:-1]: c for m, c in g.terms.items()})
         for g in gb
@@ -788,17 +788,29 @@ def ref_ideal_intersection(a, b, *, order=None, pair_budget: int = DEFAULT_PAIR_
     return IdealBasis(a.nvars, a.field, kept)
 
 
+def ref_subspace_ideal(blocks, n: int, *, field: Field = QQ):
+    """The subspace ideal as consecutive differences x_i - x_j along each
+    sorted block, before subspace ideals were built reduced."""
+    from spechtgb.combinatorics import validate_set_partition
+    from spechtgb.groebner import IdealBasis
+
+    gens = []
+    for block in validate_set_partition(blocks, n):
+        for i, j in zip(block, block[1:]):
+            gens.append(Poly.variable(i, n, field) - Poly.variable(j, n, field))
+    return IdealBasis(n, field, tuple(gens))
+
+
 def ref_vanishing_ideal_oracle(g, *, pair_budget: int = DEFAULT_PAIR_BUDGET):
     from spechtgb.groebner import IdealBasis, groebner_basis
     from spechtgb.polyring import lex_order
-    from spechtgb.strata import subspace_ideal
 
     n = g.n
     kept = ref_kept_subspaces(n, frozenset(g.members))
     order = lex_order(n)
-    result = subspace_ideal(kept[0], n)
+    result = ref_subspace_ideal(kept[0], n)
     for blocks in kept[1:]:
-        result = ref_ideal_intersection(result, subspace_ideal(blocks, n), order=order,
+        result = ref_ideal_intersection(result, ref_subspace_ideal(blocks, n),
                                         pair_budget=pair_budget)
     if len(kept) == 1:
         result = IdealBasis(n, QQ, tuple(groebner_basis(result.generators, order,

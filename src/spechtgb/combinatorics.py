@@ -261,19 +261,6 @@ class Tableau:
             for col in self.columns()
         )
 
-    def is_row_standard(self) -> bool:
-        return all(
-            all(row[i] < row[i + 1] for i in range(len(row) - 1)) for row in self.rows
-        )
-
-    def is_standard(self) -> bool:
-        return self.is_column_standard() and self.is_row_standard()
-
-    def relabel(self, perm) -> "Tableau":
-        """Apply a permutation of 1..n to every entry; perm maps entry -> image."""
-        mapping = _as_permutation(perm, self.n)
-        return Tableau([[mapping[e] for e in row] for row in self.rows])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Tableau) and self.rows == other.rows
 
@@ -282,37 +269,6 @@ class Tableau:
 
     def __repr__(self) -> str:
         return f"Tableau({[list(r) for r in self.rows]})"
-
-
-def _as_permutation(perm, n: int) -> dict[int, int]:
-    if isinstance(perm, dict):
-        mapping = {int(k): int(v) for k, v in perm.items()}
-    else:
-        mapping = {i + 1: int(v) for i, v in enumerate(perm)}
-    if sorted(mapping) != list(range(1, n + 1)) or sorted(mapping.values()) != list(
-        range(1, n + 1)
-    ):
-        raise ValueError(f"not a permutation of 1..{n}: {perm!r}")
-    return mapping
-
-
-def permutation_sign(perm, n: int) -> int:
-    """Sign of a permutation of 1..n given as a mapping or image sequence."""
-    mapping = _as_permutation(perm, n)
-    seen = set()
-    sign = 1
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        length = 0
-        e = start
-        while e not in seen:
-            seen.add(e)
-            e = mapping[e]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _trusted_tableau(entries, bounds) -> Tableau:
@@ -404,10 +360,6 @@ def validate_set_partition(blocks, n: int) -> SetPartition:
     return tuple(sorted(blks, key=lambda b: (-len(b), b)))
 
 
-def set_partition_type(blocks) -> Partition:
-    return tuple(sorted((len(b) for b in blocks), reverse=True))
-
-
 def set_partitions_of_type(mu) -> tuple[SetPartition, ...]:
     """All set partitions of 1..n whose block sizes realize mu, deterministically ordered."""
     mu = validate_partition(mu)
@@ -448,7 +400,11 @@ def parse_partition_text(text: str) -> Partition:
         body = s[1:-1].strip()
         if not body:
             raise ValueError("empty partition literal")
-        return validate_partition(int(p) for p in body.split(","))
+        try:
+            parts = [int(p) for p in body.split(",")]
+        except ValueError:
+            raise ValueError(f"cannot parse partition from {text!r}") from None
+        return validate_partition(parts)
     if s.isdigit():
         return validate_partition(int(ch) for ch in s)
     raise ValueError(f"cannot parse partition from {text!r}")

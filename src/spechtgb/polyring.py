@@ -95,9 +95,6 @@ class Field:
     def add(self, a, b):
         return _q(a + b) if self.p is None else (a + b) % self.p
 
-    def sub(self, a, b):
-        return _q(a - b) if self.p is None else (a - b) % self.p
-
     def mul(self, a, b):
         return _q(a * b) if self.p is None else (a * b) % self.p
 
@@ -119,9 +116,6 @@ class Field:
         p = self.p
         return {m: r for m, c in terms.items() if (r := c % p)}
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def text(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
 
@@ -140,14 +134,6 @@ def parse_field(text: str) -> Field:
     if s.startswith("F") and s[1:].isdigit():
         return Field(int(s[1:]))
     raise ValueError(f"cannot parse field from {text!r} (expected Q or F<p>)")
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
@@ -208,10 +194,6 @@ class MonomialOrder:
 
     def __reduce__(self):
         return MonomialOrder, (self.kind, self.nvars, self.ranking, self.weights)
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
 
     def variable_ascending(self) -> tuple[int, ...]:
         """Variables sorted ascending under this order (applied to degree-1 monomials)."""
@@ -413,17 +395,6 @@ class Poly:
             field,
             field.canonical({tuple(map(add, m, mono)): v * c for m, v in self.terms.items()}),
         )
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(sum(m) for m in self.terms)
-
-    def degree_in(self, index: int) -> int:
-        """Largest exponent of the given variable (zero polynomial rejected)."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(m[index - 1] for m in self.terms)
 
     def evaluate(self, point):
         values = [self.field.coerce(v) for v in point]

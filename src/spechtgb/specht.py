@@ -18,10 +18,8 @@ from .combinatorics import (
     Partition,
     PartitionFilter,
     Tableau,
-    _as_permutation,
     dominates,
     partitions_of,
-    permutation_sign,
     tableaux,
     validate_partition,
 )
@@ -161,27 +159,13 @@ def initial_monomial(t: Tableau) -> Monomial:
     return tuple(rows[i] - 1 for i in range(1, t.n + 1))
 
 
-def column_stabilizer_sign_check(t: Tableau, perm) -> bool:
-    """Whether relabeling by a column-preserving permutation scales the
-    polynomial by exactly the permutation's sign.
-
-    Rejects permutations that move any entry out of its column.
-    """
-    mapping = _as_permutation(perm, t.n)
-    for column in t.columns():
-        if {mapping[e] for e in column} != set(column):
-            raise ValueError("permutation does not preserve the columns")
-    lhs = specht_polynomial(t.relabel(mapping))
-    rhs = specht_polynomial(t) * permutation_sign(mapping, t.n)
-    return lhs == rhs
-
-
 def standard_span_rank(shape, *, field: Field = QQ) -> tuple[int, int]:
     """(rank of the span of every tableau's polynomial, number of standard tableaux).
 
     Every filling column-sorts to a column-standard one with the same
-    polynomial up to sign (the sign rule has its own check), so the span is
-    computed from the deduplicated column-standard representatives.
+    polynomial up to sign (the sign rule is tested against a brute-force
+    permutation sign in tests/test_specht.py), so the span is computed from
+    the deduplicated column-standard representatives.
 
     They are homogeneous of one degree, so one of their monomials divides
     another only when the two are equal, and division by the rows kept so

@@ -1,4 +1,4 @@
-"""Orbit-type strata: exact point sampling and the vanishing-ideal oracle.
+"""Orbit-type strata: sampled rational points and the vanishing-ideal oracle.
 
 The oracle is this module's point. It computes the ideal of all polynomials
 vanishing on a union of strata WITHOUT touching the generator machinery that
@@ -13,13 +13,16 @@ counted in closed form before anything is enumerated, and the intersection
 is a left fold memoized per prefix of kept types, so filters that share a
 prefix share its eliminations. Each elimination intersects two Groebner
 bases, which ideal_intersection knows from how they were built.
+
+Whether f vanishes on the strata of g is ideal_membership(f, the oracle's
+generators, lex), as tests/test_strata.py checks; sampled points are only the
+pointwise cross-check of the verify check `vanishing`.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -44,54 +47,34 @@ _SAMPLE_POOL = range(-1000, 1001)
 MAX_ORACLE_SUBSPACES = 500
 
 
-class UnsupportedFieldError(RuntimeError):
-    """The requested operation needs more field elements than are available."""
+def sample_stratum(mu, count: int, seed: int) -> tuple[tuple, ...]:
+    """Rational points whose coordinate values realize exactly the given type.
 
-
-@dataclass(frozen=True)
-class StratumSample:
-    """Deterministically sampled points of exact coordinate-multiplicity type mu."""
-
-    mu: Partition
-    points: tuple[tuple, ...]
-    seed: int
-
-
-def sample_stratum(mu, count: int, seed: int, *, field: Field = QQ) -> StratumSample:
-    """Sample points whose coordinate values realize exactly the given type.
-
-    Values are drawn without repetition from a fixed integer pool (the whole
-    prime field when finite), then assigned to a uniformly shuffled block of
-    positions per value. Identical (mu, count, seed) always gives identical
-    points.
+    Values are drawn without repetition from a fixed integer pool, then
+    assigned to a uniformly shuffled block of positions per value. Identical
+    (mu, count, seed) always gives identical points.
     """
     lam = validate_partition(mu)
     if count < 0:
         raise ValueError("count must be nonnegative")
     n = sum(lam)
-    parts = len(lam)
-    if field.p is not None and field.p < parts:
-        raise UnsupportedFieldError(
-            f"need {parts} distinct values, the field only has {field.p}"
-        )
     rng = random.Random(seed)
-    pool = range(field.p) if field.p is not None else _SAMPLE_POOL
     points = []
     for _ in range(count):
-        values = rng.sample(pool, parts)
+        values = rng.sample(_SAMPLE_POOL, len(lam))
         positions = list(range(n))
         rng.shuffle(positions)
         coords = [None] * n
         at = 0
         for size, value in zip(lam, values):
             for _ in range(size):
-                coords[positions[at]] = field.coerce(value)
+                coords[positions[at]] = value
                 at += 1
         point = tuple(coords)
         if orbit_type(point) != lam:
             raise RuntimeError(f"sampled point has the wrong type: {point}")
         points.append(point)
-    return StratumSample(mu=lam, points=tuple(points), seed=seed)
+    return tuple(points)
 
 
 def subspace_ideal(blocks, n: int, *, field: Field = QQ) -> IdealBasis:
@@ -207,22 +190,3 @@ def vanishing_ideal_oracle(g: PartitionFilter, *,
         raise ValueError(f"the oracle would intersect {count} subspace ideals, "
                          f"more than the limit of {MAX_ORACLE_SUBSPACES}")
     return _fold(g.n, types, pair_budget)
-
-
-def check_vanishing(f: Poly, g: PartitionFilter, samples_per_stratum: int, seed: int) -> bool:
-    """Whether f evaluates to zero at every sampled point of every stratum in g."""
-    if g.kind != "upper":
-        raise ValueError("check_vanishing takes an upper filter")
-    if f.field != QQ:
-        raise UnsupportedFieldError("stratum evaluation is defined over the rationals")
-    if f.nvars != g.n:
-        raise ValueError("polynomial and filter live in different rings")
-    zero = f.field.zero
-    order = partitions_of(g.n)
-    for mu in g.sorted_members():
-        stratum_seed = seed * 1_000_003 + order.index(mu)
-        sample = sample_stratum(mu, samples_per_stratum, stratum_seed)
-        for point in sample.points:
-            if f.evaluate(point) != zero:
-                return False
-    return True

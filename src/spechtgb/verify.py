@@ -375,7 +375,7 @@ def check_stratum_vanishing(n: int, *, samples: int = 10, seed: int = 0) -> Chec
             gens = [g.polynomial for g in shape_generators(lam)]
             for mu_idx, mu in enumerate(shapes):
                 stratum_seed = seed * 1_000_003 + lam_idx * len(shapes) + mu_idx
-                points = sample_stratum(mu, samples, stratum_seed).points
+                points = sample_stratum(mu, samples, stratum_seed)
                 if not dominates(lam, mu):
                     for p in gens:
                         for point in points:
@@ -690,7 +690,7 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
     def vanishing_body():
         # a dominated stratum: the generators must NOT all vanish there
         gens = [g.polynomial for g in shape_generators((2, 1))]
-        points = sample_stratum((1, 1, 1), 5, seed).points
+        points = sample_stratum((1, 1, 1), 5, seed)
         zero = QQ.zero
         all_vanish = all(p.evaluate(point) == zero for p in gens for point in points)
         return not all_vanish, {"shape": "[2,1]", "stratum": "[1,1,1]", "points": len(points)}
@@ -1216,8 +1216,10 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        if args.out:  # an --out that cannot be opened fails before any work
+            open(args.out, "a", encoding="utf-8").close()
         return handlers[args.command](args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except PairBudgetExceeded as e:

@@ -1,26 +1,36 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately naive: brute-force expansion over dicts,
-closed-form counting formulas, definition-chasing predicates.  Nothing
-imports from the package under test, so a bug there cannot hide in its
-own mirror image.  The last sections are the package's earlier Groebner
-kernel, kept verbatim as differential references: the division that scans
-whole exponent vectors for a divisor, the pair core before its coprime and
-chain tests read leading-monomial supports, and the two-loop pair engine
-that the shared pair core replaced.  They take only the polynomial type, its
-leading term and the budget exception from the package, so that both
-engines raise and return the same types.  Then the Specht expansion that
-folded one factor x_i - x_j at a time into a term dict, before each column was
-expanded as a Vandermonde determinant. The last section is the
-universal-order sweep that certified every order by Buchberger before the
-symmetry shortcut. It referees the shortcut, not the kernel, so it runs
-the package's checker. Then dense row reduction, which computed span ranks
-before generators were divided by one another; the dominance-closure test
-that compared every member with every partition; and the per-check size
-rules that listed what each verify check expands. Last, the strata oracle
-that scanned every pair of set partitions, folded each filter from scratch
-and interreduced each whole elimination basis, starting from subspace ideals
-given by consecutive differences.
+closed-form counting formulas, definition-chasing predicates. No reference
+runs the package's algorithms (with the one exception named below), so a
+bug there cannot hide in its own mirror image. What this module takes from
+the package, so that both sides raise and return the same types:
+
+- spechtgb.polyring: the Poly type and its arithmetic, Field, QQ, Monomial,
+  leading_term, lex_order, and the monomial helpers mono_degree, mono_div
+  and mono_lcm;
+- spechtgb.groebner: DEFAULT_PAIR_BUDGET, PairBudgetExceeded, the
+  IdealBasis container, and is_groebner_basis for ref_order_failure only;
+- spechtgb.combinatorics: partitions_of, set_partitions_of_type and
+  validate_set_partition, which list the set partitions the strata
+  references intersect.
+
+The middle sections are the package's earlier Groebner kernel, kept
+verbatim as differential references: the division that scans whole
+exponent vectors for a divisor, the pair core before its coprime and chain
+tests read leading-monomial supports, and the two-loop pair engine that the
+shared pair core replaced. Then the Specht expansion that folded one factor
+x_i - x_j at a time into a term dict, before each column was expanded as a
+Vandermonde determinant. Then the universal-order sweep that certified
+every order by Buchberger before the symmetry shortcut; it referees the
+shortcut, not the kernel, so it runs the package's checker. Then dense row
+reduction, which computed span ranks before generators were divided by one
+another; the dominance-closure test that compared every member with every
+partition; and the per-check size rules that listed what each verify check
+expands. Last, the strata oracle that scanned every pair of set partitions,
+folded each filter from scratch and interreduced each whole elimination
+basis, starting from subspace ideals given by consecutive differences; its
+eliminations run the frozen Buchberger and reduction.
 """
 
 import heapq
@@ -38,9 +48,12 @@ from spechtgb.polyring import (
     leading_term,
     mono_degree,
     mono_div,
-    mono_divides,
     mono_lcm,
 )
+
+
+def mono_divides(a: Monomial, b: Monomial) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +236,18 @@ def brute_permutation_sign(images) -> int:
             if images[i] > images[j]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def relabeled_rows(rows, images) -> list:
+    """The rows with every entry e replaced by images[e - 1]."""
+    return [[images[e - 1] for e in row] for row in rows]
+
+
+def is_standard_filling(rows) -> bool:
+    """Rows increase left to right and columns top to bottom."""
+    rows = [list(r) for r in rows]
+    return all(a < b for row in rows for a, b in zip(row, row[1:])) and all(
+        upper[c] < lower[c] for upper, lower in zip(rows, rows[1:]) for c in range(len(lower)))
 
 
 def all_permutations(n: int):
@@ -652,7 +677,7 @@ def ref_echelon_basis(rows: list[list], field: Field) -> list[list]:
         for b, p in zip(basis, pivots):
             c = r[p]
             if c != zero:
-                r = [field.sub(x, field.mul(c, y)) for x, y in zip(r, b)]
+                r = [field.add(x, field.neg(field.mul(c, y))) for x, y in zip(r, b)]
         pivot = next((j for j, x in enumerate(r) if x != zero), None)
         if pivot is None:
             continue
@@ -662,7 +687,7 @@ def ref_echelon_basis(rows: list[list], field: Field) -> list[list]:
         for k, b in enumerate(basis):
             c = b[pivot]
             if c != zero:
-                basis[k] = [field.sub(x, field.mul(c, y)) for x, y in zip(b, r)]
+                basis[k] = [field.add(x, field.neg(field.mul(c, y))) for x, y in zip(b, r)]
         basis.append(r)
         pivots.append(pivot)
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
@@ -743,8 +768,9 @@ REF_EXPANDS = {
 # the strata oracle before absorption was decided per type: every pair of
 # collected set partitions scanned, one left fold per filter with no memo,
 # and each elimination interreduced in full before its t-free part was kept.
-# It runs the package's Buchberger, so it referees the oracle's plan, not the
-# kernel; public buchberger declares no known blocks, so no pair is skipped.
+# Its eliminations run the frozen Buchberger and reduction above, so it
+# referees the oracle's plan and the package's pair core at once; they know
+# no Groebner blocks, so no pair is skipped.
 
 
 def ref_subspace_within(inner, outer) -> bool:
@@ -770,16 +796,29 @@ def ref_kept_subspaces(n: int, members) -> list:
     return kept
 
 
+def ref_lift(f: Poly, with_aux: bool) -> Poly:
+    """t*f when with_aux, else (1 - t)*f, in one extra trailing variable t."""
+    g = Poly(f.nvars + 1, f.field, {m + (0,): c for m, c in f.terms.items()})
+    tg = g * Poly.variable(f.nvars + 1, f.nvars + 1, f.field)
+    return tg if with_aux else g - tg
+
+
+def ref_groebner_basis(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET):
+    """The reduced basis by the frozen Buchberger and reduction."""
+    basis, _ = ref_buchberger(generators, order, pair_budget=pair_budget)
+    return ref_reduce_groebner_basis(basis, order)
+
+
 def ref_ideal_intersection(a, b, *, pair_budget: int = DEFAULT_PAIR_BUDGET):
-    from spechtgb.groebner import IdealBasis, _lift, groebner_basis
+    from spechtgb.groebner import IdealBasis
     from spechtgb.polyring import lex_order
 
     if a.nvars != b.nvars or a.field != b.field:
         raise ValueError("ideals live in different rings")
     if a.is_zero() or b.is_zero():
         return IdealBasis(a.nvars, a.field, ())
-    lifted = [_lift(f, True) for f in a.generators] + [_lift(g, False) for g in b.generators]
-    gb = groebner_basis(lifted, lex_order(a.nvars + 1), pair_budget=pair_budget)
+    lifted = [ref_lift(f, True) for f in a.generators] + [ref_lift(g, False) for g in b.generators]
+    gb = ref_groebner_basis(lifted, lex_order(a.nvars + 1), pair_budget=pair_budget)
     kept = tuple(
         Poly._raw(a.nvars, a.field, {m[:-1]: c for m, c in g.terms.items()})
         for g in gb
@@ -802,7 +841,7 @@ def ref_subspace_ideal(blocks, n: int, *, field: Field = QQ):
 
 
 def ref_vanishing_ideal_oracle(g, *, pair_budget: int = DEFAULT_PAIR_BUDGET):
-    from spechtgb.groebner import IdealBasis, groebner_basis
+    from spechtgb.groebner import IdealBasis
     from spechtgb.polyring import lex_order
 
     n = g.n
@@ -813,6 +852,6 @@ def ref_vanishing_ideal_oracle(g, *, pair_budget: int = DEFAULT_PAIR_BUDGET):
         result = ref_ideal_intersection(result, ref_subspace_ideal(blocks, n),
                                         pair_budget=pair_budget)
     if len(kept) == 1:
-        result = IdealBasis(n, QQ, tuple(groebner_basis(result.generators, order,
-                                                        pair_budget=pair_budget)))
+        result = IdealBasis(n, QQ, tuple(ref_groebner_basis(result.generators, order,
+                                                            pair_budget=pair_budget)))
     return result

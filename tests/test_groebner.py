@@ -29,7 +29,6 @@ from spechtgb import (
     is_groebner_basis,
     leading_term,
     lex_order,
-    mono_divides,
     normal_form,
     parse_polynomial,
     partitions_of,
@@ -42,6 +41,7 @@ from spechtgb.groebner import _settle_pairs
 from spechtgb.specht import _normalized
 
 from oracles import (
+    mono_divides,
     ref_buchberger,
     ref_ideal_intersection,
     ref_division,

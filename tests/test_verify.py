@@ -266,6 +266,36 @@ class TestCli:
             assert time.perf_counter() - start < 1.0
             assert what in capsys.readouterr().err
 
+    def test_an_unwritable_out_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        missing = str(tmp_path / "missing" / "x.json")
+        start = time.perf_counter()
+        assert main(["verify", "all", "--max-n", "5", "--out", missing]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and missing in err[0]
+        for name in ("_cmd_gens", "_cmd_gb", "_cmd_oracle", "_cmd_verify"):
+            monkeypatch.setattr(verify, name, lambda args: pytest.fail("the command ran"))
+        for command in (["gens", "--n", "3", "--shape", "[2,1]"],
+                        ["gb", "--n", "3", "--filter", "[2,1]"],
+                        ["oracle", "--n", "3", "--filter", "[2,1]"],
+                        ["verify", "engine"]):
+            for out in (missing, str(tmp_path)):
+                assert main(command + ["--out", out]) == 2
+                assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", [
+        ["gens", "--n", "4", "--filter", "lower<=[2,2]", "--report", "json"],
+        ["gb", "--n", "4", "--filter", "lower<=[2,2]"],
+        ["oracle", "--n", "4", "--filter", "lower<=[2,2]", "--report", "json"],
+        ["verify", "lexgb", "--n", "4"],
+    ])
+    def test_out_writes_the_bytes_of_stdout(self, command, tmp_path, capsys):
+        code = main(command)
+        printed = capsys.readouterr().out
+        target = tmp_path / "report.txt"
+        assert main(command + ["--out", str(target)]) == code == 0
+        assert target.read_text(encoding="utf-8") == printed
+
     def test_gb_prints_reduced_basis(self, capsys):
         assert main(["gb", "--n", "3", "--filter", "lower<=[2,1]"]) == 0
         out = capsys.readouterr().out.strip().splitlines()

@@ -10,15 +10,20 @@ skips. The reducer is the earliest match in basis sequence, and reduced bases
 come out monic and sorted ascending by leading monomial, so two independently
 computed bases of the same ideal can be compared with ==.
 
-A basis element is prepared once as a reducer tuple (lm, inv_lc, tail,
-support): its leading monomial, the inverse of its leading coefficient, its
-other terms as (monomial, coefficient) pairs, and the support of lm as
-(variable index, exponent) pairs for its nonzero exponents. lm divides m
-exactly when m[v] >= e for every (v, e) in the support, so divisor searches,
-the coprime test and the chain criterion read only the variables that lm
-involves instead of scanning whole exponent vectors (the short-vector idea of
-Bachmann & Schoenemann, ISSAC 1998). A constant lm has empty support and
-divides everything.
+Inside the kernel a monomial is one int (packed exponent vectors, Monagan &
+Pearce, CASC 2007). Each variable owns a field topped by a guard bit, in
+ranking order with the most significant variable on top (the least for
+grevlex); graded and weight orders add the (weighted) degree above them,
+where an int is unbounded. The key k = deg << span + v (deg << span - v for
+grevlex, v for lex) then compares as the order and is linear in the
+exponents: a monomial product is k1 + k2, and term dicts and the heap hold
+keys. lm divides m exactly when d = v(m) - v(lm), read off the low span bits,
+is >= 0 with no guard bit set, and d is then the quotient. Fields start wide
+enough for four times the inputs' largest degree. Every product is checked
+against the guard bits, a whole tail at once through the fieldwise max of its
+exponents; on overflow the call restarts with fields twice as wide, so no
+carry crosses a field. Reducers are packed once per call; only remainders
+that join a basis and final outputs are unpacked.
 """
 
 from __future__ import annotations
@@ -26,20 +31,9 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field as attribute
-from operator import add, neg, sub
+from operator import lshift, mul
 
-from .polyring import (
-    MAX_VARS,
-    QQ,
-    Field,
-    Monomial,
-    Poly,
-    leading_term,
-    lex_order,
-    mono_degree,
-    mono_div,
-    mono_lcm,
-)
+from .polyring import MAX_VARS, QQ, Field, Poly, leading_term, lex_order
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -53,76 +47,145 @@ class PairBudgetExceeded(RuntimeError):
         self.basis_size = basis_size
 
 
-def _neg_key(key):
-    # order keys are flat tuples of ints; negate for min-heap use
-    return tuple(map(neg, key))
+class _Overflow(Exception):
+    """A packed exponent outgrew its field."""
 
 
-def _prepare_reducers(basis, order):
-    out = []
-    for g in basis:
-        lm, lc = leading_term(g, order)
-        tail = tuple((m, c) for m, c in g.terms.items() if m != lm)
-        support = tuple((v, e) for v, e in enumerate(lm) if e)
-        out.append((lm, g.field.inv(lc), tail, support))
-    return out
+class _Packed:
+    """One call's packing of an order at one field width, and its reducers.
 
-
-def _divides(support, m: Monomial) -> bool:
-    # whether the leading monomial with this support divides m
-    for v, e in support:
-        if m[v] < e:
-            return False
-    return True
-
-
-def _reduce_terms(terms: dict, reducers, field: Field, keyfn) -> dict:
-    """Fully reduce a term dict in place, returning the remainder dict.
-
-    Monomials are processed in strictly decreasing key order via a lazy heap
-    (stale entries are skipped), so tail substitutions never touch monomials
-    already settled into the remainder. Tail updates use raw int/Fraction
-    arithmetic (reduced mod p over F_p); the remainder is made canonical once.
+    A reducer row is (lm, v(lm), k(lm), 1/lc, tail, top, variables): lm as a
+    tuple, the tail as (key, coefficient) pairs, top the fieldwise max of the
+    tail's v packings, and a bitmask of the variables lm involves.
     """
-    p = field.p
-    heap = [(_neg_key(keyfn(m)), m) for m in terms]
-    heapq.heapify(heap)
-    remainder: dict = {}
-    while heap:
-        _, m = heapq.heappop(heap)
-        c = terms.pop(m, None)
-        if c is None:
-            continue
-        # the earliest reducer in basis order whose leading monomial divides
-        # m; _divides is written out here, the hottest loop of the engine
-        for r in reducers:
-            for var, e in r[3]:
-                if m[var] < e:
+
+    def __init__(self, order, bits: int):
+        n = order.nvars
+        top_down = order.ranking if order.kind == "grevlex" else order.ranking[::-1]
+        self.shifts = [(n - 1 - top_down.index(v)) * bits for v in range(1, n + 1)]
+        self.bits, self.span, self.grev = bits, n * bits, order.kind == "grevlex"
+        self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
+        self.low = (1 << self.span) - 1
+        # the degree in a graded or weight key is linear: read its weights off the variables
+        self.weights = None if order.kind == "lex" else [
+            order.key(tuple(int(i == v) for i in range(n)))[0] for v in range(n)]
+        self.rows, self.lmv, self.first = [], [], {}
+
+    def key(self, m) -> int:
+        v = sum(map(lshift, m, self.shifts))
+        if self.weights is None:
+            return v
+        degree = sum(map(mul, self.weights, m)) << self.span
+        return degree - v if self.grev else degree + v
+
+    def row(self, packed: list, field: Field) -> tuple:
+        # packed lists (key, monomial, coefficient) for every term
+        lmk, lm, lc = max(packed)
+        tail = [(k, m, c) for k, m, c in packed if k != lmk]
+        top = sum(map(lshift, map(max, (0,) * len(lm), *(m for _, m, _ in tail)),
+                      self.shifts)) if tail else 0
+        variables = sum(1 << i for i, e in enumerate(lm) if e)
+        return (lm, (-lmk if self.grev else lmk) & self.low, lmk, field.inv(lc),
+                tuple((k, c) for k, _, c in tail), top, variables)
+
+    def pack(self, g: Poly) -> tuple:
+        return self.row([(self.key(m), m, c) for m, c in g.terms.items()], g.field)
+
+    def add(self, row: tuple) -> None:
+        self.rows.append(row)
+        self.lmv.append(row[1])
+        self.first.setdefault(row[1], row[2:6])
+
+    def unpack(self, terms: dict) -> dict:
+        # keys back to exponent tuples, in the same order
+        mask, sign = (1 << (self.bits - 1)) - 1, -1 if self.grev else 1
+        return {tuple([(sign * k >> s) & mask for s in self.shifts]): c for k, c in terms.items()}
+
+    def reduce(self, terms: dict, field: Field) -> dict:
+        """Fully reduce a term dict (key -> coefficient) in place; return the remainder.
+
+        Monomials are processed in strictly decreasing key order via a heap of
+        negated keys, so tail substitutions never touch monomials already
+        settled into the remainder. A key is pushed once: a term that cancels
+        keeps a zero entry, skipped when popped. Tail updates use raw
+        int/Fraction arithmetic (mod p over F_p), made canonical once.
+        """
+        p = field.p
+        lmv, first, guard, low, grev = self.lmv, self.first, self.guard, self.low, self.grev
+        heappush, heappop = heapq.heappush, heapq.heappop
+        heap = [-k for k in terms]
+        heapq.heapify(heap)
+        remainder: dict = {}
+        while heap:
+            e = heappop(heap)
+            m = -e
+            c = terms.pop(m)
+            if not c:
+                continue
+            # the earliest reducer in basis order whose leading monomial divides m
+            mv = (e if grev else m) & low
+            for lm in lmv:
+                d = mv - lm
+                if d >= 0 and not d & guard:
                     break
             else:
-                break
-        else:
-            remainder[m] = c
-            continue
-        lm, inv_lc, tail, _ = r
-        shift = tuple(map(sub, m, lm))
-        factor = field.mul(c, inv_lc)
-        for tm, tc in tail:
-            key = tuple(map(add, tm, shift))
-            prev = terms.get(key)
-            if prev is None:
-                v = -factor * tc
-                terms[key] = v if p is None else v % p
-                heapq.heappush(heap, (_neg_key(keyfn(key)), key))
-            else:
+                remainder[m] = c
+                continue
+            lmk, inv_lc, tail, top = first[lm]
+            if (top + d) & guard:
+                raise _Overflow
+            shift = m - lmk
+            factor = field.mul(c, inv_lc)
+            for tk, tc in tail:
+                key = tk + shift
+                prev = terms.get(key)
+                if prev is None:
+                    prev = 0
+                    heappush(heap, -key)
                 v = prev - factor * tc
-                if p is not None:
-                    v %= p
-                if v:
-                    terms[key] = v
-                else:
-                    del terms[key]
-    return field.canonical(remainder)
+                terms[key] = v if p is None else v % p
+        return field.canonical(remainder)
+
+    def chain_link(self, i: int, j: int, settled: set) -> int | None:
+        # the first k whose lm divides the pair's lcm, their fieldwise max (a
+        # field keeps its guard bit in (a | guard) - b where a's exponent is
+        # at least b's), and whose pairs with i and with j are settled
+        a, b, guard = self.lmv[i], self.lmv[j], self.guard
+        ge = ((a | guard) - b) & guard
+        lcm = b ^ ((a ^ b) & (ge - (ge >> (self.bits - 1))))
+        for k, lm in enumerate(self.lmv):
+            d = lcm - lm
+            if (d >= 0 and not d & guard and k != i and k != j
+                    and ((i, k) if i < k else (k, i)) in settled
+                    and ((j, k) if j < k else (k, j)) in settled):
+                return k
+        return None
+
+    def s_terms(self, ri: tuple, rj: tuple, field: Field) -> dict:
+        # the S-polynomial of two rows: the leading terms cancel, so only the
+        # tails, shifted up to the lcm, contribute
+        lcm = self.key(tuple(map(max, ri[0], rj[0])))
+        lcmv = (-lcm if self.grev else lcm) & self.low
+        terms: dict = {}
+        for r, sign in ((ri, 1), (rj, -1)):
+            if (r[5] + lcmv - r[1]) & self.guard:
+                raise _Overflow
+            shift, factor = lcm - r[2], sign * r[3]
+            for k, c in r[4]:
+                k += shift
+                terms[k] = terms.get(k, 0) + c * factor
+        return field.canonical(terms)
+
+
+def _widening(polys, order, run):
+    """run(packing) with fields wide enough for every monomial it makes."""
+    degree = max((sum(m) for g in polys for m in g.terms), default=0)
+    bits = (4 * degree).bit_length() + 1
+    while True:
+        try:
+            return run(_Packed(order, bits))
+        except _Overflow:
+            bits *= 2
 
 
 def _require_nonzero(basis) -> list[Poly]:
@@ -138,43 +201,25 @@ def normal_form(f: Poly, basis, order) -> Poly:
     gens = _require_nonzero(basis)
     if not gens or not f.terms:
         return f
-    reducers = _prepare_reducers(gens, order)
-    rem = _reduce_terms(dict(f.terms), reducers, f.field, order.key)
-    return Poly._raw(f.nvars, f.field, rem)
 
+    def run(pk: _Packed) -> Poly:
+        for g in gens:
+            pk.add(pk.pack(g))
+        terms = {pk.key(m): c for m, c in f.terms.items()}
+        return Poly._raw(f.nvars, f.field, pk.unpack(pk.reduce(terms, f.field)))
 
-def _s_terms(ri, rj, field: Field) -> dict:
-    # S-polynomial of two prepared reducers (lm, inv_lc, tail): the leading
-    # terms cancel, so only the tails, shifted up to the lcm, contribute
-    lcm = mono_lcm(ri[0], rj[0])
-    shift = mono_div(lcm, ri[0])
-    terms = {tuple(map(add, m, shift)): c * ri[1] for m, c in ri[2]}
-    shift = mono_div(lcm, rj[0])
-    for m, c in rj[2]:
-        key = tuple(map(add, m, shift))
-        terms[key] = terms.get(key, 0) - c * rj[1]
-    return field.canonical(terms)
+    return _widening(gens + [f], order, run)
 
 
 def s_polynomial(f: Poly, g: Poly, order) -> Poly:
     """lcm/in(f) * f / lc(f) - lcm/in(g) * g / lc(g): leading terms cancel."""
     f._check_compatible(g)
-    ri, rj = _prepare_reducers([f, g], order)
-    return Poly._raw(f.nvars, f.field, _s_terms(ri, rj, f.field))
 
+    def run(pk: _Packed) -> Poly:
+        terms = pk.s_terms(pk.pack(f), pk.pack(g), f.field)
+        return Poly._raw(f.nvars, f.field, pk.unpack(terms))
 
-def _chain_link(i: int, j: int, lcm: Monomial, reducers, settled) -> int | None:
-    # a third element whose leading monomial divides the lcm and whose two
-    # linking pairs are settled; settled pairs were popped earlier, so the
-    # justifications strictly descend in pop order and never loop
-    for k, r in enumerate(reducers):
-        if k == i or k == j or not _divides(r[3], lcm):
-            continue
-        a = (i, k) if i < k else (k, i)
-        b = (j, k) if j < k else (k, j)
-        if a in settled and b in settled:
-            return k
-    return None
+    return _widening([f, g], order, run)
 
 
 def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None = None,
@@ -185,57 +230,63 @@ def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None
     remainder, "added" when completing (the monic remainder joins basis and
     reducers, and its pairs join the heap) or "failed" when certifying.
     Completion pops by (lcm degree, i, j), certification by (j, i). A popped
-    pair is settled for the chain criterion unless it failed.
+    pair is settled for the chain criterion unless it failed; settled pairs
+    were popped earlier, so chain links strictly descend in pop order.
 
     known lists (start, stop) index ranges of the input whose elements are
     already a Groebner basis on their own: a pair inside one range has a
     standard representation by that range, so it is settled without being
     pushed, popped or logged, and still links chain-criterion skips.
     """
+    size = len(basis)
     field = basis[0].field if basis else QQ
-    reducers = _prepare_reducers(basis, order)
-    lms = [r[0] for r in reducers]
-    heap: list = []
-    settled: set = set()
-    log: list = []
 
-    def push_pairs(j: int, stop: int) -> None:
-        for i in range(stop):
-            rank = mono_degree(mono_lcm(lms[i], lms[j])) if complete else j
-            heapq.heappush(heap, (rank, i, j))
+    def run(pk: _Packed) -> list:
+        del basis[size:]
+        rows = pk.rows
+        for g in basis:
+            pk.add(pk.pack(g))
+        heap: list = []
+        settled: set = set()
+        log: list = []
 
-    block_start = list(range(len(basis)))
-    for start, stop in known:
-        block_start[start:stop] = [start] * (stop - start)
-        settled.update((i, j) for j in range(start, stop) for i in range(start, j))
-    for j, start in enumerate(block_start):
-        push_pairs(j, start)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if pair_budget is not None and len(log) >= pair_budget:
-            raise PairBudgetExceeded(pair_budget, len(basis))
-        lmj = lms[j]
-        if not any(lmj[v] for v, _ in reducers[i][3]):
-            status = "coprime"
-        elif use_chain_criterion and (k := _chain_link(
-                i, j, mono_lcm(lms[i], lmj), reducers, settled)) is not None:
-            status = f"chain:{k}"
-        elif not (rem := _reduce_terms(_s_terms(reducers[i], reducers[j], field),
-                                       reducers, field, order.key)):
-            status = "zero_reduction"
-        elif not complete:
-            status = "failed"
-        else:
-            r = Poly._raw(basis[0].nvars, field, rem)
-            basis.append(r.term_mul((0,) * r.nvars, field.inv(leading_term(r, order)[1])))
-            reducers += _prepare_reducers(basis[-1:], order)
-            lms.append(reducers[-1][0])
-            push_pairs(len(basis) - 1, len(basis) - 1)
-            status = "added"
-        log.append((i, j, status))
-        if status != "failed":
-            settled.add((i, j))
-    return log
+        def push_pairs(j: int, stop: int) -> None:
+            for i in range(stop):
+                rank = sum(map(max, rows[i][0], rows[j][0])) if complete else j
+                heapq.heappush(heap, (rank, i, j))
+
+        block_start = list(range(size))
+        for start, stop in known:
+            block_start[start:stop] = [start] * (stop - start)
+            settled.update((i, j) for j in range(start, stop) for i in range(start, j))
+        for j, start in enumerate(block_start):
+            push_pairs(j, start)
+        while heap:
+            _, i, j = heapq.heappop(heap)
+            if pair_budget is not None and len(log) >= pair_budget:
+                raise PairBudgetExceeded(pair_budget, len(basis))
+            if not rows[i][6] & rows[j][6]:
+                status = "coprime"
+            elif use_chain_criterion and (k := pk.chain_link(i, j, settled)) is not None:
+                status = f"chain:{k}"
+            elif not (rem := pk.reduce(pk.s_terms(rows[i], rows[j], field), field)):
+                status = "zero_reduction"
+            elif not complete:
+                status = "failed"
+            else:
+                inv = field.inv(rem[max(rem)])
+                monic = field.canonical({k: c * inv for k, c in rem.items()})
+                basis.append(Poly._raw(basis[0].nvars, field, pk.unpack(monic)))
+                pk.add(pk.row([(k, m, c) for (k, c), m in zip(monic.items(), basis[-1].terms)],
+                              field))
+                push_pairs(len(basis) - 1, len(basis) - 1)
+                status = "added"
+            log.append((i, j, status))
+            if status != "failed":
+                settled.add((i, j))
+        return log
+
+    return _widening(basis, order, run)
 
 
 def buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
@@ -272,16 +323,19 @@ def reduce_groebner_basis(basis, order) -> list[Poly]:
     gens = [g for g in basis if g.terms]
     if not gens:
         return []
-    reducers: list = []
-    for r in sorted(_prepare_reducers(gens, order), key=lambda r: order.key(r[0])):
-        if not any(_divides(kept[3], r[0]) for kept in reducers):
-            reducers.append(r)
     nvars, field = gens[0].nvars, gens[0].field
-    out = []
-    for lm, inv_lc, tail, _ in reducers:
-        rem = _reduce_terms({m: c * inv_lc for m, c in tail}, reducers, field, order.key)
-        out.append(Poly._raw(nvars, field, {lm: field.one, **rem}))
-    return out
+
+    def run(pk: _Packed) -> list[Poly]:
+        for r in sorted(map(pk.pack, gens), key=lambda r: r[2]):
+            if not any((d := r[1] - lm) >= 0 and not d & pk.guard for lm in pk.lmv):
+                pk.add(r)
+        out = []
+        for lm, _, _, inv_lc, tail, _, _ in pk.rows:
+            rem = pk.reduce({k: c * inv_lc for k, c in tail}, field)
+            out.append(Poly._raw(nvars, field, {lm: field.one, **pk.unpack(rem)}))
+        return out
+
+    return _widening(gens, order, run)
 
 
 def groebner_basis(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,

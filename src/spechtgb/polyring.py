@@ -253,19 +253,19 @@ def lex_order(nvars: int, ranking=None) -> MonomialOrder:
 def parse_order(text: str, nvars: int) -> MonomialOrder:
     s = text.strip()
     head, _, rest = s.partition(":")
-    if head in ("lex", "grlex", "grevlex"):
-        ranking = [int(v) for v in rest.split(",")] if rest else None
-        return MonomialOrder(head, nvars, ranking)
-    if head == "weight":
-        fields = rest.split(":")
-        if len(fields) != 3 or fields[1] != "lex":
-            raise ValueError(
-                f"weight order must look like weight:w1,...,wn:lex:r1,...,rn, got {text!r}"
-            )
-        weights = [Fraction(w) for w in fields[0].split(",")]
-        ranking = [int(v) for v in fields[2].split(",")] if fields[2] else None
-        return MonomialOrder("weight", nvars, ranking, weights)
-    raise ValueError(f"cannot parse order from {text!r}")
+    fields = rest.split(":")
+    if head == "weight" and (len(fields) != 3 or fields[1] != "lex"):
+        raise ValueError(
+            f"weight order must look like weight:w1,...,wn:lex:r1,...,rn, got {text!r}"
+        )
+    if head not in MonomialOrder.KINDS or (head != "weight" and len(fields) != 1):
+        raise ValueError(f"cannot parse order from {text!r}")
+    try:
+        weights = [Fraction(w) for w in fields[0].split(",")] if head == "weight" else None
+        ranking = [int(v) for v in fields[-1].split(",")] if fields[-1] else None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse order from {text!r}") from None
+    return MonomialOrder(head, nvars, ranking, weights)
 
 
 class Poly:

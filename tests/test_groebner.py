@@ -4,6 +4,7 @@ sympy's implementation serves as an outside referee for basis computations;
 it shares no code with the engine under test.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -37,7 +38,8 @@ from spechtgb import (
     s_polynomial,
     shape_generators,
 )
-from spechtgb.groebner import _settle_pairs
+from spechtgb import groebner
+from spechtgb.groebner import _Packed, _settle_pairs
 from spechtgb.specht import _normalized
 
 from oracles import (
@@ -46,6 +48,7 @@ from oracles import (
     ref_ideal_intersection,
     ref_division,
     ref_is_groebner_basis,
+    ref_normal_form,
     ref_reduce_groebner_basis,
     ref_s_polynomial,
     ref_settle_pairs,
@@ -574,9 +577,13 @@ def field_polys(field, nvars=3, max_terms=3, min_size=1, max_size=3):
     return polys.map(lambda gens: [Poly(nvars, field, g.terms) for g in gens])
 
 
+# Q and two prime fields where the strategies' coefficients stay nonzero
+FIELDS = st.sampled_from([QQ, GF(5), GF(7)])
+
+
 def settled_alike(gens, order, *, complete, chain, pair_budget=None):
-    """The support-indexed pair core settles every pair as the full-vector one
-    did, and completion grows the same basis."""
+    """The packed pair core settles every pair as the tuple one did, and
+    completion grows the same basis, which both reduce alike."""
     new_basis, old_basis = list(gens), list(gens)
     try:
         old_log = ref_settle_pairs(old_basis, order, complete=complete, pair_budget=pair_budget,
@@ -590,15 +597,19 @@ def settled_alike(gens, order, *, complete, chain, pair_budget=None):
     assert _settle_pairs(new_basis, order, complete=complete, pair_budget=pair_budget,
                          use_chain_criterion=chain) == old_log
     assert typed(new_basis) == typed(old_basis)
+    if complete:
+        assert typed(reduce_groebner_basis(new_basis, order)) == typed(
+            ref_reduce_groebner_basis(old_basis, order))
 
 
 class TestSupportIndexedKernel:
-    """Differential tests of the support-indexed divisor search, coprime test
-    and chain criterion against the full-vector kernel (kept verbatim in
-    tests/oracles.py)."""
+    """Differential tests of the packed kernel (divisor search, coprime test,
+    chain criterion, S-polynomials and reduction on int monomials) against
+    the tuple kernel kept verbatim in tests/oracles.py, under all four order
+    kinds with random rankings and weights, over Q and F_p."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([QQ, GF(5)]).flatmap(
+    @given(FIELDS.flatmap(
                lambda field: st.tuples(field_polys(field, min_size=1, max_size=1),
                                        field_polys(field, max_terms=2, max_size=4))),
            any_order_strategy())
@@ -608,18 +619,35 @@ class TestSupportIndexedKernel:
         assert typed([normal_form(f, basis, order)]) == typed([old_remainder])
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([QQ, GF(5)]).flatmap(lambda field: field_polys(field, max_size=4)),
+    @given(FIELDS.flatmap(lambda field: field_polys(field, max_size=4)),
            any_order_strategy(), st.booleans())
     def test_certification_logs_match(self, gens, order, chain):
         settled_alike(gens, order, complete=False, chain=chain)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([QQ, GF(5)]).flatmap(
+    @given(FIELDS.flatmap(
                lambda field: field_polys(field, max_terms=2, max_size=3)),
            any_order_strategy(), st.booleans())
     def test_completion_logs_and_bases_match(self, gens, order, chain):
         monic = [g.term_mul((0,) * g.nvars, g.field.inv(leading_term(g, order)[1])) for g in gens]
         settled_alike(monic, order, complete=True, chain=chain, pair_budget=500)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+               any_order_strategy(n),
+               st.lists(st.tuples(*[st.integers(0, 40)] * n), min_size=1, max_size=8))))
+    def test_packed_keys_sort_as_the_order(self, case):
+        order, monos = case
+        # the narrowest fields that hold every exponent, and fields that hold every product
+        narrow = _Packed(order, max(map(max, monos)).bit_length() + 1)
+        wide = _Packed(order, (2 * max(map(max, monos))).bit_length() + 1)
+        for a in monos:
+            assert narrow.unpack({narrow.key(a): 1}) == {a: 1}
+            for b in monos:
+                assert ((narrow.key(a) > narrow.key(b)) == (order.key(a) > order.key(b)))
+                product = tuple(x + y for x, y in zip(a, b))
+                assert wide.key(a) + wide.key(b) == wide.key(product)
+        assert sorted(monos, key=narrow.key) == sorted(monos, key=order.key)
 
     def test_a_shared_variable_is_not_divisibility(self):
         # x1^2 shares x1 with x1*x2 but does not divide it; x1 does
@@ -656,3 +684,87 @@ class TestSupportIndexedKernel:
             for chain in (True, False):
                 settled_alike(gens, order, complete=False, chain=chain)
                 settled_alike(gens, lex_order(3, [3, 2, 1]), complete=True, chain=chain)
+
+
+def mora_generators(k):
+    # Mora's binomials in x4 > x3 > x2 > x1: of degree k + 1, with a reduced
+    # grevlex basis that holds x2^(k^2 + 1) - x3^(k^2)*x1
+    return [p(f"x4^{k + 1} - x3*x2^{k - 1}*x1", 4), p(f"x4*x3^{k - 1} - x2^{k}", 4),
+            p(f"x4^{k}*x2 - x3^{k}*x1", 4)]
+
+
+class TestPackedWidening:
+    """Exponents that outgrow the initial packed fields. Fields start wide
+    enough for four times the inputs' largest degree; a product past that
+    sets a guard bit, and the call restarts with fields twice as wide. The
+    degree of a graded or weight key sits above the variable fields, where an
+    int has no bound: in those orders the degree passes the initial field
+    width long before a variable field overflows. Each test fails with the
+    guard checks removed."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        seen = []
+        init = groebner._Packed.__init__
+
+        def spy(packing, order, bits):
+            seen.append(bits)
+            init(packing, order, bits)
+
+        monkeypatch.setattr(groebner._Packed, "__init__", spy)
+        return seen
+
+    def agree(self, gens, order, widths, *, widened=None):
+        # widened: whether completion must restart with wider fields (None: either)
+        # (a small pair budget keeps a wrong completion from running on)
+        widths.clear()
+        basis, stats = buchberger(gens, order, pair_budget=500)
+        old_basis, old_stats = ref_buchberger(gens, order, pair_budget=500)
+        assert stats == old_stats and typed(basis) == typed(old_basis)
+        assert widened is None or (len(widths) > 1) == widened
+        reduced = reduce_groebner_basis(basis, order)
+        assert typed(reduced) == typed(ref_reduce_groebner_basis(old_basis, order))
+        if order.kind != "weight":
+            assert set(reduced) == sympy_reduced_gb(gens, order)
+        return reduced
+
+    def test_lex_squaring_chain(self, widths):
+        # x_{j+1} - x_j^2 has the reduced lex basis x_{j+1} - x1^(2^j): the
+        # inputs have degree 2, and x1^16 passes fields sized for 8
+        gens = [p(f"x{j + 1} - x{j}^2", 5) for j in range(1, 5)]
+        reduced = self.agree(gens, lex_order(5), widths, widened=False)
+        assert reduced[-1] == p("x5 - x1^16", 5)
+        widths.clear()
+        assert reduce_groebner_basis(gens, lex_order(5)) == reduced and len(widths) == 2
+        widths.clear()
+        assert normal_form(p("x5^3", 5), gens, lex_order(5)) == p("x1^48", 5)
+        assert len(widths) == 2
+        assert typed([normal_form(p("x5^3 + x4*x3", 5), gens, lex_order(5))]) == typed(
+            [ref_normal_form(p("x5^3 + x4*x3", 5), gens, lex_order(5))])
+
+    def test_lex_completion(self, widths):
+        # degree 7 in, an exponent of 23 out
+        gens = [p("x1*x3 - x1^3*x2"), p("x1^2*x3 - x1^3*x2*x3^3"), p("x1^2*x3^3 - x2^2")]
+        self.agree(gens, lex_order(3), widths, widened=True)
+        # here an S-polynomial, not a reduction step, is the first to overflow
+        gens = [p("x3 - x1*x2^3*x3^3"), p("x1^3*x2^2*x3 - x1^3*x3^3"), p("x3^2 - x1^3*x3")]
+        self.agree(gens, lex_order(3), widths, widened=True)
+        for ranking in itertools.permutations([1, 2, 3]):
+            self.agree([p("x2 - x1^300"), p("x1^200*x3 - x2")], lex_order(3, ranking), widths)
+
+    @pytest.mark.parametrize("order", [
+        MonomialOrder("grlex", 4), MonomialOrder("grevlex", 4),
+        MonomialOrder("weight", 4, None, [1, 2, 1, 1]),
+        MonomialOrder("weight", 4, [2, 1, 3, 4], [Fraction(1, 2), 1, 1, 1])])
+    def test_graded_and_weight_orders(self, order, widths):
+        # degree 7 in, a basis element of degree 37 out
+        self.agree(mora_generators(6), order, widths, widened=True)
+
+    def test_over_a_prime_field(self, widths):
+        gens = [Poly(4, GF(7), g.terms) for g in mora_generators(6)]
+        order = MonomialOrder("grevlex", 4)
+        widths.clear()
+        basis, stats = buchberger(gens, order, pair_budget=500)
+        assert len(widths) > 1
+        old_basis, old_stats = ref_buchberger(gens, order, pair_budget=500)
+        assert stats == old_stats and typed(basis) == typed(old_basis)

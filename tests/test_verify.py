@@ -266,6 +266,12 @@ class TestCli:
             assert time.perf_counter() - start < 1.0
             assert what in capsys.readouterr().err
 
+    def test_an_unparsable_order_is_named(self, capsys):
+        for text in ("lex:1,,2", "weight:1,x:lex:1,2,3", "grevlex:1,x,3"):
+            assert main(["gb", "--n", "3", "--filter", "lower<=[2,1]", "--order", text]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: cannot parse order from {text!r}"]
+
     def test_an_unwritable_out_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
         missing = str(tmp_path / "missing" / "x.json")
         start = time.perf_counter()

@@ -22,8 +22,9 @@ is >= 0 with no guard bit set, and d is then the quotient. Fields start wide
 enough for four times the inputs' largest degree. Every product is checked
 against the guard bits, a whole tail at once through the fieldwise max of its
 exponents; on overflow the call restarts with fields twice as wide, so no
-carry crosses a field. Reducers are packed once per call; only remainders
-that join a basis and final outputs are unpacked.
+carry crosses a field. A call packs its inputs once, and a completed basis
+stays packed through reduction: only the leading monomial of a new basis
+element and the call's final outputs are unpacked.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field as attribute
 from operator import lshift, mul
 
-from .polyring import MAX_VARS, QQ, Field, Poly, leading_term, lex_order
+from .polyring import MAX_VARS, QQ, Field, Poly, lex_order
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -55,11 +56,12 @@ class _Packed:
     """One call's packing of an order at one field width, and its reducers.
 
     A reducer row is (lm, v(lm), k(lm), 1/lc, tail, top, variables): lm as a
-    tuple, the tail as (key, coefficient) pairs, top the fieldwise max of the
-    tail's v packings, and a bitmask of the variables lm involves.
+    tuple, the tail as (key, coefficient) pairs with coefficients in the
+    call's field, top the fieldwise max of the tail's v packings, and a
+    bitmask of the variables lm involves.
     """
 
-    def __init__(self, order, bits: int):
+    def __init__(self, order, bits: int, field: Field):
         n = order.nvars
         top_down = order.ranking if order.kind == "grevlex" else order.ranking[::-1]
         self.shifts = [(n - 1 - top_down.index(v)) * bits for v in range(1, n + 1)]
@@ -69,6 +71,7 @@ class _Packed:
         # the degree in a graded or weight key is linear: read its weights off the variables
         self.weights = None if order.kind == "lex" else [
             order.key(tuple(int(i == v) for i in range(n)))[0] for v in range(n)]
+        self.field = field
         self.rows, self.lmv, self.first = [], [], {}
 
     def key(self, m) -> int:
@@ -78,30 +81,37 @@ class _Packed:
         degree = sum(map(mul, self.weights, m)) << self.span
         return degree - v if self.grev else degree + v
 
-    def row(self, packed: list, field: Field) -> tuple:
-        # packed lists (key, monomial, coefficient) for every term
-        lmk, lm, lc = max(packed)
-        tail = [(k, m, c) for k, m, c in packed if k != lmk]
-        top = sum(map(lshift, map(max, (0,) * len(lm), *(m for _, m, _ in tail)),
-                      self.shifts)) if tail else 0
-        variables = sum(1 << i for i, e in enumerate(lm) if e)
-        return (lm, (-lmk if self.grev else lmk) & self.low, lmk, field.inv(lc),
-                tuple((k, c) for k, _, c in tail), top, variables)
+    def lcm(self, a: int, b: int) -> int:
+        # the fieldwise max of two v packings: a field keeps its guard bit in
+        # (a | guard) - b where a's exponent is at least b's
+        ge = ((a | self.guard) - b) & self.guard
+        return b ^ ((a ^ b) & (ge - (ge >> (self.bits - 1))))
+
+    def row(self, terms: dict) -> tuple:
+        # terms maps keys to coefficients; only the leading monomial is unpacked
+        lmk = max(terms)
+        (lm,) = self.unpack({lmk: 0})
+        tail = tuple((k, c) for k, c in terms.items() if k != lmk)
+        top = 0
+        for k, _ in tail:
+            top = self.lcm(top, (-k if self.grev else k) & self.low)
+        return (lm, (-lmk if self.grev else lmk) & self.low, lmk, self.field.inv(terms[lmk]),
+                tail, top, sum(1 << i for i, e in enumerate(lm) if e))
 
     def pack(self, g: Poly) -> tuple:
-        return self.row([(self.key(m), m, c) for m, c in g.terms.items()], g.field)
+        return self.row({self.key(m): c for m, c in g.terms.items()})
 
     def add(self, row: tuple) -> None:
         self.rows.append(row)
         self.lmv.append(row[1])
         self.first.setdefault(row[1], row[2:6])
 
-    def unpack(self, terms: dict) -> dict:
-        # keys back to exponent tuples, in the same order
-        mask, sign = (1 << (self.bits - 1)) - 1, -1 if self.grev else 1
-        return {tuple([(sign * k >> s) & mask for s in self.shifts]): c for k, c in terms.items()}
+    def unpack(self, terms: dict, nvars: int | None = None) -> dict:
+        # keys back to exponent tuples of the first nvars variables, in the same order
+        mask, sign, shifts = (1 << (self.bits - 1)) - 1, -1 if self.grev else 1, self.shifts[:nvars]
+        return {tuple([(sign * k >> s) & mask for s in shifts]): c for k, c in terms.items()}
 
-    def reduce(self, terms: dict, field: Field) -> dict:
+    def reduce(self, terms: dict) -> dict:
         """Fully reduce a term dict (key -> coefficient) in place; return the remainder.
 
         Monomials are processed in strictly decreasing key order via a heap of
@@ -110,6 +120,7 @@ class _Packed:
         keeps a zero entry, skipped when popped. Tail updates use raw
         int/Fraction arithmetic (mod p over F_p), made canonical once.
         """
+        field = self.field
         p = field.p
         lmv, first, guard, low, grev = self.lmv, self.first, self.guard, self.low, self.grev
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -147,12 +158,9 @@ class _Packed:
         return field.canonical(remainder)
 
     def chain_link(self, i: int, j: int, settled: set) -> int | None:
-        # the first k whose lm divides the pair's lcm, their fieldwise max (a
-        # field keeps its guard bit in (a | guard) - b where a's exponent is
-        # at least b's), and whose pairs with i and with j are settled
-        a, b, guard = self.lmv[i], self.lmv[j], self.guard
-        ge = ((a | guard) - b) & guard
-        lcm = b ^ ((a ^ b) & (ge - (ge >> (self.bits - 1))))
+        # the first k whose lm divides the pair's lcm and whose pairs with i
+        # and with j are settled
+        lcm, guard = self.lcm(self.lmv[i], self.lmv[j]), self.guard
         for k, lm in enumerate(self.lmv):
             d = lcm - lm
             if (d >= 0 and not d & guard and k != i and k != j
@@ -161,7 +169,7 @@ class _Packed:
                 return k
         return None
 
-    def s_terms(self, ri: tuple, rj: tuple, field: Field) -> dict:
+    def s_terms(self, ri: tuple, rj: tuple) -> dict:
         # the S-polynomial of two rows: the leading terms cancel, so only the
         # tails, shifted up to the lcm, contribute
         lcm = self.key(tuple(map(max, ri[0], rj[0])))
@@ -174,16 +182,39 @@ class _Packed:
             for k, c in r[4]:
                 k += shift
                 terms[k] = terms.get(k, 0) + c * factor
-        return field.canonical(terms)
+        return self.field.canonical(terms)
+
+    def polys(self, finish, nvars: int) -> list[Poly]:
+        # every row as a monic polynomial in the first nvars variables, with
+        # finish applied to its tail (a term dict) first
+        one = self.field.one
+        return [Poly._raw(nvars, self.field, {lm[:nvars]: one, **self.unpack(
+                    finish({k: c * inv_lc for k, c in tail}), nvars)})
+                for lm, _, _, inv_lc, tail, _, _ in self.rows]
+
+    def reduced(self, rows: list, nvars: int) -> list[Poly]:
+        # the reduced basis of a Groebner basis given as rows: the minimal set
+        # under divisibility of leading monomials, sorted by them, with each
+        # tail reduced by it (no leading monomial divides a smaller monomial,
+        # so an element never reduces its own tail)
+        self.rows, self.lmv, self.first = [], [], {}
+        for r in sorted(rows, key=lambda r: r[2]):
+            if not any((d := r[1] - lm) >= 0 and not d & self.guard for lm in self.lmv):
+                self.add(r)
+        return self.polys(self.reduce, nvars)
 
 
-def _widening(polys, order, run):
-    """run(packing) with fields wide enough for every monomial it makes."""
+def _widening(polys: list, order, run):
+    """run(packing) with fields wide enough for every monomial it makes;
+    ValueError unless all polynomials share the order's variables and one field."""
+    ring = Poly.zero(order.nvars, polys[0].field if polys else QQ)
+    for g in polys:
+        ring._check_compatible(g)
     degree = max((sum(m) for g in polys for m in g.terms), default=0)
     bits = (4 * degree).bit_length() + 1
     while True:
         try:
-            return run(_Packed(order, bits))
+            return run(_Packed(order, bits, ring.field))
         except _Overflow:
             bits *= 2
 
@@ -199,52 +230,44 @@ def _require_nonzero(basis) -> list[Poly]:
 def normal_form(f: Poly, basis, order) -> Poly:
     """Remainder of f on division by the basis; no remainder term is reducible."""
     gens = _require_nonzero(basis)
-    if not gens or not f.terms:
-        return f
 
     def run(pk: _Packed) -> Poly:
         for g in gens:
             pk.add(pk.pack(g))
         terms = {pk.key(m): c for m, c in f.terms.items()}
-        return Poly._raw(f.nvars, f.field, pk.unpack(pk.reduce(terms, f.field)))
+        return Poly._raw(f.nvars, f.field, pk.unpack(pk.reduce(terms)))
 
-    return _widening(gens + [f], order, run)
+    return _widening([f] + gens, order, run)
 
 
 def s_polynomial(f: Poly, g: Poly, order) -> Poly:
     """lcm/in(f) * f / lc(f) - lcm/in(g) * g / lc(g): leading terms cancel."""
-    f._check_compatible(g)
-
-    def run(pk: _Packed) -> Poly:
-        terms = pk.s_terms(pk.pack(f), pk.pack(g), f.field)
-        return Poly._raw(f.nvars, f.field, pk.unpack(terms))
-
-    return _widening([f, g], order, run)
+    return _widening([f, g], order, lambda pk: Poly._raw(
+        f.nvars, f.field, pk.unpack(pk.s_terms(pk.pack(f), pk.pack(g)))))
 
 
-def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None = None,
-                  use_chain_criterion: bool = True, known=()) -> list:
-    """Pop every pair of the basis once and return (i, j, status) in pop order.
+def _settle_pairs(gens: list, order, *, complete: bool, pair_budget: int | None = None,
+                  use_chain_criterion: bool = True, known=(), finish=lambda pk: None) -> tuple:
+    """Pop every pair of the generators once; return (log, finish(packing)).
 
-    A status is "coprime", "chain:k", "zero_reduction", or, for a nonzero
-    remainder, "added" when completing (the monic remainder joins basis and
-    reducers, and its pairs join the heap) or "failed" when certifying.
-    Completion pops by (lcm degree, i, j), certification by (j, i). A popped
-    pair is settled for the chain criterion unless it failed; settled pairs
-    were popped earlier, so chain links strictly descend in pop order.
+    The log lists (i, j, status) in pop order. A status is "coprime",
+    "chain:k", "zero_reduction", or, for a nonzero remainder, "added" when
+    completing (the remainder joins the packing's rows, and its pairs join
+    the heap) or "failed" when certifying. Completion pops by (lcm degree,
+    i, j), certification by (j, i). A popped pair is settled for the chain
+    criterion unless it failed; settled pairs were popped earlier, so chain
+    links strictly descend in pop order. finish then runs in the same
+    packing, so an overflow in it restarts the whole call with wider fields.
 
     known lists (start, stop) index ranges of the input whose elements are
     already a Groebner basis on their own: a pair inside one range has a
     standard representation by that range, so it is settled without being
     pushed, popped or logged, and still links chain-criterion skips.
     """
-    size = len(basis)
-    field = basis[0].field if basis else QQ
 
-    def run(pk: _Packed) -> list:
-        del basis[size:]
+    def run(pk: _Packed) -> tuple:
         rows = pk.rows
-        for g in basis:
+        for g in gens:
             pk.add(pk.pack(g))
         heap: list = []
         settled: set = set()
@@ -255,7 +278,7 @@ def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None
                 rank = sum(map(max, rows[i][0], rows[j][0])) if complete else j
                 heapq.heappush(heap, (rank, i, j))
 
-        block_start = list(range(size))
+        block_start = list(range(len(gens)))
         for start, stop in known:
             block_start[start:stop] = [start] * (stop - start)
             settled.update((i, j) for j in range(start, stop) for i in range(start, j))
@@ -264,29 +287,25 @@ def _settle_pairs(basis: list, order, *, complete: bool, pair_budget: int | None
         while heap:
             _, i, j = heapq.heappop(heap)
             if pair_budget is not None and len(log) >= pair_budget:
-                raise PairBudgetExceeded(pair_budget, len(basis))
+                raise PairBudgetExceeded(pair_budget, len(rows))
             if not rows[i][6] & rows[j][6]:
                 status = "coprime"
             elif use_chain_criterion and (k := pk.chain_link(i, j, settled)) is not None:
                 status = f"chain:{k}"
-            elif not (rem := pk.reduce(pk.s_terms(rows[i], rows[j], field), field)):
+            elif not (rem := pk.reduce(pk.s_terms(rows[i], rows[j]))):
                 status = "zero_reduction"
             elif not complete:
                 status = "failed"
             else:
-                inv = field.inv(rem[max(rem)])
-                monic = field.canonical({k: c * inv for k, c in rem.items()})
-                basis.append(Poly._raw(basis[0].nvars, field, pk.unpack(monic)))
-                pk.add(pk.row([(k, m, c) for (k, c), m in zip(monic.items(), basis[-1].terms)],
-                              field))
-                push_pairs(len(basis) - 1, len(basis) - 1)
+                pk.add(pk.row(rem))
+                push_pairs(len(rows) - 1, len(rows) - 1)
                 status = "added"
             log.append((i, j, status))
             if status != "failed":
                 settled.add((i, j))
-        return log
+        return log, finish(pk)
 
-    return _widening(basis, order, run)
+    return _widening(gens, order, run)
 
 
 def buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
@@ -296,12 +315,11 @@ def buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
     Raises PairBudgetExceeded once more than pair_budget pairs are popped.
     The stats count popped pairs (pairs_processed) by how each settled, so
     pairs_processed == skipped_coprime + skipped_chain + zero_reductions +
-    basis_added.
+    basis_added. The basis is monic.
     """
-    basis = [g.term_mul((0,) * g.nvars, g.field.inv(leading_term(g, order)[1]))
-             for g in generators if g.terms]
-    log = _settle_pairs(basis, order, complete=True, pair_budget=pair_budget,
-                        use_chain_criterion=use_chain_criterion)
+    log, basis = _settle_pairs([g for g in generators if g.terms], order, complete=True,
+                               pair_budget=pair_budget, use_chain_criterion=use_chain_criterion,
+                               finish=lambda pk: pk.polys(pk.field.canonical, order.nvars))
     tally = Counter(status.split(":")[0] for _, _, status in log)
     return basis, {
         "pairs_processed": len(log),
@@ -315,35 +333,19 @@ def buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
 def reduce_groebner_basis(basis, order) -> list[Poly]:
     """The unique reduced basis: minimal, monic, fully inter-reduced, sorted.
 
-    Input must already be a Groebner basis; the leading monomials are first
-    minimalized under divisibility, then each survivor's tail is reduced by
-    the minimal set (no leading monomial divides a smaller monomial, so an
-    element never reduces its own tail).
+    Input must already be a Groebner basis.
     """
     gens = [g for g in basis if g.terms]
-    if not gens:
-        return []
-    nvars, field = gens[0].nvars, gens[0].field
-
-    def run(pk: _Packed) -> list[Poly]:
-        for r in sorted(map(pk.pack, gens), key=lambda r: r[2]):
-            if not any((d := r[1] - lm) >= 0 and not d & pk.guard for lm in pk.lmv):
-                pk.add(r)
-        out = []
-        for lm, _, _, inv_lc, tail, _, _ in pk.rows:
-            rem = pk.reduce({k: c * inv_lc for k, c in tail}, field)
-            out.append(Poly._raw(nvars, field, {lm: field.one, **pk.unpack(rem)}))
-        return out
-
-    return _widening(gens, order, run)
+    return _widening(gens, order, lambda pk: pk.reduced(list(map(pk.pack, gens)), order.nvars))
 
 
 def groebner_basis(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
                    use_chain_criterion: bool = True) -> list[Poly]:
     """Reduced monic Groebner basis of the generated ideal ([] for the zero ideal)."""
-    basis, _ = buchberger(generators, order, pair_budget=pair_budget,
-                          use_chain_criterion=use_chain_criterion)
-    return reduce_groebner_basis(basis, order)
+    _, basis = _settle_pairs([g for g in generators if g.terms], order, complete=True,
+                             pair_budget=pair_budget, use_chain_criterion=use_chain_criterion,
+                             finish=lambda pk: pk.reduced(pk.rows, order.nvars))
+    return basis
 
 
 def is_groebner_basis(gens, order, *, use_chain_criterion: bool = True) -> tuple[bool, dict]:
@@ -355,8 +357,8 @@ def is_groebner_basis(gens, order, *, use_chain_criterion: bool = True) -> tuple
     ("chain:k") whose leading monomial divides the pair lcm and whose two
     linking pairs were settled earlier without failure.
     """
-    log = _settle_pairs(_require_nonzero(gens), order, complete=False,
-                        use_chain_criterion=use_chain_criterion)
+    log, _ = _settle_pairs(_require_nonzero(gens), order, complete=False,
+                           use_chain_criterion=use_chain_criterion)
     tally = Counter(status.split(":")[0] for _, _, status in log)
     counts = {"total": len(log)}
     counts.update((s, tally[s]) for s in ("zero_reduction", "coprime", "chain", "failed"))
@@ -432,17 +434,14 @@ def ideal_intersection(a: IdealBasis, b: IdealBasis, *,
                          f"{MAX_VARS - 1} variables, got {a.nvars}")
     if a.is_zero() or b.is_zero():
         return IdealBasis(a.nvars, a.field, ())
-    basis = [_lift(f, True) for f in a.generators] + [_lift(g, False) for g in b.generators]
+    lifted = [_lift(f, True) for f in a.generators] + [_lift(g, False) for g in b.generators]
     split = len(a.generators)
-    known = [block for block, ideal in (((0, split), a), ((split, len(basis)), b))
+    known = [block for block, ideal in (((0, split), a), ((split, len(lifted)), b))
              if ideal._lex_basis]
-    _settle_pairs(basis, lex_order(a.nvars + 1), complete=True,
-                  pair_budget=pair_budget, known=known)
-    free = [
-        Poly._raw(a.nvars, a.field, {m[:-1]: c for m, c in g.terms.items()})
-        for g in basis
-        if all(m[-1] == 0 for m in g.terms)
-    ]
-    result = IdealBasis(a.nvars, a.field, tuple(reduce_groebner_basis(free, lex_order(a.nvars))))
+    # t is the top field, so a row is t-free exactly when its leading monomial is
+    _, free = _settle_pairs(lifted, lex_order(a.nvars + 1), complete=True, pair_budget=pair_budget,
+                            known=known, finish=lambda pk: pk.reduced(
+                                [r for r in pk.rows if not r[0][-1]], a.nvars))
+    result = IdealBasis(a.nvars, a.field, tuple(free))
     object.__setattr__(result, "_lex_basis", True)
     return result

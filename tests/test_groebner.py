@@ -47,6 +47,7 @@ from oracles import (
     ref_buchberger,
     ref_ideal_intersection,
     ref_division,
+    ref_groebner_basis,
     ref_is_groebner_basis,
     ref_normal_form,
     ref_reduce_groebner_basis,
@@ -417,6 +418,30 @@ class TestFiniteFieldEngine:
             assert ideal_membership(g, gb, order)
 
 
+class TestRingChecks:
+    """Every kernel entry point refuses polynomials with another number of
+    variables than its order has, or over another field, instead of
+    computing with them."""
+
+    CALLS = {
+        "normal_form": lambda: normal_form(p("x2", 2), [p("x3 - x1")], lex_order(3)),
+        "s_polynomial": lambda: s_polynomial(p("x1", 2), p("x1*x2", 2), lex_order(3)),
+        "buchberger": lambda: buchberger([p("x3 - x1"), p("x1^2 + x3", field=GF(5))],
+                                         lex_order(3)),
+        "groebner_basis": lambda: groebner_basis([p("x3 - x1"), p("x1^2 + x3")], lex_order(2)),
+        "reduce_groebner_basis": lambda: reduce_groebner_basis(
+            [p("x1", 2), p("x2 + x3", field=GF(3))], lex_order(3)),
+        "is_groebner_basis": lambda: is_groebner_basis([p("x3 - x1"), p("x1", 2)], lex_order(3)),
+        "ideal_membership": lambda: ideal_membership(p("x2"), [p("x3 - x1", field=GF(7))],
+                                                     lex_order(3)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_other_rings_are_refused(self, entry):
+        with pytest.raises(ValueError, match="different rings"):
+            self.CALLS[entry]()
+
+
 def assert_canonical(polys):
     """No Q coefficient is stored as a Fraction with denominator 1."""
     for f in polys:
@@ -572,34 +597,49 @@ def any_order_strategy(nvars=3):
 
 
 def field_polys(field, nvars=3, max_terms=3, min_size=1, max_size=3):
-    """Lists of nonzero polynomials over the field, exponents up to 2."""
-    polys = st.lists(mixed_poly_strategy(nvars, max_terms), min_size=min_size, max_size=max_size)
-    return polys.map(lambda gens: [Poly(nvars, field, g.terms) for g in gens])
+    """Lists of nonzero polynomials over the field, exponents up to 2; F_p
+    coefficients are drawn from 1..p-1, so every residue class but 0 occurs."""
+    if field.p is None:
+        poly = mixed_poly_strategy(nvars, max_terms)
+    else:
+        poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars),
+                               st.integers(1, field.p - 1), min_size=1, max_size=max_terms
+                               ).map(lambda d: Poly(nvars, field, d))
+    return st.lists(poly, min_size=min_size, max_size=max_size)
 
 
-# Q and two prime fields where the strategies' coefficients stay nonzero
-FIELDS = st.sampled_from([QQ, GF(5), GF(7)])
+FIELDS = st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)])
 
 
 def settled_alike(gens, order, *, complete, chain, pair_budget=None):
-    """The packed pair core settles every pair as the tuple one did, and
-    completion grows the same basis, which both reduce alike."""
-    new_basis, old_basis = list(gens), list(gens)
+    """The packed pair core settles every pair as the tuple one did, leaves
+    its argument alone, and completion grows the same basis, which both
+    reduce alike. The tuple core takes the generators made monic; packed
+    rows carry 1/lc instead."""
+    old_basis = [g.term_mul((0,) * g.nvars, g.field.inv(leading_term(g, order)[1]))
+                 for g in gens]
+
+    def settle(finish):
+        arg = list(gens)
+        result = _settle_pairs(arg, order, complete=complete, pair_budget=pair_budget,
+                               use_chain_criterion=chain, finish=finish)
+        assert arg == gens
+        return result
+
     try:
         old_log = ref_settle_pairs(old_basis, order, complete=complete, pair_budget=pair_budget,
                                    use_chain_criterion=chain)
     except PairBudgetExceeded as e:
         with pytest.raises(PairBudgetExceeded) as info:
-            _settle_pairs(new_basis, order, complete=complete, pair_budget=pair_budget,
-                          use_chain_criterion=chain)
+            settle(lambda pk: None)
         assert (info.value.budget, info.value.basis_size) == (e.budget, e.basis_size)
         return
-    assert _settle_pairs(new_basis, order, complete=complete, pair_budget=pair_budget,
-                         use_chain_criterion=chain) == old_log
-    assert typed(new_basis) == typed(old_basis)
+    log, basis = settle(lambda pk: pk.polys(pk.field.canonical, order.nvars))
+    assert log == old_log
+    assert typed(basis) == typed(old_basis)
     if complete:
-        assert typed(reduce_groebner_basis(new_basis, order)) == typed(
-            ref_reduce_groebner_basis(old_basis, order))
+        _, reduced = settle(lambda pk: pk.reduced(pk.rows, order.nvars))
+        assert typed(reduced) == typed(ref_reduce_groebner_basis(old_basis, order))
 
 
 class TestSupportIndexedKernel:
@@ -629,8 +669,21 @@ class TestSupportIndexedKernel:
                lambda field: field_polys(field, max_terms=2, max_size=3)),
            any_order_strategy(), st.booleans())
     def test_completion_logs_and_bases_match(self, gens, order, chain):
-        monic = [g.term_mul((0,) * g.nvars, g.field.inv(leading_term(g, order)[1])) for g in gens]
-        settled_alike(monic, order, complete=True, chain=chain, pair_budget=500)
+        settled_alike(gens, order, complete=True, chain=chain, pair_budget=500)
+
+    @settings(max_examples=40, deadline=None)
+    @given(FIELDS.flatmap(
+               lambda field: field_polys(field, max_terms=2, max_size=3)),
+           any_order_strategy())
+    def test_reduced_bases_match(self, gens, order):
+        # completion and reduction in one packing against the two tuple runs
+        try:
+            want = ref_groebner_basis(gens, order, pair_budget=500)
+        except PairBudgetExceeded:
+            with pytest.raises(PairBudgetExceeded):
+                groebner_basis(gens, order, pair_budget=500)
+            return
+        assert typed(groebner_basis(gens, order, pair_budget=500)) == typed(want)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -639,8 +692,8 @@ class TestSupportIndexedKernel:
     def test_packed_keys_sort_as_the_order(self, case):
         order, monos = case
         # the narrowest fields that hold every exponent, and fields that hold every product
-        narrow = _Packed(order, max(map(max, monos)).bit_length() + 1)
-        wide = _Packed(order, (2 * max(map(max, monos))).bit_length() + 1)
+        narrow = _Packed(order, max(map(max, monos)).bit_length() + 1, QQ)
+        wide = _Packed(order, (2 * max(map(max, monos))).bit_length() + 1, QQ)
         for a in monos:
             assert narrow.unpack({narrow.key(a): 1}) == {a: 1}
             for b in monos:
@@ -707,9 +760,9 @@ class TestPackedWidening:
         seen = []
         init = groebner._Packed.__init__
 
-        def spy(packing, order, bits):
+        def spy(packing, order, bits, field):
             seen.append(bits)
-            init(packing, order, bits)
+            init(packing, order, bits, field)
 
         monkeypatch.setattr(groebner._Packed, "__init__", spy)
         return seen
@@ -751,6 +804,33 @@ class TestPackedWidening:
         self.agree(gens, lex_order(3), widths, widened=True)
         for ranking in itertools.permutations([1, 2, 3]):
             self.agree([p("x2 - x1^300"), p("x1^200*x3 - x2")], lex_order(3, ranking), widths)
+
+    def test_reduction_overflow_restarts_completion(self, widths, monkeypatch):
+        # the squaring chain completes in fields sized for its degree 2, but
+        # its reduction reaches x1^16 and overflows them: completion and
+        # reduction share one packing, so both run again with wider fields
+        gens = [p(f"x{j + 1} - x{j}^2", 5) for j in range(1, 5)]
+        reduced_at = []
+        reduced = groebner._Packed.reduced
+
+        def spy(packing, rows, nvars):
+            reduced_at.append(packing.bits)
+            return reduced(packing, rows, nvars)
+
+        monkeypatch.setattr(groebner._Packed, "reduced", spy)
+        widths.clear()
+        got = groebner_basis(gens, lex_order(5))
+        assert got[-1] == p("x5 - x1^16", 5)
+        assert typed(got) == typed(ref_groebner_basis(gens, lex_order(5)))
+        assert reduced_at == widths == [5, 10]
+        # and as the second input of an intersection with (x1^2), whose
+        # elimination fits the fields its reduction overflows
+        a, b = IdealBasis(5, QQ, (p("x1^2", 5),)), IdealBasis(5, QQ, tuple(gens))
+        reduced_at.clear()
+        widths.clear()
+        got = ideal_intersection(a, b)
+        assert typed(got.generators) == typed(ref_ideal_intersection(a, b).generators)
+        assert reduced_at == widths == [5, 10]
 
     @pytest.mark.parametrize("order", [
         MonomialOrder("grlex", 4), MonomialOrder("grevlex", 4),

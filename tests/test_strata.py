@@ -216,10 +216,10 @@ def settle_calls(monkeypatch):
     calls = []
     settle = groebner._settle_pairs
 
-    def recording(basis, order, **kwargs):
-        log = settle(basis, order, **kwargs)
-        calls.append((list(kwargs.get("known", ())), log))
-        return log
+    def recording(gens, order, **kwargs):
+        result = settle(gens, order, **kwargs)
+        calls.append((list(kwargs.get("known", ())), result[0]))
+        return result
 
     monkeypatch.setattr(groebner, "_settle_pairs", recording)
     return calls

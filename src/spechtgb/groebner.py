@@ -240,12 +240,6 @@ def normal_form(f: Poly, basis, order) -> Poly:
     return _widening([f] + gens, order, run)
 
 
-def s_polynomial(f: Poly, g: Poly, order) -> Poly:
-    """lcm/in(f) * f / lc(f) - lcm/in(g) * g / lc(g): leading terms cancel."""
-    return _widening([f, g], order, lambda pk: Poly._raw(
-        f.nvars, f.field, pk.unpack(pk.s_terms(pk.pack(f), pk.pack(g)))))
-
-
 def _settle_pairs(gens: list, order, *, complete: bool, pair_budget: int | None = None,
                   use_chain_criterion: bool = True, known=(), finish=lambda pk: None) -> tuple:
     """Pop every pair of the generators once; return (log, finish(packing)).

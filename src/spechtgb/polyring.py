@@ -195,18 +195,6 @@ class MonomialOrder:
     def __reduce__(self):
         return MonomialOrder, (self.kind, self.nvars, self.ranking, self.weights)
 
-    def variable_ascending(self) -> tuple[int, ...]:
-        """Variables sorted ascending under this order (applied to degree-1 monomials)."""
-        units = {
-            v: tuple(1 if i == v - 1 else 0 for i in range(self.nvars))
-            for v in range(1, self.nvars + 1)
-        }
-        return tuple(sorted(units, key=lambda v: self.key(units[v])))
-
-    def induced_lex(self) -> "MonomialOrder":
-        """The lex order whose variable ranking matches this order's ordering of the variables."""
-        return MonomialOrder("lex", self.nvars, self.variable_ascending())
-
     def text(self) -> str:
         rank = ",".join(str(v) for v in self.ranking)
         if self.kind == "weight":

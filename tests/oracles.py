@@ -7,8 +7,8 @@ bug there cannot hide in its own mirror image. What this module takes from
 the package, so that both sides raise and return the same types:
 
 - spechtgb.polyring: the Poly type and its arithmetic, Field, QQ, Monomial,
-  leading_term, lex_order, and the monomial helpers mono_degree, mono_div
-  and mono_lcm;
+  MonomialOrder, leading_term, lex_order, and the monomial helpers
+  mono_degree, mono_div and mono_lcm;
 - spechtgb.groebner: DEFAULT_PAIR_BUDGET, PairBudgetExceeded, the
   IdealBasis container, and is_groebner_basis for ref_order_failure only;
 - spechtgb.combinatorics: partitions_of, set_partitions_of_type and
@@ -22,12 +22,12 @@ tests read leading-monomial supports, and the two-loop pair engine that the
 shared pair core replaced. Then the Specht expansion that folded one factor
 x_i - x_j at a time into a term dict, before each column was expanded as a
 Vandermonde determinant. Then the universal-order sweep that certified
-every order by Buchberger before the symmetry shortcut; it referees the
-shortcut, not the kernel, so it runs the package's checker. Then dense row
-reduction, which computed span ranks before generators were divided by one
-another; the dominance-closure test that compared every member with every
-partition; and the per-check size rules that listed what each verify check
-expands. Last, the strata oracle that scanned every pair of set partitions,
+every order by Buchberger before universal proved every order at once; it
+referees that proof, not the kernel, so it runs the package's checker. Then
+dense row reduction, which computed span ranks before generators were
+divided by one another; the dominance-closure test that compared every
+member with every partition; and the per-check size rules that listed what
+each verify check expands. Last, the strata oracle that scanned every pair of set partitions,
 folded each filter from scratch and interreduced each whole elimination
 basis, starting from subspace ideals given by consecutive differences; its
 eliminations run the frozen Buchberger and reduction.
@@ -44,6 +44,7 @@ from spechtgb.polyring import (
     QQ,
     Field,
     Monomial,
+    MonomialOrder,
     Poly,
     leading_term,
     mono_degree,
@@ -643,9 +644,16 @@ def ref_specht_polynomial(t, field: Field = QQ) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# the universal-order sweep before the symmetry shortcut: one certification
+# the universal-order sweep before the all-orders proof: one certification
 # per order. It certifies with the package's checker, since what it referees
-# is the shortcut, not the kernel (the checker above referees that)
+# is the proof, not the kernel (the checker above referees that)
+
+
+def ref_induced_lex(order: MonomialOrder) -> MonomialOrder:
+    """The lex order that ranks the single variables as order does."""
+    n = order.nvars
+    units = {v: tuple(int(i == v - 1) for i in range(n)) for v in range(1, n + 1)}
+    return MonomialOrder("lex", n, sorted(units, key=lambda v: order.key(units[v])))
 
 
 def ref_order_failure(polys: list[Poly], orders, where: str) -> str | None:
@@ -655,7 +663,7 @@ def ref_order_failure(polys: list[Poly], orders, where: str) -> str | None:
         ok, _ = is_groebner_basis(polys, order)
         if not ok:
             return f"not a basis{where} under {order.text()}"
-        induced = order.induced_lex()
+        induced = ref_induced_lex(order)
         # a lex order induces itself, so only the other kinds compare
         if induced != order and any(leading_term(p, order) != leading_term(p, induced)
                                     for p in polys):

@@ -35,7 +35,6 @@ from spechtgb import (
     partitions_of,
     filter_closure,
     reduce_groebner_basis,
-    s_polynomial,
     shape_generators,
 )
 from spechtgb import groebner
@@ -51,7 +50,6 @@ from oracles import (
     ref_is_groebner_basis,
     ref_normal_form,
     ref_reduce_groebner_basis,
-    ref_s_polynomial,
     ref_settle_pairs,
 )
 
@@ -154,29 +152,6 @@ class TestDivision:
     def test_rejects_zero_divisor(self):
         with pytest.raises(ValueError):
             normal_form(p("x1"), [Poly.zero(3)], lex_order(3))
-
-
-class TestSPolynomial:
-    def test_worked_example(self):
-        order = lex_order(3, [3, 2, 1])  # x1 most significant
-        s = s_polynomial(p("x1 - x2"), p("x1 - x3"), order)
-        assert s == p("x3 - x2")
-
-    @settings(max_examples=40)
-    @given(poly_strategy(), poly_strategy(), order_strategy())
-    def test_cancels_leading_terms(self, f, g, order):
-        if not f.terms or not g.terms:
-            return
-        mf, _ = leading_term(f, order)
-        mg, _ = leading_term(g, order)
-        lcm_key = order.key(
-            tuple(max(a, b) for a, b in zip(mf, mg))
-        )
-        s = s_polynomial(f, g, order)
-        if s.terms:
-            assert order.key(leading_term(s, order)[0]) < lcm_key
-        # built from the two tails alone, it equals the full two-term difference
-        assert typed([s]) == typed([ref_s_polynomial(f, g, order)])
 
 
 class TestBuchberger:
@@ -425,7 +400,6 @@ class TestRingChecks:
 
     CALLS = {
         "normal_form": lambda: normal_form(p("x2", 2), [p("x3 - x1")], lex_order(3)),
-        "s_polynomial": lambda: s_polynomial(p("x1", 2), p("x1*x2", 2), lex_order(3)),
         "buchberger": lambda: buchberger([p("x3 - x1"), p("x1^2 + x3", field=GF(5))],
                                          lex_order(3)),
         "groebner_basis": lambda: groebner_basis([p("x3 - x1"), p("x1^2 + x3")], lex_order(2)),

@@ -3,9 +3,11 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,9 @@ from spechtgb import (
     GF,
     Poly,
     MonomialOrder,
+    SpechtGenerator,
     SuiteConfig,
+    Tableau,
     check_coefficient_descent,
     check_containment,
     check_engine,
@@ -32,6 +36,7 @@ from spechtgb import (
     filter_closure,
     filter_generators,
     is_groebner_basis,
+    lex_order,
     main,
     negative_controls,
     run_suite,
@@ -55,12 +60,22 @@ class TestIndividualChecks:
         filt = filter_closure(3, [(2, 1)], "lower")
         assert_clean_pass(check_lexgb(filt), "lexgb")
 
+    def test_lexgb_checks_the_closed_form_of_each_leading_monomial(self, monkeypatch):
+        # the closed form moved down one row: entry i in row d gives x_i^d
+        monkeypatch.setattr(verify, "initial_monomial", lambda t: tuple(
+            t.row_index()[i] for i in range(1, t.n + 1)))
+        report = check_lexgb(filter_closure(3, [(2, 1)], "lower"))
+        assert report.verdict == "fail"
+        assert report.reason == "a lex leading monomial is not its tableau's closed form"
+        assert report.evidence == {"tableau": [[1, 2], [3]]}
+
     def test_universal(self):
         filt = filter_closure(3, [(2, 1)], "lower")
-        report = check_universal(filt, order_budget=5, seed=1)
+        report = check_universal(filt, seed=1)
         assert_clean_pass(report, "universal")
-        assert report.evidence["orders_tested"] >= 5
-        assert report.evidence["lex_orders"] == 6  # all of 3! rankings
+        assert report.evidence["generators"] == 4
+        kinds = [text.split(":")[0] for text in report.evidence["referee_orders"]]
+        assert kinds == ["grlex", "grevlex", "weight"]
 
     def test_reduced(self):
         filt = filter_closure(3, [(2, 1)], "lower")
@@ -87,7 +102,7 @@ class TestIndividualChecks:
     def test_finite_field(self):
         filt = filter_closure(3, [(2, 1)], "lower")
         assert_clean_pass(
-            check_finite_field(filt, 3, order_budget=4, seed=0), "finite_field"
+            check_finite_field(filt, 3, seed=0), "finite_field"
         )
 
     def test_containment(self):
@@ -169,20 +184,20 @@ class TestPinnedHash:
         assert main(["verify", "all", "--max-n", "4", "--seed", "7"]) == 0
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("89 pass, 0 fail, 0 skipped")
-        assert last.endswith("[determinism sha256:862a5afc81a1813c]")
+        assert last.endswith("[determinism sha256:1573889d4edf4f47]")
 
     def test_verify_all_max_n_5_seed_7_hash(self, capsys):
         assert main(["verify", "all", "--max-n", "5", "--seed", "7"]) == 0
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("120 pass, 0 fail, 0 skipped")
-        assert last.endswith("[determinism sha256:c6984f01696bea5e]")
+        assert last.endswith("[determinism sha256:5080bc4cbe7124a9]")
 
     def test_verify_all_max_n_4_seed_3_f7_hash(self, capsys):
         # the one pin whose Groebner work runs the kernel's mod-p arithmetic
         assert main(["verify", "all", "--max-n", "4", "--seed", "3", "--field", "F7"]) == 0
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("40 pass, 0 fail, 29 skipped")
-        assert last.endswith("[determinism sha256:26024c6fa061035d]")
+        assert last.endswith("[determinism sha256:f7e424ccfe57c4c8]")
 
     def test_verify_lexgb_n_6_seed_7_hash(self, capsys):
         # every principal filter of 6, with the n! fillings of all-mode
@@ -190,6 +205,13 @@ class TestPinnedHash:
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("11 pass, 0 fail, 0 skipped")
         assert last.endswith("[determinism sha256:51ffceae6267f8bd]")
+
+    def test_verify_universal_n_6_seed_7_hash(self, capsys):
+        # every principal filter of 6, with the referee orders of seed 7
+        assert main(["verify", "universal", "--n", "6", "--seed", "7"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("11 pass, 0 fail, 0 skipped")
+        assert last.endswith("[determinism sha256:658142c6218b0fc1]")
 
 
 class TestCli:
@@ -523,24 +545,31 @@ class TestSingleRunFlags:
         assert row["parameters"]["field"] == "F7"
 
     def test_universal_covers_every_ranking_past_five(self, capsys):
+        # one proof covers all 720 lex rankings of 6, and every other order
         assert main(["verify", "universal", "--n", "6", "--filter", "lower<=[1,1,1,1,1,1]",
                      "--report", "json"]) == 0
         (row,) = _json_rows(capsys)
-        assert row["parameters"]["order_budget"] == 25
-        assert row["parameters"]["exhaustive_lex"] is True
-        assert row["evidence"]["lex_orders"] == 720
-        assert row["evidence"]["orders_tested"] == 745
-        assert row["metrics"] == {"orders_settled_by_symmetry": 743,
-                                  "orders_certified_by_buchberger": 2}
+        assert row["parameters"] == {"field": "Q", "filter": "lower:[1,1,1,1,1,1]", "n": 6,
+                                     "seed": 0}
+        assert row["evidence"]["generators"] == 1
+        assert len(row["evidence"]["referee_orders"]) == 3
+        assert set(row["metrics"]) == {"stability_ms", "lex_certificate_ms",
+                                       "column_products_ms", "referees_ms"}
+
+    def test_the_order_budget_flag_is_gone(self, capsys):
+        # universal proves every order at once, so no budget of orders remains
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "universal", "--order-budget", "6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --order-budget 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--samples", "0", "must be positive, got 0"),
         ("--samples", "-2", "must be positive, got -2"),
         ("--trials", "0", "must be positive, got 0"),
-        ("--order-budget", "-1", "must be nonnegative, got -1"),
     ])
     def test_budget_flags_refuse_values_that_void_a_check(self, flag, value, message, capsys):
-        check = {"--samples": "vanishing", "--trials": "descent"}.get(flag, "universal")
+        check = {"--samples": "vanishing", "--trials": "descent"}[flag]
         with pytest.raises(SystemExit) as exc:
             main(["verify", check, "--n", "3", flag, value])
         assert exc.value.code == 2
@@ -610,9 +639,8 @@ class TestEnumerationLimits:
 
 class TestSingleRunMatchesGrid:
     @pytest.mark.parametrize("single, grid", [
-        (["universal", "--n", "4", "--filter", "lower<=[2,1,1]", "--seed", "3",
-          "--order-budget", "6"],
-         ["universal", "--max-n", "4", "--seed", "3", "--order-budget", "6"]),
+        (["universal", "--n", "4", "--filter", "lower<=[2,1,1]", "--seed", "3"],
+         ["universal", "--max-n", "4", "--seed", "3"]),
         (["restricted", "--n", "4", "--shape", "[2,2]"], ["restricted", "--max-n", "4"]),
         (["vanishing", "--n", "3", "--samples", "3", "--seed", "2"],
          ["vanishing", "--max-n", "4", "--samples", "3", "--seed", "2"]),
@@ -631,118 +659,147 @@ def _monomial_symmetric(n: int, exponents) -> dict:
     return {m: 1 for m in itertools.permutations(exponents, n)}
 
 
+def _sweep_orders(n: int, rng: random.Random, lex_rankings: int | None = None) -> list:
+    """Every lex ranking of n, or that many distinct ones drawn from rng,
+    then 25 grlex, grevlex and weight orders drawn from rng."""
+    if lex_rankings is None:
+        rankings = list(itertools.permutations(range(1, n + 1)))
+    else:
+        drawn: set = set()
+        while len(drawn) < lex_rankings:
+            drawn.add(tuple(rng.sample(range(1, n + 1), n)))
+        rankings = sorted(drawn)
+    orders = [MonomialOrder("lex", n, r) for r in rankings]
+    for _ in range(25):
+        kind = rng.choice(("grlex", "grevlex", "weight"))
+        ranking = rng.sample(range(1, n + 1), n)
+        weights = ([Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n)]
+                   if kind == "weight" else None)
+        orders.append(MonomialOrder(kind, n, ranking, weights))
+    return orders
+
+
+def _fixture(poly, rows) -> SpechtGenerator:
+    """A generator that claims the tableau with the given rows."""
+    t = Tableau(rows)
+    return SpechtGenerator(t.shape, t, poly)
+
+
 class TestOrderShortcut:
-    """_order_failure settles orders by symmetry; it must say exactly what the
-    sweep that certifies every order by Buchberger says."""
+    """_every_order_failure proves a basis under every order without a
+    Buchberger run per order. It must pass wherever the reference sweep, which
+    runs one per order, passes, and refuse each broken fixture for its own
+    reason."""
 
     FIELDS = [QQ, GF(2), GF(3), GF(7)]
+    STABILITY = "not stable under the adjacent transpositions"
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.text())
     def test_matches_the_sweep_on_every_filter_up_to_four(self, field):
         for n in (2, 3, 4):
-            orders, _ = verify._universal_orders(n, 25, 7, True)
+            orders = _sweep_orders(n, random.Random(7))
             for filt in enumerate_lower_filters(n):
-                polys = [g.polynomial for g in filter_generators(filt, field=field)]
-                metrics = {}
-                assert verify._order_failure(polys, orders, "", metrics) == ref_order_failure(
-                    polys, orders, "")
-                assert sum(metrics.values()) == len(orders)
-                assert metrics["orders_certified_by_buchberger"] == 2
+                gens = filter_generators(filt, field=field)
+                evidence = {}
+                assert verify._every_order_failure(gens, 7, evidence, {}) is None
+                assert ref_order_failure([g.polynomial for g in gens], orders, "") is None
+                assert len(evidence["referee_orders"]) == 3
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.text())
     def test_matches_the_sweep_at_five_under_the_suites_orders(self, field):
-        orders, _ = verify._universal_orders(5, 25, 7, False)
+        # the 25 lex rankings and 25 other orders that the suite's n=5 rows
+        # sampled before universal proved every order at once
+        orders = _sweep_orders(5, random.Random(7), lex_rankings=25)
         for filt in enumerate_lower_filters(5):
-            polys = [g.polynomial for g in filter_generators(filt, field=field)]
-            assert verify._order_failure(polys, orders, "", {}) == ref_order_failure(
-                polys, orders, "")
+            gens = filter_generators(filt, field=field)
+            assert verify._every_order_failure(gens, 7, {}, {}) is None
+            assert ref_order_failure([g.polynomial for g in gens], orders, "") is None
 
     def test_a_dropped_generator_is_refused(self):
-        orders, _ = verify._universal_orders(3, 25, 0, True)
+        orders = _sweep_orders(3, random.Random(0))
         gens = filter_generators(filter_closure(3, [(2, 1)], "lower"))
-        polys = [g.polynomial for g in gens]
         verdicts = set()
         # a [2,1] generator; dropping the [1,1,1] one leaves the stable [2,1] set
         for k in (k for k, g in enumerate(gens) if g.shape == (2, 1)):
-            dropped = polys[:k] + polys[k + 1:]
-            assert not verify._symmetric_lex_basis(dropped)
-            verdict = verify._order_failure(dropped, orders, "", {})
-            assert verdict == ref_order_failure(dropped, orders, "")
-            verdicts.add(verdict)
+            dropped = gens[:k] + gens[k + 1:]
+            assert verify._every_order_failure(dropped, 0, {}, {}) == self.STABILITY
+            verdicts.add(ref_order_failure([g.polynomial for g in dropped], orders, ""))
         # dropping the first generator leaves a lex basis that fails under
         # another lex ranking: only the stability test tells the two apart
-        assert verify._symmetric_lex_basis(polys)
+        assert is_groebner_basis([g.polynomial for g in gens[1:]], lex_order(3))[0]
         assert "not a basis under lex:1,3,2" in verdicts
+        assert None not in verdicts
 
     def test_a_non_homogeneous_element_is_refused(self):
         # (1 + x1 + x2 + x3) * sum (xi - xj)^2 lies in the ideal and is
         # symmetric, so adding it keeps a stable lex basis: only the
         # homogeneity test refuses the set
-        orders, _ = verify._universal_orders(3, 25, 0, True)
-        polys = [g.polynomial for g in filter_generators(filter_closure(3, [(2, 1)], "lower"))]
+        gens = filter_generators(filter_closure(3, [(2, 1)], "lower"))
         x1, x2, x3 = (Poly.variable(i, 3) for i in (1, 2, 3))
-        mixed = polys + [(1 + x1 + x2 + x3) * ((x1 - x2)**2 + (x1 - x3)**2 + (x2 - x3)**2)]
-        assert verify._symmetric_lex_basis(polys)
-        assert not verify._symmetric_lex_basis(mixed)
-        metrics = {}
-        verdict = verify._order_failure(mixed, orders, "", metrics)
-        assert verdict == ref_order_failure(mixed, orders, "")
-        assert metrics["orders_settled_by_symmetry"] == 0
+        extra = (1 + x1 + x2 + x3) * ((x1 - x2)**2 + (x1 - x3)**2 + (x2 - x3)**2)
+        mixed = gens + (_fixture(extra, [[1], [2], [3]]),)
+        polys = [g.polynomial for g in mixed]
+        assert verify._every_order_failure(mixed, 0, {}, {}) == "a generator is not homogeneous"
+        keys = {verify._scaled(p.terms, p.field) for p in polys}
+        assert verify._stable_under_transpositions(polys, keys)
+        assert is_groebner_basis(polys, lex_order(3))[0]
 
     def test_a_stable_set_that_is_no_lex_basis_is_refused(self):
         # x1^2 + x2^2 and x1*x2: their S-polynomial x1^3 reduces no further
         polys = [Poly(2, QQ, {(2, 0): 1, (0, 2): 1}), Poly(2, QQ, {(1, 1): 1})]
-        assert not verify._symmetric_lex_basis(polys)
-        orders, _ = verify._universal_orders(2, 25, 0, True)
-        metrics = {}
-        verdict = verify._order_failure(polys, orders, "", metrics)
-        assert verdict == ref_order_failure(polys, orders, "") == "not a basis under lex:1,2"
-        assert metrics == {"orders_settled_by_symmetry": 0, "orders_certified_by_buchberger": 1}
+        fixtures = [_fixture(p, [[1], [2]]) for p in polys]
+        verdict = verify._every_order_failure(fixtures, 0, {}, {})
+        assert verdict == "not a basis under lex:1,2"
+        assert ref_order_failure(polys, _sweep_orders(2, random.Random(0)), "") == verdict
 
-    def test_an_order_whose_leading_terms_disagree_is_certified(self):
+    def test_a_symmetric_form_that_is_no_product_is_refused(self):
         # one symmetric form is a basis under every order, but under these
-        # weights its leading monomial has exponents (3,3), not the lex (4,1,1)
+        # weights its leading monomial has exponents (3,3), not the lex
+        # (4,1,1): the proof needs the factors, so it refuses the form
         terms = _monomial_symmetric(3, (4, 1, 1))
         terms.update(_monomial_symmetric(3, (3, 3, 0)))
-        polys = [Poly(3, QQ, terms)]
-        assert verify._symmetric_lex_basis(polys)
-        orders = [MonomialOrder("grlex", 3, (1, 2, 3)), MonomialOrder("grlex", 3, (3, 1, 2)),
-                  MonomialOrder("lex", 3, (2, 1, 3)),
-                  MonomialOrder("weight", 3, (1, 2, 3), (1, 10, 10))]
-        metrics = {}
-        verdict = verify._order_failure(polys, orders, "", metrics)
-        assert verdict == ref_order_failure(polys, orders, "")
-        assert verdict == ("leading term disagrees with the induced lex order under "
-                           "weight:1,10,10:lex:1,2,3")
-        assert metrics == {"orders_settled_by_symmetry": 1, "orders_certified_by_buchberger": 3}
+        form = Poly(3, QQ, terms)
+        verdict = verify._every_order_failure([_fixture(form, [[1], [2], [3]])], 0, {}, {})
+        assert verdict == "a generator is not its tableau's column product"
+        weight = MonomialOrder("weight", 3, (1, 2, 3), (1, 10, 10))
+        assert ref_order_failure([form], [MonomialOrder("grlex", 3), weight], "") == (
+            "leading term disagrees with the induced lex order under weight:1,10,10:lex:1,2,3")
 
     def test_finite_field_reuses_its_lex_certificate(self, monkeypatch):
         calls = []
 
         def counted(polys, order, **kwargs):
-            calls.append(order.text())
+            calls.append((order.text(), set(polys)))
             return is_groebner_basis(polys, order, **kwargs)
 
         monkeypatch.setattr(verify, "is_groebner_basis", counted)
-        report = check_finite_field(filter_closure(4, [(2, 2)], "lower"), 3, order_budget=10,
-                                    seed=3)
+        filt = filter_closure(4, [(2, 2)], "lower")
+        report = check_finite_field(filt, 3, seed=3)
         assert report.verdict == "pass"
-        assert report.metrics == {"orders_settled_by_symmetry": 8,
-                                  "orders_certified_by_buchberger": 2}
-        # the lex certificate, then the two referees, and nothing more
-        assert len(calls) == 3 and calls[0] == "lex:1,2,3,4"
+        assert set(report.metrics) == {"stability_ms", "column_products_ms", "referees_ms"}
+        # the lex certificate, then the three referees, and nothing more
+        assert [text for text, _ in calls] == ["lex:1,2,3,4"] + report.evidence["referee_orders"]
+        # each referee certifies the generator set itself, listed in its own order
+        gens = {g.polynomial for g in filter_generators(filt, field=GF(3))}
+        assert all(polys == gens for _, polys in calls)
+
+    def test_the_universal_control_needs_the_stability_test(self, monkeypatch):
+        monkeypatch.setattr(verify, "_stable_under_transpositions", lambda *args: True)
+        (control,) = [r for r in negative_controls(seed=7) if r.check_id == "control_universal"]
+        assert control.verdict == "fail"
 
 
 class TestMetrics:
     def test_metrics_stay_out_of_the_payload(self):
-        report = check_universal(filter_closure(3, [(2, 1)], "lower"), order_budget=5, seed=1)
+        report = check_universal(filter_closure(3, [(2, 1)], "lower"), seed=1)
         assert set(report.payload()) == {"schema", "check_id", "parameters", "verdict",
                                          "reason", "evidence"}
         record = report.record()
         assert set(record) == set(report.payload()) | {"timing_ms", "metrics"}
-        # 6 lex rankings and 5 sampled orders, two of those the referees
-        assert record["metrics"] == {"orders_settled_by_symmetry": 9,
-                                     "orders_certified_by_buchberger": 2}
+        # the time of each phase of the proof, in whole milliseconds
+        assert set(record["metrics"]) == {"stability_ms", "lex_certificate_ms",
+                                          "column_products_ms", "referees_ms"}
+        assert all(isinstance(v, int) for v in record["metrics"].values())
 
     def test_reduced_and_descent_count_oracle_work(self):
         from spechtgb import strata
@@ -770,8 +827,7 @@ class TestMetrics:
         assert main(["verify", "finite_field", "--n", "3", "--filter", "lower<=[2,1]",
                      "--field", "F5", "--report", "json"]) == 0
         (row,) = _json_rows(capsys)
-        assert set(row["metrics"]) == {"orders_settled_by_symmetry",
-                                       "orders_certified_by_buchberger"}
+        assert set(row["metrics"]) == {"stability_ms", "column_products_ms", "referees_ms"}
         assert main(["verify", "lexgb", "--n", "3", "--filter", "lower<=[2,1]",
                      "--report", "json"]) == 0
         (row,) = _json_rows(capsys)

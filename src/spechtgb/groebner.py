@@ -24,7 +24,9 @@ against the guard bits, a whole tail at once through the fieldwise max of its
 exponents; on overflow the call restarts with fields twice as wide, so no
 carry crosses a field. A call packs its inputs once, and a completed basis
 stays packed through reduction: only the leading monomial of a new basis
-element and the call's final outputs are unpacked.
+element and the call's final outputs are unpacked. normal_forms packs its
+basis once for all the polynomials it divides: equality with the ideal of a
+certified basis is a subset test plus those divisions, with no completion.
 """
 
 from __future__ import annotations
@@ -221,23 +223,28 @@ def _widening(polys: list, order, run):
 
 def _require_nonzero(basis) -> list[Poly]:
     gens = list(basis)
-    for g in gens:
-        if not g.terms:
-            raise ValueError("zero polynomial in basis")
+    if not all(g.terms for g in gens):
+        raise ValueError("zero polynomial in basis")
     return gens
+
+
+def normal_forms(polys, basis, order) -> list[Poly]:
+    """The remainder of each polynomial on division by the basis, packed
+    once for all of them; no remainder term is reducible."""
+    gens, polys = _require_nonzero(basis), list(polys)
+
+    def run(pk: _Packed) -> list[Poly]:
+        for g in gens:
+            pk.add(pk.pack(g))
+        return [Poly._raw(f.nvars, f.field, pk.unpack(pk.reduce(
+                    {pk.key(m): c for m, c in f.terms.items()}))) for f in polys]
+
+    return _widening(polys + gens, order, run)
 
 
 def normal_form(f: Poly, basis, order) -> Poly:
     """Remainder of f on division by the basis; no remainder term is reducible."""
-    gens = _require_nonzero(basis)
-
-    def run(pk: _Packed) -> Poly:
-        for g in gens:
-            pk.add(pk.pack(g))
-        terms = {pk.key(m): c for m, c in f.terms.items()}
-        return Poly._raw(f.nvars, f.field, pk.unpack(pk.reduce(terms)))
-
-    return _widening([f] + gens, order, run)
+    return normal_forms([f], basis, order)[0]
 
 
 def _settle_pairs(gens: list, order, *, complete: bool, pair_budget: int | None = None,
@@ -349,7 +356,11 @@ def is_groebner_basis(gens, order, *, use_chain_criterion: bool = True) -> tuple
     how it settled: reduced to zero, failed (a nonzero remainder), skipped
     with coprime leading monomials, or skipped via a third element k
     ("chain:k") whose leading monomial divides the pair lcm and whose two
-    linking pairs were settled earlier without failure.
+    linking pairs were settled earlier without failure. The chain links
+    depend on the list's order, and so does the cost, by orders of magnitude:
+    under lex on a 2-core Xeon VM, n=7 lower<=[3,2,2] (260 generators) took
+    3.1 s as enumerated and over 290 s reversed. `verify` passes enumeration
+    order.
     """
     log, _ = _settle_pairs(_require_nonzero(gens), order, complete=False,
                            use_chain_criterion=use_chain_criterion)

@@ -31,6 +31,7 @@ from spechtgb import (
     leading_term,
     lex_order,
     normal_form,
+    normal_forms,
     parse_polynomial,
     partitions_of,
     filter_closure,
@@ -400,6 +401,9 @@ class TestRingChecks:
 
     CALLS = {
         "normal_form": lambda: normal_form(p("x2", 2), [p("x3 - x1")], lex_order(3)),
+        # the basis and the first polynomial fit the order; the second does not
+        "normal_forms": lambda: normal_forms([p("x2"), p("x1", field=GF(3))], [p("x3 - x1")],
+                                             lex_order(3)),
         "buchberger": lambda: buchberger([p("x3 - x1"), p("x1^2 + x3", field=GF(5))],
                                          lex_order(3)),
         "groebner_basis": lambda: groebner_basis([p("x3 - x1"), p("x1^2 + x3")], lex_order(2)),
@@ -632,6 +636,31 @@ class TestSupportIndexedKernel:
         _, old_remainder = ref_division(f, basis, order)
         assert typed([normal_form(f, basis, order)]) == typed([old_remainder])
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([QQ, GF(2), GF(3), GF(7)]).flatmap(
+               lambda field: st.tuples(field_polys(field, max_size=4),
+                                       field_polys(field, max_terms=2, min_size=0, max_size=4))),
+           any_order_strategy())
+    def test_batched_division_matches_the_reference(self, polys, order):
+        # every polynomial divided in one packing of the basis, each as alone
+        fs, basis = polys
+        want = [ref_normal_form(f, basis, order) for f in fs]
+        assert typed(normal_forms(fs, basis, order)) == typed(want)
+        assert typed([normal_form(f, basis, order) for f in fs]) == typed(want)
+
+    def test_the_basis_is_packed_once_for_every_polynomial(self, monkeypatch):
+        packed = []
+        pack = _Packed.pack
+        monkeypatch.setattr(_Packed, "pack", lambda pk, g: packed.append(g) or pack(pk, g))
+        basis = [p("x2 - x1"), p("x3^2 - x1*x2")]
+        fs = [p("x3^2*x2"), p("x2^3 + x3"), Poly.zero(3), p("x3^2 - x1^2")]
+        assert normal_forms(fs, basis, lex_order(3)) == [
+            p("x1^3"), p("x1^3 + x3"), Poly.zero(3), Poly.zero(3)]
+        assert packed == basis
+        assert normal_forms([], basis, lex_order(3)) == []
+        with pytest.raises(ValueError, match="zero polynomial"):
+            normal_forms(fs, basis + [Poly.zero(3)], lex_order(3))
+
     @settings(max_examples=60, deadline=None)
     @given(FIELDS.flatmap(lambda field: field_polys(field, max_size=4)),
            any_order_strategy(), st.booleans())
@@ -768,6 +797,12 @@ class TestPackedWidening:
         assert len(widths) == 2
         assert typed([normal_form(p("x5^3 + x4*x3", 5), gens, lex_order(5))]) == typed(
             [ref_normal_form(p("x5^3 + x4*x3", 5), gens, lex_order(5))])
+        # in a batch, the one polynomial that overflows restarts every division
+        fs = [p("x4*x3 - x2", 5), p("x5^3 + x4*x3", 5), p("x2^2 + 1", 5)]
+        widths.clear()
+        assert typed(normal_forms(fs, gens, lex_order(5))) == typed(
+            [ref_normal_form(f, gens, lex_order(5)) for f in fs])
+        assert len(widths) == 2
 
     def test_lex_completion(self, widths):
         # degree 7 in, an exponent of 23 out

@@ -1,5 +1,6 @@
 """Check battery, negative controls, suite determinism, CLI behavior."""
 
+import inspect
 import itertools
 import json
 import os
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +42,7 @@ from spechtgb import (
     main,
     negative_controls,
     run_suite,
+    shape_generators,
     suite_exit_code,
 )
 from spechtgb import verify
@@ -121,6 +124,12 @@ class TestNegativeControls:
         for r in reports:
             assert r.verdict == "pass", (r.check_id, r.reason)
             json.dumps(r.payload(), sort_keys=True)
+
+    def test_the_restricted_control_needs_the_membership_test(self, monkeypatch):
+        # its fixture is still a lex basis, so only membership can refuse it
+        monkeypatch.setattr(verify, "_reduce_to_zero", lambda *args: True)
+        (control,) = [r for r in negative_controls() if r.check_id == "control_restricted"]
+        assert control.verdict == "fail"
 
 
 class TestSuite:
@@ -787,6 +796,81 @@ class TestOrderShortcut:
         monkeypatch.setattr(verify, "_stable_under_transpositions", lambda *args: True)
         (control,) = [r for r in negative_controls(seed=7) if r.check_id == "control_universal"]
         assert control.verdict == "fail"
+
+
+class TestMembershipRoute:
+    """restricted and lexgb test ideal equality against a certified lex basis
+    (_generates): the basis must lie among the other side's generators, and
+    each of those must reduce to zero by it. Each half can fail on its own."""
+
+    SUBSET = "a basis element is not a generator"
+    MEMBERSHIP = "a generator is outside the basis's ideal"
+
+    @pytest.fixture(autouse=True)
+    def no_completion(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a completion ran")
+
+        monkeypatch.setattr(verify, "groebner_basis", refuse)
+
+    def restricted_with(self, monkeypatch, change):
+        original = verify.restricted_standard_generators
+        monkeypatch.setattr(verify, "restricted_standard_generators",
+                            lambda lam: change(original(lam)))
+        return check_restricted((2, 2))
+
+    def test_a_larger_lex_basis_fails_the_subset_test(self, monkeypatch):
+        # [3,1] dominates [2,2]: with its generators added the set is still a
+        # lex basis and holds the full set in its ideal, which is larger
+        report = self.restricted_with(
+            monkeypatch, lambda gens: gens + shape_generators((3, 1), mode="standard"))
+        assert report.verdict == "fail"
+        assert report.reason == "the restricted set generates a different ideal"
+        assert report.evidence["pair_counts"]["failed"] == 0
+        assert report.evidence["mismatch"] == self.SUBSET
+
+    def test_a_smaller_lex_basis_fails_the_membership_test(self, monkeypatch):
+        # without [2,2]'s own generators, [2,1,1]'s still form a lex basis
+        report = self.restricted_with(
+            monkeypatch, lambda gens: tuple(g for g in gens if g.shape != (2, 2)))
+        assert report.verdict == "fail"
+        assert report.reason == "the restricted set generates a different ideal"
+        assert report.evidence["pair_counts"]["failed"] == 0
+        assert report.evidence["mismatch"] == self.MEMBERSHIP
+
+    def lexgb_with(self, monkeypatch, extra):
+        # all-mode gains one more polynomial; column-standard mode is untouched
+        filt = filter_closure(4, [(2, 2)], "lower")
+        original = verify.filter_generators
+        cs = [g.polynomial for g in original(filt)]
+
+        def patched(f, *, mode="column_standard", field=QQ):
+            gens = original(f, mode=mode, field=field)
+            if mode != "all":
+                return gens
+            return gens + (replace(gens[0], polynomial=extra(cs)),)
+
+        monkeypatch.setattr(verify, "filter_generators", patched)
+        return check_lexgb(filt)
+
+    def test_an_all_mode_set_with_the_same_ideal_passes(self, monkeypatch):
+        x1 = Poly(4, QQ, {(1, 0, 0, 0): 1})
+        report = self.lexgb_with(monkeypatch, lambda cs: x1 * cs[0] + cs[1])
+        assert_clean_pass(report, "lexgb")
+        assert report.evidence["all_mode_same_generators"] is False
+
+    def test_an_all_mode_set_with_a_larger_ideal_fails(self, monkeypatch):
+        outside = shape_generators((3, 1))[0].polynomial
+        report = self.lexgb_with(monkeypatch, lambda cs: outside)
+        assert report.verdict == "fail"
+        assert report.reason == "all-tableaux mode produced a different reduced basis"
+        assert report.evidence["mismatch"] == self.MEMBERSHIP
+
+    def test_restricted_and_lexgb_complete_nothing(self):
+        # every test here runs with groebner_basis refusing to run
+        assert_clean_pass(check_restricted((3, 2)), "restricted")
+        for check in (check_restricted, check_lexgb):
+            assert "pair_budget" not in inspect.signature(check).parameters
 
 
 class TestMetrics:

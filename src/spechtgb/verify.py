@@ -168,6 +168,23 @@ def _generates(basis: list[Poly], gens: list[Poly], order) -> str | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _lex_certificate(polys: tuple[Poly, ...]) -> tuple:
+    """(verdict, counts, first five failed pair records) of the generators
+    under lex x1 < ... < xn, once per set in a process: keyed on the set, not
+    its filter, and all tuples, so no two rows share a dict. The per-pair log
+    is not kept (384,126 entries for [7])."""
+    ok, cert = is_groebner_basis(polys, lex_order(polys[0].nvars))
+    failed = (tuple(p.items()) for p in cert["pairs"] if p["status"] == "failed")
+    return ok, tuple(cert["counts"].items()), tuple(itertools.islice(failed, 5))
+
+
+@lru_cache(maxsize=None)
+def _lex_reduced(polys: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """The reduced lex basis of a set _lex_certificate certified, once per set."""
+    return tuple(reduce_groebner_basis(polys, lex_order(polys[0].nvars)))
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -183,19 +200,19 @@ def check_lexgb(filt: PartitionFilter, *, field: Field = QQ) -> CheckReport:
     def body():
         order = lex_order(filt.n)
         gens = filter_generators(filt, field=field)
-        cs = [g.polynomial for g in gens]
+        cs = tuple(g.polynomial for g in gens)
         for g in gens:
             if leading_term(g.polynomial, order)[0] != initial_monomial(g.tableau):
                 return "fail", "a lex leading monomial is not its tableau's closed form", {
                     "tableau": [list(r) for r in g.tableau.rows]}
-        ok, cert = is_groebner_basis(cs, order)
-        evidence = {"generators": len(cs), "pair_counts": cert["counts"]}
+        ok, counts, failed = _lex_certificate(cs)
+        evidence = {"generators": len(cs), "pair_counts": dict(counts)}
         if not ok:
-            evidence["failed_pairs"] = [p for p in cert["pairs"] if p["status"] == "failed"][:5]
+            evidence["failed_pairs"] = [dict(p) for p in failed]
             return "fail", "an S-polynomial did not reduce to zero under lex", evidence
         all_polys = [g.polynomial for g in filter_generators(filt, mode="all", field=field)]
         evidence["all_mode_same_generators"] = same_set = set(all_polys) == set(cs)
-        evidence["reduced_basis_size"] = len(reduce_groebner_basis(cs, order))
+        evidence["reduced_basis_size"] = len(_lex_reduced(cs))
         if not same_set and (mismatch := _generates(cs, all_polys, order)):
             return "fail", "all-tableaux mode produced a different reduced basis", {
                 **evidence, "mismatch": mismatch}
@@ -260,14 +277,14 @@ def _column_product(t: Tableau, field: Field) -> Poly:
 
 
 def _every_order_failure(gens, seed: int, evidence: dict, metrics: dict, *,
-                         where: str = "", lex_basis: bool | None = None) -> str | None:
+                         lex_basis: bool, where: str = "") -> str | None:
     """Why the generators are not proved a basis under every monomial order,
     or None when they are.
 
     The proof rests on four facts, tested in this order: the polynomials are
     homogeneous; they are stable up to scalars under every permutation of the
     variables (_stable_under_transpositions); they are a basis under lex
-    x1 < ... < xn (lex_basis is that certificate when the caller holds it);
+    x1 < ... < xn (lex_basis, the caller's certificate of that);
     and each is, up to a scalar, its tableau's column product of factors
     x_i - x_j (_column_product). Stability carries the lex basis to every
     lex ranking. Leading terms multiply, so under any order each generator's
@@ -297,12 +314,8 @@ def _every_order_failure(gens, seed: int, evidence: dict, metrics: dict, *,
     lap("stability")
     if not stable:
         return f"not stable under the adjacent transpositions{where}"
-    lex = lex_order(n)
-    if lex_basis is None:
-        lex_basis, _ = is_groebner_basis(polys, lex)
-        lap("lex_certificate")
     if not lex_basis:
-        return f"not a basis{where} under {lex.text()}"
+        return f"not a basis{where} under {lex_order(n).text()}"
     for g, key in zip(gens, keys):
         product = _column_product(g.tableau, g.polynomial.field)
         if _scaled(product.terms, product.field) != key:
@@ -340,8 +353,11 @@ def check_universal(filt: PartitionFilter, *, seed: int = 0,
 
     def body():
         gens = filter_generators(filt, field=field)
+        started = time.perf_counter()
+        lex_basis = _lex_certificate(tuple(g.polynomial for g in gens))[0]
+        metrics["lex_certificate_ms"] = int((time.perf_counter() - started) * 1000)
         evidence = {"generators": len(gens)}
-        failure = _every_order_failure(gens, seed, evidence, metrics)
+        failure = _every_order_failure(gens, seed, evidence, metrics, lex_basis=lex_basis)
         if failure:
             return "fail", failure, evidence
         return "pass", None, evidence
@@ -523,16 +539,15 @@ def check_restricted(shape) -> CheckReport:
     parameters = {"n": n, "shape": partition_text(lam), "field": "Q"}
 
     def body():
-        order = lex_order(n)
-        restricted = [g.polynomial for g in restricted_standard_generators(lam)]
-        ok, cert = is_groebner_basis(restricted, order)
-        evidence = {"restricted_generators": len(restricted), "pair_counts": cert["counts"]}
+        restricted = tuple(g.polynomial for g in restricted_standard_generators(lam))
+        ok, counts, _ = _lex_certificate(restricted)
+        evidence = {"restricted_generators": len(restricted), "pair_counts": dict(counts)}
         if not ok:
             return "fail", "the restricted set is not a basis under lex", evidence
         full = [g.polynomial for g in filter_generators(filter_closure(n, [lam], "lower"))]
         evidence["full_generators"] = len(full)
-        evidence["reduced_basis_size"] = len(reduce_groebner_basis(restricted, order))
-        if mismatch := _generates(restricted, full, order):
+        evidence["reduced_basis_size"] = len(_lex_reduced(restricted))
+        if mismatch := _generates(restricted, full, lex_order(n)):
             return "fail", "the restricted set generates a different ideal", {
                 **evidence, "mismatch": mismatch}
         return "pass", None, evidence
@@ -540,36 +555,34 @@ def check_restricted(shape) -> CheckReport:
     return _guarded("restricted", parameters, body)
 
 
-def check_finite_field(filt: PartitionFilter, p: int, *, seed: int = 0,
-                       pair_budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
+def check_finite_field(filt: PartitionFilter, p: int, *, seed: int = 0) -> CheckReport:
     """The basis facts survive reduction mod p: the generator set is a lex
     basis over F_p, and so a basis under every monomial order by the proof of
     _every_order_failure, and its reduced basis is the termwise image of the
-    rational one."""
+    rational one, which the rational set is a lex basis for too."""
     parameters = {"n": filt.n, "filter": filter_text(filt), "p": p, "seed": seed}
     metrics: dict = {}
 
     def body():
         fp = GF(p)
-        n = filt.n
-        order = lex_order(n)
         gens_p = filter_generators(filt, field=fp)
-        polys_p = [g.polynomial for g in gens_p]
-        ok, cert = is_groebner_basis(polys_p, order)
-        evidence = {"generators_mod_p": len(polys_p), "pair_counts": cert["counts"]}
+        polys_p = tuple(g.polynomial for g in gens_p)
+        ok, counts, _ = _lex_certificate(polys_p)
+        evidence = {"generators_mod_p": len(gens_p), "pair_counts": dict(counts)}
         if not ok:
             return "fail", f"not a lex basis over F_{p}", evidence
         failure = _every_order_failure(gens_p, seed, evidence, metrics, where=f" over F_{p}",
                                        lex_basis=True)
         if failure:
             return "fail", failure, evidence
-        rgb_p = reduce_groebner_basis(polys_p, order)
-        rgb_q = groebner_basis([g.polynomial for g in filter_generators(filt)], order,
-                               pair_budget=pair_budget)
+        polys_q = tuple(g.polynomial for g in filter_generators(filt))
+        if not _lex_certificate(polys_q)[0]:
+            return "fail", "the rational generators are not a lex basis", evidence
         try:
-            image = [Poly(n, fp, {m: c for m, c in g.terms.items()}) for g in rgb_q]
+            image = tuple(Poly(filt.n, fp, g.terms) for g in _lex_reduced(polys_q))
         except ValueError:
             return "fail", f"a rational coefficient has no image mod {p}", evidence
+        rgb_p = _lex_reduced(polys_p)
         evidence["reduced_basis_size"] = len(rgb_p)
         if image != rgb_p:
             return "fail", "the reduced basis mod p is not the image of the rational one", evidence
@@ -690,7 +703,8 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
         # still a lex basis, so only the stability test can refuse it
         gens = filter_generators(filter_closure(3, [(2, 1)], "lower"))
         kept = [g for g in gens if g.tableau.rows != ((1, 2), (3,))]
-        failure = _every_order_failure(kept, seed, {}, {})
+        lex_basis, _ = is_groebner_basis([g.polynomial for g in kept], lex_order(3))
+        failure = _every_order_failure(kept, seed, {}, {}, lex_basis=lex_basis)
         return failure == "not stable under the adjacent transpositions", {"reason": failure}
 
     reports.append(_control("universal", {"n": 3, "fixture": "lower<=[2,1] without x3-x1"},
@@ -854,7 +868,7 @@ _CHECKS = {
         n, trials=c.trials, seed=c.seed, pair_budget=c.pair_budget), max_n=6, expands=()),
     "restricted": _Check("shape", "Q", lambda c, lam: check_restricted(lam)),
     "finite_field": _Check("filter", "F_p", lambda c, filt: check_finite_field(
-        filt, c.field.p, seed=c.seed, pair_budget=c.pair_budget), max_n=4),
+        filt, c.field.p, seed=c.seed), max_n=4),
     "containment": _Check("n", "Q", lambda c, n: check_containment(
         n, pair_budget=c.pair_budget)),
     "engine": _Check(None, "any", lambda c, _: check_engine(
@@ -1205,7 +1219,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--samples", type=_positive, default=10)
     verify_p.add_argument("--trials", type=_positive, default=20)
-    verify_p.add_argument("--pair-budget", type=_nonnegative, default=DEFAULT_PAIR_BUDGET)
+    verify_p.add_argument("--pair-budget", type=_nonnegative, default=DEFAULT_PAIR_BUDGET,
+                          help="S-pairs per completion or elimination in reduced, descent, "
+                               "containment and engine; lexgb, universal, restricted and "
+                               "finite_field certify without a budget")
     verify_p.add_argument("--no-controls", action="store_true",
                           help="skip the corrupted-fixture controls")
     _add_output_flags(verify_p)

@@ -37,6 +37,7 @@ from spechtgb import (
     enumerate_lower_filters,
     filter_closure,
     filter_generators,
+    groebner_basis,
     is_groebner_basis,
     lex_order,
     main,
@@ -207,6 +208,15 @@ class TestPinnedHash:
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("40 pass, 0 fail, 29 skipped")
         assert last.endswith("[determinism sha256:f7e424ccfe57c4c8]")
+
+    @pytest.mark.parametrize("field, pin", [("F2", "16a1278df8c00d0f"),
+                                            ("F3", "2490f1409d8f6bdc")])
+    def test_verify_all_max_n_4_seed_3_small_prime_hashes(self, field, pin, capsys):
+        # lexgb, universal and finite_field meet the same (filter, F_p) certificate
+        assert main(["verify", "all", "--max-n", "4", "--seed", "3", "--field", field]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("40 pass, 0 fail, 29 skipped")
+        assert last.endswith(f"[determinism sha256:{pin}]")
 
     def test_verify_lexgb_n_6_seed_7_hash(self, capsys):
         # every principal filter of 6, with the n! fillings of all-mode
@@ -657,10 +667,16 @@ class TestSingleRunMatchesGrid:
          ["reduced", "--max-n", "3", "--field", "F7"]),
     ])
     def test_single_run_gives_the_grid_row(self, capsys, single, grid):
+        # payloads only: timing_ms and metrics depend on what ran before
         assert main(["verify"] + single + ["--report", "json"]) == 0
-        (row,) = _json_rows(capsys)
+        (row,) = map(_payload, _json_rows(capsys))
         assert main(["verify"] + grid + ["--report", "json"]) == 0
-        assert row in _json_rows(capsys)
+        assert row in map(_payload, _json_rows(capsys))
+
+
+def _payload(row: dict) -> dict:
+    """A --report json row without its timing_ms and metrics."""
+    return {k: v for k, v in row.items() if k not in ("timing_ms", "metrics")}
 
 
 def _monomial_symmetric(n: int, exponents) -> dict:
@@ -688,6 +704,14 @@ def _sweep_orders(n: int, rng: random.Random, lex_rankings: int | None = None) -
     return orders
 
 
+def _order_failure(gens, seed: int, evidence: dict | None = None):
+    """_every_order_failure on a lex certificate computed fresh for gens."""
+    polys = [g.polynomial for g in gens]
+    lex_basis, _ = is_groebner_basis(polys, lex_order(polys[0].nvars))
+    return verify._every_order_failure(gens, seed, {} if evidence is None else evidence, {},
+                                       lex_basis=lex_basis)
+
+
 def _fixture(poly, rows) -> SpechtGenerator:
     """A generator that claims the tableau with the given rows."""
     t = Tableau(rows)
@@ -710,7 +734,7 @@ class TestOrderShortcut:
             for filt in enumerate_lower_filters(n):
                 gens = filter_generators(filt, field=field)
                 evidence = {}
-                assert verify._every_order_failure(gens, 7, evidence, {}) is None
+                assert _order_failure(gens, 7, evidence) is None
                 assert ref_order_failure([g.polynomial for g in gens], orders, "") is None
                 assert len(evidence["referee_orders"]) == 3
 
@@ -721,7 +745,7 @@ class TestOrderShortcut:
         orders = _sweep_orders(5, random.Random(7), lex_rankings=25)
         for filt in enumerate_lower_filters(5):
             gens = filter_generators(filt, field=field)
-            assert verify._every_order_failure(gens, 7, {}, {}) is None
+            assert _order_failure(gens, 7) is None
             assert ref_order_failure([g.polynomial for g in gens], orders, "") is None
 
     def test_a_dropped_generator_is_refused(self):
@@ -731,7 +755,7 @@ class TestOrderShortcut:
         # a [2,1] generator; dropping the [1,1,1] one leaves the stable [2,1] set
         for k in (k for k, g in enumerate(gens) if g.shape == (2, 1)):
             dropped = gens[:k] + gens[k + 1:]
-            assert verify._every_order_failure(dropped, 0, {}, {}) == self.STABILITY
+            assert _order_failure(dropped, 0) == self.STABILITY
             verdicts.add(ref_order_failure([g.polynomial for g in dropped], orders, ""))
         # dropping the first generator leaves a lex basis that fails under
         # another lex ranking: only the stability test tells the two apart
@@ -748,7 +772,7 @@ class TestOrderShortcut:
         extra = (1 + x1 + x2 + x3) * ((x1 - x2)**2 + (x1 - x3)**2 + (x2 - x3)**2)
         mixed = gens + (_fixture(extra, [[1], [2], [3]]),)
         polys = [g.polynomial for g in mixed]
-        assert verify._every_order_failure(mixed, 0, {}, {}) == "a generator is not homogeneous"
+        assert _order_failure(mixed, 0) == "a generator is not homogeneous"
         keys = {verify._scaled(p.terms, p.field) for p in polys}
         assert verify._stable_under_transpositions(polys, keys)
         assert is_groebner_basis(polys, lex_order(3))[0]
@@ -757,7 +781,7 @@ class TestOrderShortcut:
         # x1^2 + x2^2 and x1*x2: their S-polynomial x1^3 reduces no further
         polys = [Poly(2, QQ, {(2, 0): 1, (0, 2): 1}), Poly(2, QQ, {(1, 1): 1})]
         fixtures = [_fixture(p, [[1], [2]]) for p in polys]
-        verdict = verify._every_order_failure(fixtures, 0, {}, {})
+        verdict = _order_failure(fixtures, 0)
         assert verdict == "not a basis under lex:1,2"
         assert ref_order_failure(polys, _sweep_orders(2, random.Random(0)), "") == verdict
 
@@ -768,7 +792,7 @@ class TestOrderShortcut:
         terms = _monomial_symmetric(3, (4, 1, 1))
         terms.update(_monomial_symmetric(3, (3, 3, 0)))
         form = Poly(3, QQ, terms)
-        verdict = verify._every_order_failure([_fixture(form, [[1], [2], [3]])], 0, {}, {})
+        verdict = _order_failure([_fixture(form, [[1], [2], [3]])], 0)
         assert verdict == "a generator is not its tableau's column product"
         weight = MonomialOrder("weight", 3, (1, 2, 3), (1, 10, 10))
         assert ref_order_failure([form], [MonomialOrder("grlex", 3), weight], "") == (
@@ -782,20 +806,156 @@ class TestOrderShortcut:
             return is_groebner_basis(polys, order, **kwargs)
 
         monkeypatch.setattr(verify, "is_groebner_basis", counted)
+        _clear_lex_caches()
         filt = filter_closure(4, [(2, 2)], "lower")
         report = check_finite_field(filt, 3, seed=3)
         assert report.verdict == "pass"
         assert set(report.metrics) == {"stability_ms", "column_products_ms", "referees_ms"}
-        # the lex certificate, then the three referees, and nothing more
-        assert [text for text, _ in calls] == ["lex:1,2,3,4"] + report.evidence["referee_orders"]
+        # the lex certificate over F_3, the three referees, then the rational
+        # set's lex certificate in place of its completion, and nothing more
+        referees = report.evidence["referee_orders"]
+        assert [text for text, _ in calls] == ["lex:1,2,3,4"] + referees + ["lex:1,2,3,4"]
         # each referee certifies the generator set itself, listed in its own order
         gens = {g.polynomial for g in filter_generators(filt, field=GF(3))}
-        assert all(polys == gens for _, polys in calls)
+        assert all(polys == gens for _, polys in calls[:-1])
+        assert calls[-1][1] == {g.polynomial for g in filter_generators(filt)}
+        # warm, both lex certificates are shared: only the referees run again
+        calls.clear()
+        assert check_finite_field(filt, 3, seed=3).payload() == report.payload()
+        assert [text for text, _ in calls] == referees
 
     def test_the_universal_control_needs_the_stability_test(self, monkeypatch):
         monkeypatch.setattr(verify, "_stable_under_transpositions", lambda *args: True)
         (control,) = [r for r in negative_controls(seed=7) if r.check_id == "control_universal"]
         assert control.verdict == "fail"
+
+
+def _clear_lex_caches():
+    verify._lex_certificate.cache_clear()
+    verify._lex_reduced.cache_clear()
+
+
+class TestLexCertificate:
+    """lexgb, universal, finite_field and restricted share one lex certificate
+    per generator set in a process (_lex_certificate), and all but universal
+    one reduced basis (_lex_reduced). A row must not depend on what ran
+    before it, and a changed set is certified afresh."""
+
+    FIELDS = [QQ, GF(2), GF(3), GF(7)]
+    FILTER = filter_closure(4, [(2, 2)], "lower")
+
+    @staticmethod
+    def assert_matches_the_slow_path(polys):
+        order = lex_order(polys[0].nvars)
+        ok, counts, failed = verify._lex_certificate(tuple(polys))
+        fresh_ok, cert = is_groebner_basis(polys, order)
+        assert (ok, dict(counts)) == (fresh_ok, cert["counts"])
+        assert [dict(p) for p in failed] == [
+            p for p in cert["pairs"] if p["status"] == "failed"][:5]
+        if ok:
+            # the completion finite_field ran for its rational basis before
+            assert verify._lex_reduced(tuple(polys)) == tuple(groebner_basis(polys, order))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.text())
+    def test_matches_a_fresh_certificate_and_completion_up_to_four(self, field):
+        _clear_lex_caches()
+        for n in (2, 3, 4):
+            for filt in enumerate_lower_filters(n):
+                self.assert_matches_the_slow_path(
+                    [g.polynomial for g in filter_generators(filt, field=field)])
+
+    def test_matches_a_fresh_certificate_and_completion_at_five(self):
+        _clear_lex_caches()
+        for lam in verify.partitions_of(5):
+            filt = filter_closure(5, [lam], "lower")
+            self.assert_matches_the_slow_path([g.polynomial for g in filter_generators(filt)])
+
+    def test_a_set_that_is_no_lex_basis_keeps_its_failed_pairs(self):
+        # lower<=[2,2] without the generator of [[1,3],[2,4]] is no lex basis
+        gens = [g.polynomial for g in filter_generators(self.FILTER)]
+        self.assert_matches_the_slow_path(gens[:2] + gens[3:])
+        assert not verify._lex_certificate(tuple(gens[:2] + gens[3:]))[0]
+
+    def run(self, check: str, field):
+        if check == "lexgb":
+            return check_lexgb(self.FILTER, field=field)
+        if check == "universal":
+            return check_universal(self.FILTER, seed=3, field=field)
+        # over Q, the rational side of finite_field meets lexgb's certificate
+        return check_finite_field(self.FILTER, 3, seed=3)
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.text())
+    @pytest.mark.parametrize("check", ["lexgb", "universal", "finite_field"])
+    def test_a_row_is_the_same_cold_and_warm(self, check, field):
+        _clear_lex_caches()
+        cold = self.run(check, field).payload()
+        _clear_lex_caches()
+        for other in {"lexgb", "universal", "finite_field"} - {check}:
+            assert self.run(other, field).verdict == "pass"
+        hits = verify._lex_certificate.cache_info().hits
+        warm = self.run(check, field)
+        assert verify._lex_certificate.cache_info().hits > hits
+        assert warm.payload() == cold
+        # no row shares a mutable piece of evidence with another
+        for value in warm.evidence.values():
+            if isinstance(value, (dict, list)):
+                value.clear()
+        assert self.run(check, field).payload() == cold
+
+    def test_a_changed_generator_set_is_certified_afresh(self, monkeypatch):
+        # the same filter label, one generator fewer: a certificate keyed on
+        # the filter would pass it from the cache
+        assert check_lexgb(self.FILTER).verdict == "pass"
+        original = verify.filter_generators
+
+        def dropped(f, *, mode="column_standard", field=QQ):
+            gens = original(f, mode=mode, field=field)
+            return gens[:2] + gens[3:] if mode == "column_standard" else gens
+
+        monkeypatch.setattr(verify, "filter_generators", dropped)
+        report = check_lexgb(self.FILTER)
+        assert report.verdict == "fail"
+        assert report.reason == "an S-polynomial did not reduce to zero under lex"
+        assert report.evidence["generators"] == 7
+        # the failed pairs are the kernel's records, and each row gets its own
+        failed = report.evidence["failed_pairs"]
+        assert failed and all(p["status"] == "failed" for p in failed)
+        expected = json.dumps(report.payload(), sort_keys=True)
+        failed[0].clear()
+        assert json.dumps(check_lexgb(self.FILTER).payload(), sort_keys=True) == expected
+
+    def test_universal_reduces_nothing(self):
+        _clear_lex_caches()
+        assert check_universal(self.FILTER, seed=3).verdict == "pass"
+        assert verify._lex_certificate.cache_info().misses == 1
+        assert verify._lex_reduced.cache_info().misses == 0
+
+    def test_finite_field_completes_nothing_when_the_rational_set_certifies(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a completion ran")
+
+        monkeypatch.setattr(verify, "groebner_basis", refuse)
+        _clear_lex_caches()
+        for n in (2, 3, 4):
+            for filt in enumerate_lower_filters(n):
+                for p in verify.PRIMES:
+                    assert_clean_pass(check_finite_field(filt, p, seed=1), "finite_field")
+
+    def test_finite_field_fails_when_the_rational_set_is_no_lex_basis(self, monkeypatch):
+        # the F_3 set is whole; the rational one misses a generator, so it is
+        # refused, not completed
+        original = verify.filter_generators
+
+        def dropped(f, *, mode="column_standard", field=QQ):
+            gens = original(f, mode=mode, field=field)
+            return gens[:2] + gens[3:] if field == QQ else gens
+
+        monkeypatch.setattr(verify, "filter_generators", dropped)
+        monkeypatch.setattr(verify, "groebner_basis", None)
+        report = check_finite_field(self.FILTER, 3, seed=3)
+        assert report.verdict == "fail"
+        assert report.reason == "the rational generators are not a lex basis"
+        assert report.evidence["generators_mod_p"] == 8
 
 
 class TestMembershipRoute:

@@ -319,6 +319,20 @@ def tableaux(shape, mode: str = "all") -> tuple[Tableau, ...]:
     return tuple(out)
 
 
+def column_tableau(blocks) -> Tableau:
+    """The tableau whose columns, left to right and each read top to bottom, are
+    the blocks of a canonical set partition (see validate_set_partition).
+
+    Its shape is the conjugate of the block sizes. Blocks of equal size come by
+    least entry, so it is the row-major-first column-standard filling with
+    these columns. Like _trusted_tableau, it validates nothing.
+    """
+    t = object.__new__(Tableau)
+    object.__setattr__(t, "rows", tuple(tuple(c[r] for c in blocks if len(c) > r)
+                                        for r in range(len(blocks[0]))))
+    return t
+
+
 def tableau_count(shape, mode: str = "all") -> int:
     """len(tableaux(shape, mode)) in closed form: n!, n! over the product of
     c_j! for the column lengths c_j, or the hook-length count."""

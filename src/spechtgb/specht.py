@@ -1,25 +1,36 @@
 """Specht polynomials, generator sets for dominance filters, and span ranks.
 
 A tableau's polynomial is the product of (x_i - x_j) over all pairs i above j
-in the same column; single-row shapes give the constant 1. Generator sets are
-deduplicated after normalizing the leading coefficient under the reference
-lex order x1 < ... < xn to 1, so the set attached to a filter does not depend
-on which order a later computation uses.
+in the same column; single-row shapes give the constant 1. Generators are
+normalized to leading coefficient 1 under the reference lex order
+x1 < ... < xn, so the set attached to a filter does not depend on which order
+a later computation uses.
+
+The polynomial is a product of distinct linear factors, one per pair in a
+column, so by unique factorization (over Q and over every F_p) the
+polynomial up to a scalar fixes the columns of length two or more, and they
+fix it up to sign. The distinct column-standard generators of a shape
+therefore match the set partitions of 1..n of the conjugate type, Bell(n)
+of them over all shapes of n, and each is built from its set partition and
+expanded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .combinatorics import (
     TABLEAU_MODES,
     Partition,
     PartitionFilter,
     Tableau,
+    column_tableau,
+    conjugate,
     dominates,
     partitions_of,
+    set_partitions_of_type,
     tableaux,
     validate_partition,
 )
@@ -87,17 +98,25 @@ def _normalized(p: Poly, reference) -> Poly:
     _, lc = leading_term(p, reference)
     if lc == p.field.one:
         return p
+    if lc == p.field.neg(p.field.one):
+        return -p
     return p.term_mul((0,) * p.nvars, p.field.inv(lc))
 
 
 def shape_generators(shape, *, mode: str = "column_standard",
                      field: Field = QQ) -> tuple[SpechtGenerator, ...]:
-    """Deduplicated generators for one shape, in tableau enumeration order.
+    """Distinct generators for one shape, in tableau enumeration order.
 
-    Sign twins collapse under the normalization, and so do tableaux that only
-    shuffle entries across singleton columns (those never enter the product).
-    The first tableau producing each polynomial is the one kept. Each (shape,
-    mode, field) is expanded once per process; every call returns that tuple.
+    Two tableaux give the same generator exactly when they have the same
+    columns of length two or more (see the module docstring). column_standard
+    mode builds one tableau per set partition of 1..n of the conjugate type,
+    the row-major-first column-standard filling with those columns
+    (column_tableau), and expands each once: the tableau that the full
+    column-standard enumeration meets first for its polynomial. Standard
+    tableaux already have pairwise distinct columns. all mode expands every
+    filling and keeps the first tableau of each polynomial, an independent
+    route to the column-standard set. Each (shape, mode, field) is expanded
+    once per process; every call returns that tuple.
     """
     if mode not in TABLEAU_MODES:
         raise ValueError(f"mode must be one of {TABLEAU_MODES}, got {mode!r}")
@@ -108,15 +127,20 @@ def shape_generators(shape, *, mode: str = "column_standard",
 def _shape_generators_cached(lam: Partition, mode: str,
                              field: Field) -> tuple[SpechtGenerator, ...]:
     reference = lex_order(sum(lam))
-    seen: set[Poly] = set()
-    out = []
-    for t in tableaux(lam, mode):
-        p = _normalized(specht_polynomial(t, field), reference)
-        size = len(seen)  # one hash per polynomial: a new one grows the set
-        seen.add(p)
-        if len(seen) > size:
-            out.append(SpechtGenerator(shape=lam, tableau=t, polynomial=p))
-    return tuple(out)
+    if mode == "column_standard":
+        fillings = sorted(map(column_tableau, set_partitions_of_type(conjugate(lam))),
+                          key=attrgetter("rows"))
+    else:
+        fillings = tableaux(lam, mode)
+    gens = (SpechtGenerator(shape=lam, tableau=t,
+                            polynomial=_normalized(specht_polynomial(t, field), reference))
+            for t in fillings)
+    if mode != "all":
+        return tuple(gens)
+    first: dict[Poly, SpechtGenerator] = {}  # one hash per polynomial
+    for g in gens:
+        first.setdefault(g.polynomial, g)
+    return tuple(first.values())
 
 
 def filter_generators(filt: PartitionFilter, *, mode: str = "column_standard",

@@ -194,7 +194,10 @@ def check_lexgb(filt: PartitionFilter, *, field: Field = QQ) -> CheckReport:
     under lex x1 < ... < xn, each generator's lex leading monomial is its
     tableau's closed form (initial_monomial), and enumerating every tableau
     instead of only the column-standard ones leaves the ideal unchanged,
-    tested by membership against the certified set (_generates)."""
+    tested by membership against the certified set (_generates). The
+    column-standard set is built from set partitions, one per set of
+    columns, while all-mode expands every filling and drops the repeats, so
+    this comparison is also the runtime cross-check of that construction."""
     parameters = {"n": filt.n, "filter": filter_text(filt), "field": field.text()}
 
     def body():

@@ -13,24 +13,30 @@ the package, so that both sides raise and return the same types:
   IdealBasis container, and is_groebner_basis for ref_order_failure only;
 - spechtgb.combinatorics: partitions_of, set_partitions_of_type and
   validate_set_partition, which list the set partitions the strata
-  references intersect.
+  references intersect, and tableaux, which the generator-set reference
+  enumerates;
+- spechtgb.specht: specht_polynomial, the expansion the generator-set
+  reference deduplicates (ref_specht_polynomial referees it).
 
 The middle sections are the package's earlier Groebner kernel, kept
-verbatim as differential references: the division that scans whole
-exponent vectors for a divisor, the pair core before its coprime and chain
-tests read leading-monomial supports, and the two-loop pair engine that the
+verbatim as differential references: the division that scans whole exponent
+vectors for a divisor, the pair core before its coprime and chain tests
+read leading-monomial supports, and the two-loop pair engine that the
 shared pair core replaced. Then the Specht expansion that folded one factor
 x_i - x_j at a time into a term dict, before each column was expanded as a
-Vandermonde determinant. Then the universal-order sweep that certified
-every order by Buchberger before universal proved every order at once; it
-referees that proof, not the kernel, so it runs the package's checker. Then
-dense row reduction, which computed span ranks before generators were
-divided by one another; the dominance-closure test that compared every
-member with every partition; and the per-check size rules that listed what
-each verify check expands. Last, the strata oracle that scanned every pair of set partitions,
-folded each filter from scratch and interreduced each whole elimination
-basis, starting from subspace ideals given by consecutive differences; its
-eliminations run the frozen Buchberger and reduction.
+Vandermonde determinant, and the generator sets that expanded every
+enumerated tableau and kept the first of each polynomial, before one
+tableau was built per set partition. Then the universal-order sweep that
+certified every order by Buchberger before universal proved every order at
+once; it referees that proof, not the kernel, so it runs the package's
+checker. Then dense row reduction, which computed span ranks before
+generators were divided by one another; the dominance-closure test that
+compared every member with every partition; and the per-check size rules
+that listed what each verify check expands. Last, the strata oracle that
+scanned every pair of set partitions, folded each filter from scratch and
+interreduced each whole elimination basis, starting from subspace ideals
+given by consecutive differences; its eliminations run the frozen
+Buchberger and reduction.
 """
 
 import heapq
@@ -47,6 +53,7 @@ from spechtgb.polyring import (
     MonomialOrder,
     Poly,
     leading_term,
+    lex_order,
     mono_degree,
     mono_div,
     mono_lcm,
@@ -641,6 +648,24 @@ def ref_specht_polynomial(t, field: Field = QQ) -> Poly:
                     out[mj] = get(mj, 0) - c
                 terms = out
     return Poly._raw(n, field, field.canonical(terms))
+
+
+def ref_shape_generators(lam, mode: str, field: Field = QQ) -> tuple:
+    """(tableau, polynomial) for each distinct generator of a shape: every
+    enumerated tableau expanded and normalized to leading coefficient 1 under
+    lex, the first tableau of each polynomial kept, in enumeration order."""
+    from spechtgb.combinatorics import tableaux
+    from spechtgb.specht import specht_polynomial
+
+    order = lex_order(sum(lam))
+    kept: dict = {}
+    for t in tableaux(lam, mode):
+        p = specht_polynomial(t, field)
+        lc = leading_term(p, order)[1]
+        if lc != field.one:
+            p = p.term_mul((0,) * p.nvars, field.inv(lc))
+        kept.setdefault(p, t)
+    return tuple((t, p) for p, t in kept.items())
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from spechtgb import (
     validate_partition,
     validate_set_partition,
 )
+from spechtgb.combinatorics import column_tableau
 
 from oracles import (
     brute_partitions,
@@ -332,6 +333,25 @@ class TestTableaux:
             assert std <= colstd <= everything
             assert all(t.is_column_standard() for t in colstd)
             assert all(is_standard_filling(t.rows) for t in std)
+
+
+    def test_column_tableau_is_the_first_filling_with_its_columns(self):
+        # one tableau per set partition of the conjugate type, and it is the
+        # first column-standard filling whose columns are those blocks
+        for n in range(1, 8):
+            for lam in partitions_of(n):
+                first: dict = {}
+                for t in tableaux(lam, "column_standard"):
+                    first.setdefault(frozenset(t.columns()), t)
+                built = []
+                for blocks in set_partitions_of_type(conjugate(lam)):
+                    t = column_tableau(blocks)
+                    assert Tableau(t.rows).rows == t.rows
+                    assert t.shape == lam
+                    assert t.columns() == blocks
+                    built.append(t)
+                assert sorted(built, key=lambda t: t.rows) == sorted(
+                    first.values(), key=lambda t: t.rows)
 
 
 class TestOrbitsAndSetPartitions:

@@ -482,6 +482,20 @@ class TestCanonicalCoefficients:
         for lam in partitions_of(4):
             assert_canonical(g.polynomial for g in shape_generators(lam))
 
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=lambda f: f.text())
+    def test_normalized_negation_is_scaling_by_the_inverse(self, field):
+        # a leading coefficient of -1 negates; over F2, -1 = 1 keeps f as it is
+        order = lex_order(3)
+        f = p("-x3*x1 + 2*x2^2 - x1 + 1", field=field)
+        assert leading_term(f, order)[1] == field.neg(field.one)
+        scaled = f.term_mul((0, 0, 0), field.inv(field.neg(field.one)))
+        normalized = _normalized(f, order)
+        assert typed([normalized]) == typed([scaled])
+        assert list(normalized.terms) == list(scaled.terms)
+        assert leading_term(normalized, order)[1] == field.one
+        if field.p == 2:
+            assert normalized is f
+
 
 def typed(polys):
     """Each polynomial's terms with every coefficient's type, in list order."""

@@ -31,6 +31,7 @@ from spechtgb import (
 from spechtgb import specht
 
 from oracles import (
+    bell_number,
     brute_permutation_sign,
     column_pairs,
     difference_product,
@@ -38,6 +39,7 @@ from oracles import (
     hook_length_count,
     is_standard_filling,
     ref_poly_rank,
+    ref_shape_generators,
     ref_specht_polynomial,
     relabeled_rows,
 )
@@ -282,6 +284,60 @@ class TestShapeGenerators:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             shape_generators((2, 1), mode="fancy")
+
+
+GENERATOR_GRID = [pytest.param(n, field, id=f"{n}-{field.text()}")
+                  for n in range(1, 7) for field in (QQ, GF(2), GF(3), GF(7))]
+GENERATOR_GRID.append(pytest.param(7, QQ, id="7-Q"))
+
+
+def generator_entries(pairs):
+    """Each (tableau, polynomial) as rows and terms in dict order, with every
+    coefficient's type."""
+    return [(t.rows, [(m, type(c).__name__, c) for m, c in p.terms.items()], p.field)
+            for t, p in pairs]
+
+
+class TestDirectConstruction:
+    """column_standard and standard generators, built without expanding a
+    repeat, equal the expand-every-tableau-and-deduplicate construction:
+    same tableaux, same polynomials, same order."""
+
+    @pytest.mark.parametrize("n, field", GENERATOR_GRID)
+    @pytest.mark.parametrize("mode", ["column_standard", "standard"])
+    def test_matches_deduplicated_enumeration(self, n, field, mode):
+        for lam in partitions_of(n):
+            gens = shape_generators(lam, mode=mode, field=field)
+            assert generator_entries((g.tableau, g.polynomial) for g in gens) == (
+                generator_entries(ref_shape_generators(lam, mode, field)))
+            assert {g.shape for g in gens} == {lam}
+
+    def count_expansions(self, monkeypatch, n, mode):
+        """(specht_polynomial calls, generators kept) over the shapes of n,
+        expanded past the memo."""
+        calls = []
+        expand = specht.specht_polynomial
+
+        def counted(t, field=QQ):
+            calls.append(t)
+            return expand(t, field)
+
+        monkeypatch.setattr(specht, "specht_polynomial", counted)
+        kept = sum(len(specht._shape_generators_cached.__wrapped__(lam, mode, QQ))
+                   for lam in partitions_of(n))
+        return len(calls), kept
+
+    def test_column_standard_expands_once_per_set_partition(self, monkeypatch):
+        assert self.count_expansions(monkeypatch, 6, "column_standard") == (203, 203)
+        assert bell_number(6) == 203
+
+    def test_standard_expands_once_per_standard_tableau(self, monkeypatch):
+        standard = sum(hook_length_count(lam) for lam in partitions_of(6))
+        assert self.count_expansions(monkeypatch, 6, "standard") == (standard, standard)
+
+    def test_all_mode_still_expands_every_filling(self, monkeypatch):
+        fillings = len(partitions_of(5)) * 120
+        assert self.count_expansions(monkeypatch, 5, "all") == (fillings, bell_number(5))
 
 
 class TestStandardGeneratorsOfEight:

@@ -232,6 +232,14 @@ class TestPinnedHash:
         assert last.startswith("11 pass, 0 fail, 0 skipped")
         assert last.endswith("[determinism sha256:658142c6218b0fc1]")
 
+    def test_verify_vanishing_n_6_seed_7_hash(self, capsys):
+        # the column-standard generators of every shape of 6, evaluated on
+        # sampled points of every stratum
+        assert main(["verify", "vanishing", "--n", "6", "--seed", "7"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("1 pass, 0 fail, 0 skipped")
+        assert last.endswith("[determinism sha256:0d72ad2195bc6558]")
+
 
 class TestCli:
     def test_python_dash_m_runs_the_cli(self):

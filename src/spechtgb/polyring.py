@@ -385,20 +385,34 @@ class Poly:
         )
 
     def evaluate(self, point):
-        values = [self.field.coerce(v) for v in point]
-        if len(values) != self.nvars:
-            raise ValueError(f"point has {len(values)} coordinates, need {self.nvars}")
-        p = self.field.p
-        total = 0
-        for m, c in self.terms.items():
-            for v, e in zip(values, m):
-                if e:
-                    c = c * v**e if p is None else c * pow(v, e, p) % p
-            total += c
-        return self.field.coerce(total)
+        return next(evaluations((self,), point))
 
     def __repr__(self) -> str:
         return f"Poly({polynomial_text(self)!r}, nvars={self.nvars}, field={self.field.text()})"
+
+
+def evaluations(polys, point):
+    """Yield the value at point of each polynomial of one ring in turn. They
+    share one table of monomial values, which lives only as long as this call."""
+    if not (polys := tuple(polys)):
+        return
+    for f in polys[1:]:
+        polys[0]._check_compatible(f)
+    nvars, field = polys[0].nvars, polys[0].field
+    values = [field.coerce(v) for v in point]
+    if len(values) != nvars:
+        raise ValueError(f"point has {len(values)} coordinates, need {nvars}")
+    p, moduli = field.p, (field.p,) * nvars
+    table: dict = {}
+    for f in polys:
+        total = 0
+        for m, c in f.terms.items():
+            v = table.get(m)
+            if v is None:
+                v = table[m] = (math.prod(map(pow, values, m)) if p is None
+                                else math.prod(map(pow, values, m, moduli)) % p)
+            total += c * v
+        yield field.coerce(total)
 
 
 def leading_term(f: Poly, order: MonomialOrder) -> tuple[Monomial, object]:

@@ -16,7 +16,10 @@ the package, so that both sides raise and return the same types:
   references intersect, and tableaux, which the generator-set reference
   enumerates;
 - spechtgb.specht: specht_polynomial, the expansion the generator-set
-  reference deduplicates (ref_specht_polynomial referees it).
+  reference deduplicates (ref_specht_polynomial referees it);
+- spechtgb.strata: sample_stratum, the points the vanishing-check
+  reference evaluates at, with partition_text from spechtgb.combinatorics
+  for its reasons.
 
 The middle sections are the package's earlier Groebner kernel, kept
 verbatim as differential references: the division that scans whole exponent
@@ -32,11 +35,12 @@ once; it referees that proof, not the kernel, so it runs the package's
 checker. Then dense row reduction, which computed span ranks before
 generators were divided by one another; the dominance-closure test that
 compared every member with every partition; and the per-check size rules
-that listed what each verify check expands. Last, the strata oracle that
+that listed what each verify check expands. Then the strata oracle that
 scanned every pair of set partitions, folded each filter from scratch and
 interreduced each whole elimination basis, starting from subspace ideals
 given by consecutive differences; its eliminations run the frozen
-Buchberger and reduction.
+Buchberger and reduction. Last, the vanishing check's loop before its
+generators shared one table of monomial values per point.
 """
 
 import heapq
@@ -888,3 +892,43 @@ def ref_vanishing_ideal_oracle(g, *, pair_budget: int = DEFAULT_PAIR_BUDGET):
         result = IdealBasis(n, QQ, tuple(ref_groebner_basis(result.generators, order,
                                                             pair_budget=pair_budget)))
     return result
+
+
+# ---------------------------------------------------------------------------
+# the vanishing check before one table of monomial values per point: on a
+# stratum the shape does not dominate, generator by generator, each at every
+# point in turn; on a dominated one, point by point. Values by eval_poly.
+
+
+def ref_stratum_vanishing(n: int, generators, *, samples: int = 10, seed: int = 0):
+    """(verdict, reason, evidence) of the vanishing check, for generators
+    mapping a shape to its list of polynomials."""
+    from spechtgb.combinatorics import partition_text, partitions_of
+    from spechtgb.strata import sample_stratum
+
+    shapes = partitions_of(n)
+    zero_evaluations = witness_points = 0
+    for lam_idx, lam in enumerate(shapes):
+        gens = generators(lam)
+        for mu_idx, mu in enumerate(shapes):
+            points = sample_stratum(mu, samples, seed * 1_000_003 + lam_idx * len(shapes) + mu_idx)
+            if not dominates_by_partial_sums(lam, mu):
+                for p in gens:
+                    for point in points:
+                        if eval_poly(p.terms, point) != 0:
+                            return "fail", (
+                                f"a generator of {partition_text(lam)} is nonzero on "
+                                f"a point of type {partition_text(mu)}"
+                            ), {"zero_evaluations": zero_evaluations}
+                        zero_evaluations += 1
+            else:
+                for point in points:
+                    if all(eval_poly(p.terms, point) == 0 for p in gens):
+                        return "fail", (
+                            f"no generator of {partition_text(lam)} is nonzero on "
+                            f"a point of type {partition_text(mu)}"
+                        ), {"witness_points": witness_points}
+                    witness_points += 1
+    evidence = {"shapes": len(shapes), "zero_evaluations": zero_evaluations,
+                "witness_points": witness_points}
+    return "pass", None, evidence

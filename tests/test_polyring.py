@@ -16,6 +16,7 @@ from spechtgb import (
     PolynomialSyntaxError,
     QQ,
     coefficients_in_last_variable,
+    evaluations,
     leading_term,
     lex_order,
     mono_degree,
@@ -386,6 +387,109 @@ class TestIntFirstCoefficients:
             assert all(type(c) is int and 0 < c < 7 for c in h.terms.values())
         assert 0 <= (f * g).evaluate(point) < 7
         assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point) % 7
+
+
+def scalars(field):
+    """ints and Fractions over Q; ints over F_p, where not every Fraction
+    has an image."""
+    return mixed_coefficients() if field == QQ else st.integers(-20, 20)
+
+
+@st.composite
+def shared_polys(draw, field):
+    """A list of polynomials in 3 variables whose monomials come from one
+    small pool, so that most of them recur across the list."""
+    pool = draw(st.lists(monomials(3), min_size=1, max_size=5, unique=True))
+    terms = st.dictionaries(st.sampled_from(pool), scalars(field), max_size=len(pool))
+    return draw(st.lists(terms.map(lambda d: Poly(3, field, d)), max_size=6))
+
+
+def points(field):
+    return st.tuples(scalars(field), scalars(field), scalars(field))
+
+
+def expected_values(polys, point):
+    return [f.field.coerce(eval_poly(f.terms, point)) for f in polys]
+
+
+class CountingTerms(dict):
+    """A term dict that records each time its terms are read."""
+
+    def __init__(self, terms, reads):
+        super().__init__(terms)
+        self.reads = reads
+
+    def items(self):
+        self.reads.append(self)
+        return super().items()
+
+
+FIELDS = st.sampled_from([QQ, GF(2), GF(3), GF(7)])
+
+
+class TestEvaluations:
+    """evaluations(polys, point) yields what Poly.evaluate gives for each
+    polynomial, lazily, from a table of monomial values private to the call."""
+
+    @settings(max_examples=80)
+    @given(st.data(), FIELDS)
+    def test_matches_the_fraction_reference(self, data, field):
+        polys = data.draw(shared_polys(field)) + [Poly.zero(3, field)]
+        point = data.draw(points(field))
+        values = list(evaluations(polys, point))
+        assert values == expected_values(polys, point)
+        assert values == [f.evaluate(point) for f in polys]
+        if field == QQ:
+            assert all(type(v) is int or v.denominator != 1 for v in values)
+        else:
+            assert all(type(v) is int and 0 <= v < field.p for v in values)
+
+    @settings(max_examples=60)
+    @given(st.data(), FIELDS)
+    def test_each_point_has_its_own_table(self, data, field):
+        polys = data.draw(shared_polys(field))
+        a, b = data.draw(points(field)), data.draw(points(field))
+        assert list(evaluations(polys, a)) == expected_values(polys, a)
+        assert list(evaluations(polys, b)) == expected_values(polys, b)
+        # in lockstep, as the vanishing check steps them
+        rows = list(zip(*(evaluations(polys, pt) for pt in (a, b))))
+        assert rows == list(zip(expected_values(polys, a), expected_values(polys, b)))
+
+    @given(st.data(), FIELDS)
+    def test_a_constant_in_no_variables(self, data, field):
+        c = data.draw(scalars(field))
+        f = Poly.constant(c, 0, field)
+        assert list(evaluations([f, Poly.zero(0, field)], ())) == [field.coerce(c), 0]
+        assert f.evaluate(()) == field.coerce(c)
+
+    def test_a_consumer_that_stops_early_reads_one_polynomial(self):
+        reads = []
+        polys = [Poly._raw(2, QQ, CountingTerms({(1, k): k + 1}, reads)) for k in range(4)]
+        values = evaluations(polys, (2, 3))
+        assert next(values) == 2
+        assert reads == [polys[0].terms]
+
+    def test_an_empty_list_yields_nothing(self):
+        assert list(evaluations([], (1, 2))) == []
+
+    CALLS = {
+        "nvars": lambda: list(evaluations([Poly.variable(1, 2), Poly.variable(1, 3)], (1, 2))),
+        "field": lambda: list(evaluations([Poly.variable(1, 2), Poly.variable(1, 2, GF(5))],
+                                          (1, 2))),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_other_rings_are_refused(self, entry):
+        with pytest.raises(ValueError, match="different rings"):
+            self.CALLS[entry]()
+
+    def test_a_point_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="point has 2 coordinates, need 3"):
+            list(evaluations([Poly.variable(1, 3)], (1, 2)))
+
+    def test_an_inexact_coordinate_is_refused(self):
+        with pytest.raises(TypeError):
+            list(evaluations([Poly.variable(1, 2)], (0.5, 1)))
 
 
 class TestInexactInputs:

@@ -48,7 +48,7 @@ from spechtgb import (
 )
 from spechtgb import verify
 
-from oracles import REF_EXPANDS, ref_order_failure
+from oracles import REF_EXPANDS, ref_order_failure, ref_stratum_vanishing
 
 
 def assert_clean_pass(report, check_id):
@@ -1039,6 +1039,53 @@ class TestMembershipRoute:
         assert_clean_pass(check_restricted((3, 2)), "restricted")
         for check in (check_restricted, check_lexgb):
             assert "pair_budget" not in inspect.signature(check).parameters
+
+
+class TestVanishingEvidence:
+    """The vanishing check counts the evaluations the reference loop counts,
+    on a failing row as well as a passing one. Three points per stratum, not
+    four: with x1 - x3 added [2,2] has four generators, and with as many
+    points as generators a point-major loop would count the same as a
+    generator-major one."""
+
+    def compare(self, monkeypatch, change):
+        original = verify.shape_generators
+
+        def patched(lam, **kwargs):
+            return change(lam, original(lam, **kwargs))
+
+        monkeypatch.setattr(verify, "shape_generators", patched)
+        report = check_stratum_vanishing(4, samples=3, seed=3)
+        expected = ref_stratum_vanishing(4, lambda lam: [g.polynomial for g in patched(lam)],
+                                         samples=3, seed=3)
+        assert (report.verdict, report.reason, report.evidence) == expected
+        return report
+
+    def test_the_passing_row(self, monkeypatch):
+        report = self.compare(monkeypatch, lambda lam, gens: gens)
+        assert_clean_pass(report, "vanishing")
+
+    def test_a_generator_nonzero_on_a_stratum_it_does_not_dominate(self, monkeypatch):
+        # x1 - x3 in second place among [2,2]'s generators: zero on the
+        # stratum [4] and at the first sampled point of [3,1], not the second
+        x1_minus_x3 = Poly(4, QQ, {(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})
+
+        def change(lam, gens):
+            if lam != (2, 2):
+                return gens
+            return gens[:1] + (replace(gens[0], polynomial=x1_minus_x3),) + gens[1:]
+
+        report = self.compare(monkeypatch, change)
+        assert report.verdict == "fail"
+        assert report.reason == "a generator of [2,2] is nonzero on a point of type [3,1]"
+
+    def test_every_generator_vanishing_on_a_dominated_stratum(self, monkeypatch):
+        # [1,1,1,1]'s generator in place of [2,2]'s: it vanishes wherever two
+        # coordinates agree, so on the stratum [2,2] itself
+        vandermonde = shape_generators((1, 1, 1, 1))
+        report = self.compare(monkeypatch, lambda lam, gens: vandermonde if lam == (2, 2) else gens)
+        assert report.verdict == "fail"
+        assert report.reason == "no generator of [2,2] is nonzero on a point of type [2,2]"
 
 
 class TestMetrics:

@@ -396,11 +396,6 @@ class IdealBasis:
         return not self.generators
 
 
-def ideal_membership(f: Poly, groebner: list[Poly], order) -> bool:
-    """Membership test against an already-computed Groebner basis."""
-    return not normal_form(f, groebner, order).terms
-
-
 def _lift(f: Poly, with_aux: bool) -> Poly:
     # t*f when with_aux, else (1 - t)*f, in one extra trailing variable
     field = f.field

@@ -8,8 +8,8 @@ immutable and every operation is re-entrant; there are no shared mutable
 caches.
 
 Owns the monomial orders (lex, graded lex, graded reverse lex, positive weight
-with lex tiebreak), the polynomial text grammar, and the order/field syntax
-used by the CLI: ``lex:3,1,2`` lists the variable ranking in ascending order,
+with lex tiebreak), the polynomial text the CLI prints, and the order/field
+syntax it reads: ``lex:3,1,2`` lists the variable ranking in ascending order,
 ``weight:w1,...,wn:lex:r1,...,rn`` adds positive rational weights, and fields
 are spelled ``Q`` or ``F7``.
 """
@@ -134,18 +134,6 @@ def parse_field(text: str) -> Field:
     if s.startswith("F") and s[1:].isdigit():
         return Field(int(s[1:]))
     raise ValueError(f"cannot parse field from {text!r} (expected Q or F<p>)")
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
 
 
 class MonomialOrder:
@@ -436,137 +424,6 @@ def coefficients_in_last_variable(f: Poly) -> list[Poly]:
     return [Poly._raw(f.nvars - 1, f.field, s) for s in slices]
 
 
-class PolynomialSyntaxError(ValueError):
-    """Rejected polynomial text, carrying the offending position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j], i))
-            i = j
-        elif ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PolynomialSyntaxError("variable needs a numeric index", i)
-            toks.append(("var", text[i:j], i))
-            i = j
-        elif ch in "+-*^()/":
-            toks.append((ch, ch, i))
-            i += 1
-        else:
-            raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", n))
-    return toks
-
-
-class _Parser:
-    def __init__(self, tokens, nvars: int, field: Field):
-        self.tokens = tokens
-        self.pos = 0
-        self.nvars = nvars
-        self.field = field
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.take()
-        if tok[0] != kind:
-            raise PolynomialSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self) -> Poly:
-        value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise PolynomialSyntaxError(f"unexpected trailing {tok[1]!r}", tok[2])
-        return value
-
-    def expr(self) -> Poly:
-        negate = False
-        if self.peek()[0] in ("+", "-"):
-            negate = self.take()[0] == "-"
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            value = value - rhs if op == "-" else value + rhs
-        return value
-
-    def term(self) -> Poly:
-        value = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
-            value = value * self.factor()
-        return value
-
-    def factor(self) -> Poly:
-        base = self.base()
-        if self.peek()[0] == "^":
-            self.take()
-            tok = self.expect("int")
-            base = base ** int(tok[1])
-        return base
-
-    def base(self) -> Poly:
-        tok = self.take()
-        kind, text, pos = tok
-        if kind == "int":
-            numerator = int(text)
-            if self.peek()[0] == "/":
-                self.take()
-                den_tok = self.expect("int")
-                denominator = int(den_tok[1])
-                if denominator == 0:
-                    raise PolynomialSyntaxError("zero denominator", den_tok[2])
-                return Poly.constant(Fraction(numerator, denominator), self.nvars, self.field)
-            return Poly.constant(numerator, self.nvars, self.field)
-        if kind == "var":
-            index = int(text[1:])
-            if not 1 <= index <= self.nvars:
-                raise PolynomialSyntaxError(
-                    f"variable {text} out of range for {self.nvars} variables", pos
-                )
-            return Poly.variable(index, self.nvars, self.field)
-        if kind == "(":
-            value = self.expr()
-            self.expect(")")
-            return value
-        if kind == "-":
-            return -self.factor()
-        raise PolynomialSyntaxError(f"expected a number, variable, or parenthesis, found {text!r}", pos)
-
-
-def parse_polynomial(text: str, nvars: int, field: Field = QQ) -> Poly:
-    """Parse the polynomial grammar: integers, rationals a/b, x1..xn, + - * ^, parentheses."""
-    if not 1 <= nvars <= MAX_VARS:
-        raise ValueError(f"nvars must be in 1..{MAX_VARS}, got {nvars}")
-    return _Parser(_tokenize(text), nvars, field).parse()
-
-
 def _term_text(mono: Monomial, coeff, field: Field, first: bool) -> str:
     body = "*".join(
         f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(mono) if e
@@ -589,7 +446,7 @@ def _term_text(mono: Monomial, coeff, field: Field, first: bool) -> str:
 
 
 def polynomial_text(f: Poly, order: MonomialOrder | None = None) -> str:
-    """Render with terms in decreasing order; parse_polynomial inverts this exactly."""
+    """Render with terms in decreasing order."""
     if not f.terms:
         return "0"
     if order is None:

@@ -14,9 +14,10 @@ is a left fold memoized per prefix of kept types, so filters that share a
 prefix share its eliminations. Each elimination intersects two Groebner
 bases, which ideal_intersection knows from how they were built.
 
-Whether f vanishes on the strata of g is ideal_membership(f, the oracle's
-generators, lex), as tests/test_strata.py checks; sampled points are only the
-pointwise cross-check of the verify check `vanishing`.
+Whether f vanishes on the strata of g is whether normal_forms([f], the
+oracle's generators, lex) is the zero polynomial, as tests/test_strata.py
+checks; sampled points are only the pointwise cross-check of the verify
+check `vanishing`.
 """
 
 from __future__ import annotations

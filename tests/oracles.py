@@ -7,8 +7,7 @@ bug there cannot hide in its own mirror image. What this module takes from
 the package, so that both sides raise and return the same types:
 
 - spechtgb.polyring: the Poly type and its arithmetic, Field, QQ, Monomial,
-  MonomialOrder, leading_term, lex_order, and the monomial helpers
-  mono_degree, mono_div and mono_lcm;
+  MonomialOrder, leading_term and lex_order;
 - spechtgb.groebner: DEFAULT_PAIR_BUDGET, PairBudgetExceeded, the
   IdealBasis container, and is_groebner_basis for ref_order_failure only;
 - spechtgb.combinatorics: partitions_of, set_partitions_of_type and
@@ -41,9 +40,14 @@ interreduced each whole elimination basis, starting from subspace ideals
 given by consecutive differences; its eliminations run the frozen
 Buchberger and reduction. Last, the vanishing check's loop before its
 generators shared one table of monomial values per point.
+
+The first section is not a reference but a fixture builder: the parser that
+turns polynomial text into a Poly, so that tests can write their inputs the
+way polynomial_text prints them.
 """
 
 import heapq
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -58,14 +62,100 @@ from spechtgb.polyring import (
     Poly,
     leading_term,
     lex_order,
-    mono_degree,
-    mono_div,
-    mono_lcm,
 )
+
+
+# ---------------------------------------------------------------------------
+# polynomial text: integers, rationals a/b, x1..xn, + - * ^ and parentheses
+
+_TEXT = re.compile(r"(?:\s*(?:\d+|x\d+|[-+*^()/]))*\s*")
+_TOKEN = re.compile(r"\d+|x\d+|[-+*^()/]")
+
+
+def parse_polynomial(text: str, nvars: int, field: Field = QQ) -> Poly:
+    """The Poly that text spells, in nvars variables over field; polynomial_text
+    prints this form. Raises ValueError on any other text."""
+    if not _TEXT.fullmatch(text):
+        raise ValueError(f"cannot tokenize {text!r}")
+    tokens = _TOKEN.findall(text) + [""]
+    pos = 0
+
+    def take(expected=None):
+        nonlocal pos
+        tok = tokens[pos]
+        if not tok or (expected is not None and not expected(tok)):
+            raise ValueError(f"unexpected {tok or 'end'!r} in {text!r}")
+        pos += 1
+        return tok
+
+    def expr():
+        value, op = Poly.zero(nvars, field), "+"
+        if tokens[pos] in ("+", "-"):
+            op = take()
+        while True:
+            value = value + term() if op == "+" else value - term()
+            if tokens[pos] not in ("+", "-"):
+                return value
+            op = take()
+
+    def term():
+        value = factor()
+        while tokens[pos] == "*":
+            take()
+            value = value * factor()
+        return value
+
+    def factor():
+        value = base()
+        if tokens[pos] == "^":
+            take()
+            value = value ** int(take(str.isdigit))
+        return value
+
+    def base():
+        tok = take()
+        if tok.isdigit():
+            if tokens[pos] != "/":
+                return Poly.constant(int(tok), nvars, field)
+            take()
+            denominator = int(take(str.isdigit))
+            if not denominator:
+                raise ValueError(f"zero denominator in {text!r}")
+            return Poly.constant(Fraction(int(tok), denominator), nvars, field)
+        if tok[0] == "x":
+            return Poly.variable(int(tok[1:]), nvars, field)
+        if tok == "(":
+            value = expr()
+            take(lambda t: t == ")")
+            return value
+        if tok == "-":
+            return -factor()
+        raise ValueError(f"unexpected {tok!r} in {text!r}")
+
+    value = expr()
+    if tokens[pos]:
+        raise ValueError(f"unexpected trailing {tokens[pos]!r} in {text!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# monomials as exponent tuples
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(max, a, b))
+
+
+def mono_degree(a: Monomial) -> int:
+    return sum(a)
 
 
 # ---------------------------------------------------------------------------

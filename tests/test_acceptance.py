@@ -22,14 +22,13 @@ from spechtgb import (
     filter_text,
     groebner_basis,
     lex_order,
-    parse_polynomial,
     partitions_of,
     standard_span_rank,
     tableaux,
     vanishing_ideal_oracle,
 )
 
-from oracles import hook_length_count
+from oracles import hook_length_count, parse_polynomial
 
 SEED = 2026
 

@@ -1,0 +1,79 @@
+"""What code outside the package relies on: the benchmark's tracer and
+workloads, which look package names up by string, and the README's library
+snippet. Removing or renaming a name they use fails here, not only in a
+traced benchmark run or in a reader's session."""
+
+import ast
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import spechtgb
+from spechtgb.polyring import Poly
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(relative: str):
+    path = ROOT / relative
+    spec = importlib.util.spec_from_file_location(f"_contract_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return load("bench/tracer.py")
+
+
+class TestBenchContract:
+    def test_every_span_target_resolves(self, tracer):
+        assert tracer.PACKAGE == "spechtgb"
+        for name, module_name, attr, _ in tracer.FUNCTIONS:
+            module = sys.modules[f"spechtgb.{module_name}"]
+            assert callable(getattr(module, attr, None)), (name, module_name, attr)
+
+    def test_every_span_method_is_defined_on_poly(self, tracer):
+        for name, attr, _ in tracer.METHODS:
+            assert attr in Poly.__dict__, (name, attr)
+
+    def test_uninstall_puts_every_original_back(self, tracer):
+        modules = [m for key, m in sys.modules.items()
+                   if key == "spechtgb" or key.startswith("spechtgb.")]
+        before = {m.__name__: dict(vars(m)) for m in modules}
+        methods = dict(Poly.__dict__)
+        t = tracer.Tracer()
+        t.install()
+        try:
+            assert Poly.__dict__["__mul__"] is not methods["__mul__"]
+            assert spechtgb.shape_generators is not before["spechtgb"]["shape_generators"]
+        finally:
+            t.uninstall()
+        for m in modules:
+            now = vars(m)
+            changed = [k for k, v in before[m.__name__].items() if now.get(k) is not v]
+            assert not changed, (m.__name__, changed)
+        assert all(Poly.__dict__[k] is v for k, v in methods.items())
+
+    def test_every_package_name_the_workloads_use_exists(self):
+        # loading runs the workloads' `from spechtgb import ...`
+        workloads = load("bench/workloads.py")
+        tree = ast.parse(Path(workloads.__file__).read_text(encoding="utf-8"))
+        used = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "spechtgb"}
+        assert used
+        assert [name for name in sorted(used) if not hasattr(spechtgb, name)] == []
+
+
+def test_readme_library_snippet_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md (Library use)", "exec"), {})

@@ -1,4 +1,5 @@
-"""Exact Buchberger engine: normal forms, S-pairs, reduced bases, intersections.
+"""Exact Buchberger engine: normal forms, S-pairs, reduced bases, intersections,
+and the Hilbert-series numerators of monomial ideals (hilbert_numerator).
 
 Determinism contract: identical inputs (same generator sequence, same order)
 give identical outputs. Completion (`buchberger`) and certification
@@ -34,7 +35,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field as attribute
-from operator import lshift, mul
+from operator import le, lshift, mul
 
 from .polyring import MAX_VARS, QQ, Field, Poly, lex_order
 
@@ -370,6 +371,73 @@ def is_groebner_basis(gens, order, *, use_chain_criterion: bool = True) -> tuple
     ok = not counts["failed"]
     pairs = [{"i": i, "j": j, "status": status} for i, j, status in log]
     return ok, {"groebner": ok, "pairs": pairs, "counts": counts}
+
+
+def _minimal(monomials) -> tuple:
+    """The minimal generators of the monomial ideal, sorted: a divisor has
+    at most the degree of what it divides, so one pass by degree finds them."""
+    kept: list = []
+    for m in sorted(set(monomials), key=sum):
+        if not any(all(map(le, k, m)) for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
+
+
+def _times_one_minus(num: list, d: int) -> list:
+    # num * (1 - t^d)
+    out = num + [0] * d
+    for i, c in enumerate(num):
+        out[i + d] -= c
+    return out
+
+
+def hilbert_numerator(monomials) -> tuple[int, ...]:
+    """The numerator N of the Hilbert series N(t) / (1 - t)^n of S/I, where
+    the monomials (exponent tuples) generate I in S = k[x1, ..., xn]: its
+    coefficients by degree, (1,) for the zero ideal and () for the unit
+    ideal. N depends on I alone, so two monomial ideals have one Hilbert
+    function exactly when they have one numerator.
+
+    Pivot recursion (Bayer & Stillman, JSC 1992; Bigatti, Comm. Algebra
+    1997): N(I) = N(I + (p)) + t^e N(I : p) for p = x_i^e, with x_i the
+    variable in the most generators that are not pure powers and e its least
+    exponent there. Then p is not in I, and both ideals on the right are
+    larger than I, so the recursion ends. A generator coprime to every other
+    one splits off as a factor 1 - t^deg, so pairwise coprime generators,
+    the unit generator 1 among them, are the base case. Numerators are
+    memoized on minimal generators within the one call.
+    """
+    memo: dict = {}
+
+    def numerator(gens: tuple) -> list:
+        if gens in memo:
+            return memo[gens]
+        users = Counter(i for m in gens for i, e in enumerate(m) if e)
+        alone: list = []
+        rest: list = []
+        for m in gens:
+            (alone if all(users[i] == 1 for i, e in enumerate(m) if e) else rest).append(m)
+        num = [1]
+        if rest:
+            mixed = [m for m in rest if sum(map(bool, m)) > 1]
+            counts = Counter(i for m in mixed for i, e in enumerate(m) if e)
+            i = max(sorted(counts), key=counts.__getitem__)
+            e = min(m[i] for m in mixed if m[i])
+            pivot = tuple(e if j == i else 0 for j in range(len(gens[0])))
+            num = list(numerator(_minimal([m for m in rest if m[i] < e] + [pivot])))
+            quotient = numerator(_minimal(m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in rest))
+            num += [0] * (len(quotient) + e - len(num))
+            for k, c in enumerate(quotient):
+                num[k + e] += c
+        for m in alone:
+            num = _times_one_minus(num, sum(m))
+        memo[gens] = num
+        return num
+
+    num = numerator(_minimal(monomials))
+    while num and not num[-1]:
+        num = num[:-1]
+    return tuple(num)
 
 
 @dataclass(frozen=True)

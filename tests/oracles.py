@@ -43,13 +43,15 @@ generators shared one table of monomial values per point.
 
 The first section is not a reference but a fixture builder: the parser that
 turns polynomial text into a Poly, so that tests can write their inputs the
-way polynomial_text prints them.
+way polynomial_text prints them. The monomial helpers after it also count
+the standard monomials of a monomial ideal degree by degree, the Hilbert
+function that hilbert_numerator's series must expand to.
 """
 
 import heapq
 import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 from operator import add, neg, sub
 
@@ -156,6 +158,19 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
+
+
+def ref_standard_counts(gens, n: int, top: int) -> list[int]:
+    """The Hilbert function of S/I up to degree top, for I generated by the
+    monomials gens in n variables: per degree, the monomials no generator
+    divides, counted one by one."""
+    counts = []
+    for d in range(top + 1):
+        counts.append(0)
+        for picks in combinations_with_replacement(range(n), d):
+            m = tuple(picks.count(i) for i in range(n))
+            counts[-1] += not any(mono_divides(g, m) for g in gens)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ it shares no code with the engine under test.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ from spechtgb import (
     shape_generators,
 )
 from spechtgb import groebner
-from spechtgb.groebner import _Packed, _settle_pairs
+from spechtgb.groebner import _Packed, _settle_pairs, hilbert_numerator
 from spechtgb.specht import _normalized
 
 from oracles import (
@@ -51,6 +52,7 @@ from oracles import (
     ref_normal_form,
     ref_reduce_groebner_basis,
     ref_settle_pairs,
+    ref_standard_counts,
 )
 
 
@@ -866,3 +868,63 @@ class TestPackedWidening:
         assert len(widths) > 1
         old_basis, old_stats = ref_buchberger(gens, order, pair_budget=500)
         assert stats == old_stats and typed(basis) == typed(old_basis)
+
+
+def series_counts(num, n: int, top: int) -> list[int]:
+    """The coefficients of t^0, ..., t^top in num(t) / (1 - t)^n."""
+    return [sum(c * math.comb(d - j + n - 1, n - 1) for j, c in enumerate(num[:d + 1]))
+            for d in range(top + 1)]
+
+
+class TestHilbertNumerator:
+    """hilbert_numerator against a count of the standard monomials of each
+    degree. The counts fix the numerator once they reach its degree and the
+    degree of the lcm of the generators, which bounds the degree of the true
+    numerator (Taylor's resolution)."""
+
+    @staticmethod
+    def assert_counts(gens, n: int) -> tuple:
+        num = hilbert_numerator(gens)
+        top = max(len(num), sum(max((g[i] for g in gens), default=0) for i in range(n)))
+        assert series_counts(num, n, top) == ref_standard_counts(gens, n, top)
+        return num
+
+    def test_random_monomial_ideals_in_up_to_five_variables(self):
+        rng = random.Random(15)
+        for _ in range(120):
+            n = rng.randint(1, 5)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+            self.assert_counts(gens, n)
+
+    def test_the_zero_ideal(self):
+        for n in (1, 3, 5):
+            assert self.assert_counts([], n) == (1,)
+
+    def test_pure_powers(self):
+        # pairwise coprime: (1 - t^2)(1 - t^3)(1 - t)
+        assert self.assert_counts([(2, 0, 0), (0, 3, 0), (0, 0, 1)], 3) == (
+            1, -1, -1, 0, 1, 1, -1)
+        # powers of one variable: the least one generates
+        assert self.assert_counts([(0, 4, 0), (0, 2, 0), (0, 5, 0)], 3) == (1, 0, -1)
+
+    def test_the_unit_ideal(self):
+        # 1 divides every monomial, so no monomial is standard
+        for gens in ([(0, 0, 0)], [(0, 0, 0), (1, 2, 0), (0, 0, 3)]):
+            assert self.assert_counts(gens, 3) == ()
+
+    def test_redundant_generators_and_order_do_not_matter(self):
+        gens = [(2, 1, 0), (0, 1, 1), (1, 1, 1), (2, 1, 0), (0, 3, 2)]
+        assert hilbert_numerator(gens) == hilbert_numerator(reversed(gens[:2]))
+
+    def test_initial_ideals_under_every_order_share_one_series(self):
+        # Macaulay: the reduced basis's leading monomials under any order
+        # generate the initial ideal, whose series is the ideal's own
+        orders = [lex_order(4), lex_order(4, [3, 1, 4, 2]), MonomialOrder("grlex", 4),
+                  MonomialOrder("grevlex", 4, [2, 4, 1, 3]),
+                  MonomialOrder("weight", 4, None, [3, 1, 2, 5])]
+        for filt in enumerate_lower_filters(4):
+            gens = [g.polynomial for g in filter_generators(filt)]
+            series = {hilbert_numerator(leading_term(g, order)[0]
+                                        for g in groebner_basis(gens, order))
+                      for order in orders}
+            assert len(series) == 1

@@ -819,23 +819,86 @@ class TestOrderShortcut:
         report = check_finite_field(filt, 3, seed=3)
         assert report.verdict == "pass"
         assert set(report.metrics) == {"stability_ms", "column_products_ms", "referees_ms"}
-        # the lex certificate over F_3, the three referees, then the rational
-        # set's lex certificate in place of its completion, and nothing more
-        referees = report.evidence["referee_orders"]
-        assert [text for text, _ in calls] == ["lex:1,2,3,4"] + referees + ["lex:1,2,3,4"]
-        # each referee certifies the generator set itself, listed in its own order
-        gens = {g.polynomial for g in filter_generators(filt, field=GF(3))}
-        assert all(polys == gens for _, polys in calls[:-1])
-        assert calls[-1][1] == {g.polynomial for g in filter_generators(filt)}
-        # warm, both lex certificates are shared: only the referees run again
+        # the lex certificate over F_3, then the rational set's lex
+        # certificate in place of its completion, and nothing more: the
+        # referees compare Hilbert series and certify nothing
+        assert [text for text, _ in calls] == ["lex:1,2,3,4", "lex:1,2,3,4"]
+        assert calls[0][1] == {g.polynomial for g in filter_generators(filt, field=GF(3))}
+        assert calls[1][1] == {g.polynomial for g in filter_generators(filt)}
+        # warm, both lex certificates are shared: no certificate runs again
         calls.clear()
         assert check_finite_field(filt, 3, seed=3).payload() == report.payload()
-        assert [text for text, _ in calls] == referees
+        assert calls == []
 
     def test_the_universal_control_needs_the_stability_test(self, monkeypatch):
         monkeypatch.setattr(verify, "_stable_under_transpositions", lambda *args: True)
         (control,) = [r for r in negative_controls(seed=7) if r.check_id == "control_universal"]
         assert control.verdict == "fail"
+
+
+class TestHilbertReferee:
+    """A referee order accepts the set exactly when its leading monomials
+    there have the Hilbert series of the lex ones (_leading_series), given
+    the lex certificate. That verdict must be Buchberger's."""
+
+    FIELDS = [QQ, GF(2), GF(3), GF(7)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.text())
+    def test_agrees_with_buchberger_on_every_filter_up_to_five(self, field):
+        for n in (2, 3, 4, 5):
+            orders = {o.text(): o for seed in range(8) for o in verify._referee_orders(n, seed)}
+            for filt in enumerate_lower_filters(n):
+                polys = [g.polynomial for g in filter_generators(filt, field=field)]
+                lex_series = verify._leading_series(polys, lex_order(n))
+                for order in orders.values():
+                    assert ((verify._leading_series(polys, order) == lex_series)
+                            == is_groebner_basis(polys, order)[0])
+
+    def test_agrees_with_buchberger_on_lex_bases_with_a_generator_dropped(self):
+        # the argument needs only homogeneous generators that are a lex
+        # basis, so it must hold on these unstable sets too, where some
+        # referee orders refuse
+        verdicts = []
+        for n in (3, 4):
+            orders = {o.text(): o for seed in range(8) for o in verify._referee_orders(n, seed)}
+            for filt in enumerate_lower_filters(n):
+                polys = [g.polynomial for g in filter_generators(filt)]
+                for k in range(len(polys)):
+                    dropped = polys[:k] + polys[k + 1:]
+                    if not dropped or not is_groebner_basis(dropped, lex_order(n))[0]:
+                        continue
+                    lex_series = verify._leading_series(dropped, lex_order(n))
+                    for order in orders.values():
+                        verdict = verify._leading_series(dropped, order) == lex_series
+                        assert verdict == is_groebner_basis(dropped, order)[0]
+                        verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    def test_both_referees_refuse_a_lex_basis_under_grlex_with_x2_on_top(self, monkeypatch):
+        # the universal control's set, lower<=[2,1] without x3 - x1: x2 - x1,
+        # x3 - x2 and the Vandermonde product. It is a lex basis, but with x2
+        # on top every leading monomial is a multiple of x2
+        gens = filter_generators(filter_closure(3, [(2, 1)], "lower"))
+        kept = [g for g in gens if g.tableau.rows != ((1, 2), (3,))]
+        polys = [g.polynomial for g in kept]
+        seed = next(s for s in itertools.count() if verify._referee_orders(3, s)[0].ranking[-1] == 2)
+        grlex = verify._referee_orders(3, seed)[0]
+        assert grlex.kind == "grlex"
+        assert is_groebner_basis(polys, lex_order(3))[0]
+        assert not is_groebner_basis(polys, grlex)[0]
+        assert verify._leading_series(polys, grlex) != verify._leading_series(polys, lex_order(3))
+        # with the stability test waved through, the proof reaches the
+        # referees, and the grlex one refuses the set
+        monkeypatch.setattr(verify, "_stable_under_transpositions", lambda *args: True)
+        assert _order_failure(kept, seed) == f"not a basis under referee {grlex.text()}"
+
+    def test_a_filter_with_the_one_row_shape_has_the_unit_series(self):
+        # shape [n] has no column of two, so its generator is the constant 1
+        for n in (2, 3, 4):
+            polys = [g.polynomial for g in filter_generators(filter_closure(n, [(n,)], "lower"))]
+            assert Poly.constant(1, n) in polys
+            for order in [lex_order(n), *verify._referee_orders(n, 0)]:
+                assert verify._leading_series(polys, order) == ()
 
 
 def _clear_lex_caches():

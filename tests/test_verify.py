@@ -106,7 +106,7 @@ class TestIndividualChecks:
     def test_finite_field(self):
         filt = filter_closure(3, [(2, 1)], "lower")
         assert_clean_pass(
-            check_finite_field(filt, 3, seed=0), "finite_field"
+            check_finite_field(filt, 3), "finite_field"
         )
 
     def test_containment(self):
@@ -194,23 +194,24 @@ class TestPinnedHash:
         assert main(["verify", "all", "--max-n", "4", "--seed", "7"]) == 0
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("89 pass, 0 fail, 0 skipped")
-        assert last.endswith("[determinism sha256:1573889d4edf4f47]")
+        assert last.endswith("[determinism sha256:707cae4e12c87e70]")
 
     def test_verify_all_max_n_5_seed_7_hash(self, capsys):
         assert main(["verify", "all", "--max-n", "5", "--seed", "7"]) == 0
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("120 pass, 0 fail, 0 skipped")
-        assert last.endswith("[determinism sha256:5080bc4cbe7124a9]")
+        assert last.endswith("[determinism sha256:c137b1eca6ebbe5c]")
 
     def test_verify_all_max_n_4_seed_3_f7_hash(self, capsys):
         # the one pin whose Groebner work runs the kernel's mod-p arithmetic
         assert main(["verify", "all", "--max-n", "4", "--seed", "3", "--field", "F7"]) == 0
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("40 pass, 0 fail, 29 skipped")
-        assert last.endswith("[determinism sha256:f7e424ccfe57c4c8]")
+        assert last.endswith("[determinism sha256:cc05a980f2ca553e]")
 
-    @pytest.mark.parametrize("field, pin", [("F2", "16a1278df8c00d0f"),
-                                            ("F3", "2490f1409d8f6bdc")])
+    @pytest.mark.parametrize("field, pin", [("F2", "c603cc53440e7f64"),
+                                            ("F3", "b20189397fc85565")],
+                             ids=["F2", "F3"])
     def test_verify_all_max_n_4_seed_3_small_prime_hashes(self, field, pin, capsys):
         # lexgb, universal and finite_field meet the same (filter, F_p) certificate
         assert main(["verify", "all", "--max-n", "4", "--seed", "3", "--field", field]) == 0
@@ -560,6 +561,12 @@ class TestSingleRunFlags:
         err = capsys.readouterr().err
         assert err == f"error: verify {check} takes a lower filter\n"
 
+    def test_universal_runs_at_one_variable(self, capsys):
+        # S_1 has no transposition and no cycle to test stability under
+        assert main(["verify", "universal", "--n", "1", "--filter", "[1]"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("1 pass, 0 fail, 0 skipped, 0 error")
+
     def test_a_size_with_no_check_is_rejected(self, capsys):
         assert main(["verify", "lexgb", "--n", "1"]) == 2
         assert "runs no check" in capsys.readouterr().err
@@ -713,11 +720,8 @@ def _sweep_orders(n: int, rng: random.Random, lex_rankings: int | None = None) -
 
 
 def _order_failure(gens, seed: int, evidence: dict | None = None):
-    """_every_order_failure on a lex certificate computed fresh for gens."""
-    polys = [g.polynomial for g in gens]
-    lex_basis, _ = is_groebner_basis(polys, lex_order(polys[0].nvars))
-    return verify._every_order_failure(gens, seed, {} if evidence is None else evidence, {},
-                                       lex_basis=lex_basis)
+    """_every_order_failure with a throwaway metrics dict."""
+    return verify._every_order_failure(gens, seed, {} if evidence is None else evidence, {})
 
 
 def _fixture(poly, rows) -> SpechtGenerator:
@@ -733,7 +737,7 @@ class TestOrderShortcut:
     reason."""
 
     FIELDS = [QQ, GF(2), GF(3), GF(7)]
-    STABILITY = "not stable under the adjacent transpositions"
+    STABILITY = "not stable under permutations of the variables"
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.text())
     def test_matches_the_sweep_on_every_filter_up_to_four(self, field):
@@ -782,7 +786,7 @@ class TestOrderShortcut:
         polys = [g.polynomial for g in mixed]
         assert _order_failure(mixed, 0) == "a generator is not homogeneous"
         keys = {verify._scaled(p.terms, p.field) for p in polys}
-        assert verify._stable_under_transpositions(polys, keys)
+        assert verify._stable_under_permutations(polys, keys)
         assert is_groebner_basis(polys, lex_order(3))[0]
 
     def test_a_stable_set_that_is_no_lex_basis_is_refused(self):
@@ -816,24 +820,78 @@ class TestOrderShortcut:
         monkeypatch.setattr(verify, "is_groebner_basis", counted)
         _clear_lex_caches()
         filt = filter_closure(4, [(2, 2)], "lower")
-        report = check_finite_field(filt, 3, seed=3)
+        report = check_finite_field(filt, 3)
         assert report.verdict == "pass"
-        assert set(report.metrics) == {"stability_ms", "column_products_ms", "referees_ms"}
+        # the every-order proof is universal's row: none of it runs here
+        assert report.metrics == {}
+        assert "referee_orders" not in report.evidence
         # the lex certificate over F_3, then the rational set's lex
-        # certificate in place of its completion, and nothing more: the
-        # referees compare Hilbert series and certify nothing
+        # certificate in place of its completion, and nothing more
         assert [text for text, _ in calls] == ["lex:1,2,3,4", "lex:1,2,3,4"]
         assert calls[0][1] == {g.polynomial for g in filter_generators(filt, field=GF(3))}
         assert calls[1][1] == {g.polynomial for g in filter_generators(filt)}
         # warm, both lex certificates are shared: no certificate runs again
         calls.clear()
-        assert check_finite_field(filt, 3, seed=3).payload() == report.payload()
+        assert check_finite_field(filt, 3).payload() == report.payload()
         assert calls == []
 
     def test_the_universal_control_needs_the_stability_test(self, monkeypatch):
-        monkeypatch.setattr(verify, "_stable_under_transpositions", lambda *args: True)
+        monkeypatch.setattr(verify, "_stable_under_permutations", lambda *args: True)
         (control,) = [r for r in negative_controls(seed=7) if r.check_id == "control_universal"]
         assert control.verdict == "fail"
+
+    @pytest.mark.parametrize("p", verify.PRIMES)
+    def test_universal_passes_every_filter_up_to_four_over_each_prime(self, p):
+        # the every-order proof over F_p lives in universal's rows alone
+        for n in (2, 3, 4):
+            for filt in enumerate_lower_filters(n):
+                assert_clean_pass(check_universal(filt, field=GF(p)), "universal")
+
+    @pytest.mark.parametrize("p", verify.PRIMES)
+    def test_the_control_fixture_is_refused_over_each_prime(self, p):
+        # lower<=[2,1] without x3 - x1, as in the universal control
+        gens = filter_generators(filter_closure(3, [(2, 1)], "lower"), field=GF(p))
+        kept = [g for g in gens if g.tableau.rows != ((1, 2), (3,))]
+        assert _order_failure(kept, 7) == self.STABILITY
+
+    def test_a_set_stable_under_the_transposition_only_is_refused(self):
+        # x1*x2 is fixed by x1 <-> x2, and the 3-cycle takes it to x2*x3
+        x1x2 = Poly(3, QQ, {(1, 1, 0): 1})
+        assert not verify._stable_under_permutations([x1x2], {verify._scaled(x1x2.terms, QQ)})
+        assert _order_failure([_fixture(x1x2, [[1, 2, 3]])], 0) == self.STABILITY
+
+    def test_a_set_stable_under_the_cycle_only_is_refused(self):
+        # x1^2*x2, x2^2*x3, x3^2*x1 are permuted by the 3-cycle, and
+        # x1 <-> x2 takes the first to x1*x2^2
+        polys = [Poly(3, QQ, {m: 1}) for m in ((2, 1, 0), (0, 2, 1), (1, 0, 2))]
+        keys = {verify._scaled(p.terms, p.field) for p in polys}
+        assert not verify._stable_under_permutations(polys, keys)
+        fixtures = [_fixture(p, [[1, 2, 3]]) for p in polys]
+        assert _order_failure(fixtures, 0) == self.STABILITY
+
+    def test_stability_agrees_with_every_permutation_up_to_four(self):
+        # the two generators against all n! renamings, on every filter's set
+        # and on every set left by dropping one of its generators
+        def stable_under_all(polys, keys):
+            n = polys[0].nvars
+            return all(
+                verify._scaled({tuple(m[i] for i in perm): c for m, c in p.terms.items()},
+                               p.field) in keys
+                for perm in itertools.permutations(range(n)) for p in polys)
+
+        verdicts = set()
+        for n in (2, 3, 4):
+            for filt in enumerate_lower_filters(n):
+                polys = [g.polynomial for g in filter_generators(filt)]
+                for k in range(len(polys) + 1):
+                    kept = polys[:k] + polys[k + 1:]
+                    if not kept:
+                        continue
+                    keys = {verify._scaled(p.terms, p.field) for p in kept}
+                    verdict = verify._stable_under_permutations(kept, keys)
+                    assert verdict == stable_under_all(kept, keys)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestHilbertReferee:
@@ -889,7 +947,7 @@ class TestHilbertReferee:
         assert verify._leading_series(polys, grlex) != verify._leading_series(polys, lex_order(3))
         # with the stability test waved through, the proof reaches the
         # referees, and the grlex one refuses the set
-        monkeypatch.setattr(verify, "_stable_under_transpositions", lambda *args: True)
+        monkeypatch.setattr(verify, "_stable_under_permutations", lambda *args: True)
         assert _order_failure(kept, seed) == f"not a basis under referee {grlex.text()}"
 
     def test_a_filter_with_the_one_row_shape_has_the_unit_series(self):
@@ -953,7 +1011,7 @@ class TestLexCertificate:
         if check == "universal":
             return check_universal(self.FILTER, seed=3, field=field)
         # over Q, the rational side of finite_field meets lexgb's certificate
-        return check_finite_field(self.FILTER, 3, seed=3)
+        return check_finite_field(self.FILTER, 3)
 
     @pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.text())
     @pytest.mark.parametrize("check", ["lexgb", "universal", "finite_field"])
@@ -1010,7 +1068,7 @@ class TestLexCertificate:
         for n in (2, 3, 4):
             for filt in enumerate_lower_filters(n):
                 for p in verify.PRIMES:
-                    assert_clean_pass(check_finite_field(filt, p, seed=1), "finite_field")
+                    assert_clean_pass(check_finite_field(filt, p), "finite_field")
 
     def test_finite_field_fails_when_the_rational_set_is_no_lex_basis(self, monkeypatch):
         # the F_3 set is whole; the rational one misses a generator, so it is
@@ -1023,7 +1081,7 @@ class TestLexCertificate:
 
         monkeypatch.setattr(verify, "filter_generators", dropped)
         monkeypatch.setattr(verify, "groebner_basis", None)
-        report = check_finite_field(self.FILTER, 3, seed=3)
+        report = check_finite_field(self.FILTER, 3)
         assert report.verdict == "fail"
         assert report.reason == "the rational generators are not a lex basis"
         assert report.evidence["generators_mod_p"] == 8
@@ -1186,10 +1244,15 @@ class TestMetrics:
         assert report.metrics["oracle_eliminations"] > 0
 
     def test_json_rows_carry_metrics(self, capsys):
+        assert main(["verify", "universal", "--n", "3", "--filter", "lower<=[2,1]",
+                     "--field", "F5", "--report", "json"]) == 0
+        (row,) = _json_rows(capsys)
+        assert set(row["metrics"]) == {"stability_ms", "lex_certificate_ms",
+                                       "column_products_ms", "referees_ms"}
         assert main(["verify", "finite_field", "--n", "3", "--filter", "lower<=[2,1]",
                      "--field", "F5", "--report", "json"]) == 0
         (row,) = _json_rows(capsys)
-        assert set(row["metrics"]) == {"stability_ms", "column_products_ms", "referees_ms"}
+        assert row["metrics"] == {}
         assert main(["verify", "lexgb", "--n", "3", "--filter", "lower<=[2,1]",
                      "--report", "json"]) == 0
         (row,) = _json_rows(capsys)

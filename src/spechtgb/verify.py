@@ -529,22 +529,24 @@ def check_coefficient_descent(n: int, *, trials: int = 20, seed: int = 0,
     return _guarded("descent", parameters, _counting_oracle(body, metrics), metrics)
 
 
-def check_restricted(shape) -> CheckReport:
+def check_restricted(shape, *, field: Field = QQ) -> CheckReport:
     """The standard-tableau generators of the shapes below a given one that
     keep its first-row length form a lex basis on their own, and they generate
     the same ideal as the full generator set of the shape's principal filter,
     tested by membership against the certified set (_generates)."""
     lam = validate_partition(shape)
     n = sum(lam)
-    parameters = {"n": n, "shape": partition_text(lam), "field": "Q"}
+    parameters = {"n": n, "shape": partition_text(lam), "field": field.text()}
 
     def body():
-        restricted = tuple(g.polynomial for g in restricted_standard_generators(lam))
+        restricted = tuple(g.polynomial
+                           for g in restricted_standard_generators(lam, field=field))
         ok, counts, _ = _lex_certificate(restricted)
         evidence = {"restricted_generators": len(restricted), "pair_counts": dict(counts)}
         if not ok:
             return "fail", "the restricted set is not a basis under lex", evidence
-        full = [g.polynomial for g in filter_generators(filter_closure(n, [lam], "lower"))]
+        full = [g.polynomial
+                for g in filter_generators(filter_closure(n, [lam], "lower"), field=field)]
         evidence["full_generators"] = len(full)
         evidence["reduced_basis_size"] = len(_lex_reduced(restricted))
         if mismatch := _generates(restricted, full, lex_order(n)):
@@ -585,17 +587,18 @@ def check_finite_field(filt: PartitionFilter, p: int) -> CheckReport:
     return _guarded("finite_field", parameters, body)
 
 
-def check_containment(n: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
+def check_containment(n: int, *, field: Field = QQ,
+                      pair_budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
     """For every strict dominance relation between shapes, each standard
     generator of the lower shape reduces to zero against a basis computed from
     the higher shape's own generators alone."""
-    parameters = {"n": n, "field": "Q"}
+    parameters = {"n": n, "field": field.text()}
 
     def body():
         order = lex_order(n)
         shapes = partitions_of(n)
-        bases = {lam: groebner_basis([g.polynomial for g in shape_generators(lam)], order,
-                                     pair_budget=pair_budget) for lam in shapes}
+        bases = {lam: groebner_basis([g.polynomial for g in shape_generators(lam, field=field)],
+                                     order, pair_budget=pair_budget) for lam in shapes}
         comparable_pairs = 0
         memberships = 0
         for lam in shapes:
@@ -603,7 +606,7 @@ def check_containment(n: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Chec
                 if mu == lam or not dominates(lam, mu):
                     continue
                 comparable_pairs += 1
-                gens = [g.polynomial for g in shape_generators(mu, mode="standard")]
+                gens = [g.polynomial for g in shape_generators(mu, mode="standard", field=field)]
                 if not _reduce_to_zero(gens, bases[lam], order):
                     return "fail", (
                         f"a generator of {partition_text(mu)} is outside the ideal "
@@ -859,11 +862,11 @@ _CHECKS = {
     # and of its derived filters do not finish in minutes
     "descent": _Check("n", "Q", lambda c, n: check_coefficient_descent(
         n, trials=c.trials, seed=c.seed, pair_budget=c.pair_budget), max_n=6, expands=()),
-    "restricted": _Check("shape", "Q", lambda c, lam: check_restricted(lam)),
+    "restricted": _Check("shape", "any", lambda c, lam: check_restricted(lam, field=c.field)),
     "finite_field": _Check("filter", "F_p", lambda c, filt: check_finite_field(
         filt, c.field.p), max_n=4),
-    "containment": _Check("n", "Q", lambda c, n: check_containment(
-        n, pair_budget=c.pair_budget)),
+    "containment": _Check("n", "any", lambda c, n: check_containment(
+        n, field=c.field, pair_budget=c.pair_budget)),
     "engine": _Check(None, "any", lambda c, _: check_engine(
         trials=ENGINE_TRIALS, seed=c.seed, pair_budget=c.pair_budget), expands=()),
 }

@@ -1,0 +1,93 @@
+"""The pinned determinism hashes: each row is the arguments of one
+`spechtgb verify` run and the whole last line it prints. Any change in what
+a check reports moves the hash; a re-pin edits this table and nothing else.
+
+The Tier-1 tests run PINS in-process. CI runs every row of PINS and
+CI_ONLY_PINS, each in a fresh process:
+
+    PYTHONPATH=src python tests/pins.py
+
+which prints each row's arguments and last line, and exits 1 naming every
+row that differs. Standard library only: the CI job that runs it installs
+nothing.
+"""
+
+import subprocess
+import sys
+
+PINS = (
+    # the example line of README "Determinism"
+    ("all --max-n 4 --seed 7",
+     "89 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:707cae4e12c87e70]"),
+    # every lower filter up to n=5
+    ("all --max-n 5 --seed 7",
+     "120 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:c137b1eca6ebbe5c]"),
+    # the F_p grids: lexgb, universal and finite_field meet the same
+    # (filter, p) certificate, and the Groebner work runs mod-p arithmetic;
+    # reduced, vanishing and descent report the 16 skipped rows
+    ("all --max-n 4 --seed 3 --field F7",
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:2f4e456ab80638cf]"),
+    ("all --max-n 4 --seed 3 --field F2",
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:1ae70d4cb8ca85bf]"),
+    ("all --max-n 4 --seed 3 --field F3",
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:93dbd4a5c55de149]"),
+    # every principal filter of 6, all-mode fillings included
+    ("lexgb --n 6 --seed 7",
+     "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:51ffceae6267f8bd]"),
+    # every principal filter of 6, with the referee orders of seed 7
+    ("universal --n 6 --seed 7",
+     "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:658142c6218b0fc1]"),
+    # the column-standard generators of every shape of 6, evaluated on
+    # sampled points of every stratum
+    ("vanishing --n 6 --seed 7",
+     "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:0d72ad2195bc6558]"),
+)
+
+# left out of the Tier-1 tests for their run time
+CI_ONLY_PINS = (
+    # the two checks that run the strata oracle at n=6
+    ("reduced --n 6 --seed 7",
+     "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:793103ada12c684c]"),
+    ("descent --n 6 --seed 7",
+     "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:3a00467fddd6fd2f]"),
+    # two n=6 completions outside the oracle
+    ("restricted --n 6 --seed 7",
+     "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:da21413d43fb035c]"),
+    ("containment --n 6 --seed 7",
+     "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:90685ad2fe6c7818]"),
+    # every shape of 7
+    ("restricted --n 7 --seed 7",
+     "15 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:5875ca0f098a4e01]"),
+    ("vanishing --n 7 --seed 7",
+     "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:0a5788b6de2069ad]"),
+    # every principal filter of 7, about half a minute
+    ("universal --n 7 --seed 7",
+     "15 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:ea5666dc5437504a]"),
+)
+
+
+def last_line(args: str) -> str:
+    """The last line `spechtgb verify <args>` prints in a fresh process, or
+    of its error output when it prints nothing. A pinned line counts no fail
+    and no error, so only a run that exits 0 can print it."""
+    done = subprocess.run([sys.executable, "-m", "spechtgb", "verify", *args.split()],
+                          capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines() or done.stderr.strip().splitlines()
+    return lines[-1] if lines else f"exit {done.returncode}, no output"
+
+
+def main() -> int:
+    differ = []
+    for args, expected in PINS + CI_ONLY_PINS:
+        got = last_line(args)
+        print(f"verify {args}\n  {got}", flush=True)
+        if got != expected:
+            print(f"  expected {expected}", flush=True)
+            differ.append(args)
+    for args in differ:
+        print(f"pin differs: verify {args}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,8 @@
 """What code outside the package relies on: the benchmark's tracer and
 workloads, which look package names up by string, and the README's library
 snippet. Removing or renaming a name they use fails here, not only in a
-traced benchmark run or in a reader's session."""
+traced benchmark run or in a reader's session. Also what must read the pin
+table of pins.py rather than copy it: the CI job and the README's example."""
 
 import ast
 import importlib.util
@@ -13,6 +14,8 @@ import pytest
 
 import spechtgb
 from spechtgb.polyring import Poly
+
+from pins import PINS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,3 +80,17 @@ def test_readme_library_snippet_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md (Library use)", "exec"), {})
+
+
+def test_ci_pin_job_runs_the_table():
+    workflow = (ROOT / ".github/workflows/tests.yml").read_text(encoding="utf-8")
+    job = re.split(r"\n  \S", workflow.split("\n  pinned-hashes:\n", 1)[1], maxsplit=1)[0]
+    assert "python tests/pins.py" in job
+    assert "determinism sha256:" not in job
+
+
+def test_readme_example_line_is_the_pinned_row():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Determinism\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"```text\n(.*?)\n```", section, re.S) == [
+        dict(PINS)["all --max-n 4 --seed 7"]]

@@ -49,6 +49,7 @@ from spechtgb import (
 from spechtgb import verify
 
 from oracles import REF_EXPANDS, ref_order_failure, ref_stratum_vanishing
+from pins import PINS
 
 
 def assert_clean_pass(report, check_id):
@@ -112,6 +113,30 @@ class TestIndividualChecks:
     def test_containment(self):
         assert_clean_pass(check_containment(3), "containment")
 
+    def test_restricted_over_f2(self):
+        report = check_restricted((2, 2), field=GF(2))
+        assert_clean_pass(report, "restricted")
+        assert report.parameters == {"n": 4, "shape": "[2,2]", "field": "F2"}
+
+    def test_containment_over_f3(self):
+        report = check_containment(4, field=GF(3))
+        assert_clean_pass(report, "containment")
+        assert report.parameters == {"n": 4, "field": "F3"}
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=lambda f: f.text())
+    def test_restricted_and_containment_build_over_their_field(self, field, monkeypatch):
+        fields = set()
+        for name in ("restricted_standard_generators", "filter_generators", "shape_generators"):
+            def spy(*args, _original=getattr(verify, name), **kwargs):
+                gens = _original(*args, **kwargs)
+                fields.update(g.polynomial.field for g in gens)
+                return gens
+
+            monkeypatch.setattr(verify, name, spy)
+        check_restricted((2, 2), field=field)
+        check_containment(3, field=field)
+        assert fields == {field}
+
     def test_engine(self):
         assert_clean_pass(check_engine(trials=12, seed=0), "engine")
 
@@ -172,6 +197,13 @@ class TestSuite:
             assert r.verdict == "pass"
         assert suite_exit_code(reports) == 0
 
+    def test_restricted_and_containment_run_over_fp(self):
+        reports = run_suite(SuiteConfig(checks=("restricted", "containment"), max_n=3,
+                                        field=GF(2), include_controls=False))
+        assert {r.check_id for r in reports} == {"restricted", "containment"}
+        for r in reports:
+            assert (r.verdict, r.parameters["field"]) == ("pass", "F2")
+
     def test_unknown_check_name_rejected(self):
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(checks=("bogus",), max_n=3))
@@ -189,57 +221,12 @@ class TestSuite:
 
 
 class TestPinnedHash:
-    def test_verify_all_max_n_4_seed_7_hash(self, capsys):
-        # the published determinism hash: any change in behaviour moves it
-        assert main(["verify", "all", "--max-n", "4", "--seed", "7"]) == 0
-        last = capsys.readouterr().out.strip().splitlines()[-1]
-        assert last.startswith("89 pass, 0 fail, 0 skipped")
-        assert last.endswith("[determinism sha256:707cae4e12c87e70]")
-
-    def test_verify_all_max_n_5_seed_7_hash(self, capsys):
-        assert main(["verify", "all", "--max-n", "5", "--seed", "7"]) == 0
-        last = capsys.readouterr().out.strip().splitlines()[-1]
-        assert last.startswith("120 pass, 0 fail, 0 skipped")
-        assert last.endswith("[determinism sha256:c137b1eca6ebbe5c]")
-
-    def test_verify_all_max_n_4_seed_3_f7_hash(self, capsys):
-        # the one pin whose Groebner work runs the kernel's mod-p arithmetic
-        assert main(["verify", "all", "--max-n", "4", "--seed", "3", "--field", "F7"]) == 0
-        last = capsys.readouterr().out.strip().splitlines()[-1]
-        assert last.startswith("40 pass, 0 fail, 29 skipped")
-        assert last.endswith("[determinism sha256:cc05a980f2ca553e]")
-
-    @pytest.mark.parametrize("field, pin", [("F2", "c603cc53440e7f64"),
-                                            ("F3", "b20189397fc85565")],
-                             ids=["F2", "F3"])
-    def test_verify_all_max_n_4_seed_3_small_prime_hashes(self, field, pin, capsys):
-        # lexgb, universal and finite_field meet the same (filter, F_p) certificate
-        assert main(["verify", "all", "--max-n", "4", "--seed", "3", "--field", field]) == 0
-        last = capsys.readouterr().out.strip().splitlines()[-1]
-        assert last.startswith("40 pass, 0 fail, 29 skipped")
-        assert last.endswith(f"[determinism sha256:{pin}]")
-
-    def test_verify_lexgb_n_6_seed_7_hash(self, capsys):
-        # every principal filter of 6, with the n! fillings of all-mode
-        assert main(["verify", "lexgb", "--n", "6", "--seed", "7"]) == 0
-        last = capsys.readouterr().out.strip().splitlines()[-1]
-        assert last.startswith("11 pass, 0 fail, 0 skipped")
-        assert last.endswith("[determinism sha256:51ffceae6267f8bd]")
-
-    def test_verify_universal_n_6_seed_7_hash(self, capsys):
-        # every principal filter of 6, with the referee orders of seed 7
-        assert main(["verify", "universal", "--n", "6", "--seed", "7"]) == 0
-        last = capsys.readouterr().out.strip().splitlines()[-1]
-        assert last.startswith("11 pass, 0 fail, 0 skipped")
-        assert last.endswith("[determinism sha256:658142c6218b0fc1]")
-
-    def test_verify_vanishing_n_6_seed_7_hash(self, capsys):
-        # the column-standard generators of every shape of 6, evaluated on
-        # sampled points of every stratum
-        assert main(["verify", "vanishing", "--n", "6", "--seed", "7"]) == 0
-        last = capsys.readouterr().out.strip().splitlines()[-1]
-        assert last.startswith("1 pass, 0 fail, 0 skipped")
-        assert last.endswith("[determinism sha256:0d72ad2195bc6558]")
+    # each id is the row's arguments, spaces as underscores to keep it one word
+    @pytest.mark.parametrize("args, line", PINS, ids=[args.replace(" ", "_") for args, _ in PINS])
+    def test_last_line(self, args, line, capsys):
+        # the table in pins.py: any change in behaviour moves a hash
+        assert main(["verify", *args.split()]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == line
 
 
 class TestCli:
@@ -1105,7 +1092,7 @@ class TestMembershipRoute:
     def restricted_with(self, monkeypatch, change):
         original = verify.restricted_standard_generators
         monkeypatch.setattr(verify, "restricted_standard_generators",
-                            lambda lam: change(original(lam)))
+                            lambda lam, **kw: change(original(lam, **kw)))
         return check_restricted((2, 2))
 
     def test_a_larger_lex_basis_fails_the_subset_test(self, monkeypatch):

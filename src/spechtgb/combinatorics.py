@@ -9,9 +9,9 @@ Also owns the text syntax for partitions and filters shared by the CLI:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from functools import lru_cache
 from math import factorial, prod
+from operator import attrgetter
 
 Partition = tuple[int, ...]
 
@@ -283,49 +283,38 @@ def tableaux(shape, mode: str = "all") -> tuple[Tableau, ...]:
     """Enumerate fillings of the shape, ordered lexicographically by row-major entry sequence.
 
     mode selects all fillings (a scan of the n! permutations), the column-standard
-    ones, or the standard ones. The last two are built directly by backtracking
-    over the cells in row-major order, each taking the unused values above the
-    cell over it (standard: and to its left) while enough remain for its column.
+    ones, or the standard ones. The last two are built directly: 1, 2, ..., n
+    are placed in turn at the foot of a column that has room, which keeps every
+    column increasing downwards, and in standard mode only under a cell whose
+    left neighbour is already filled, which keeps every row increasing too.
+    Each filling is reached exactly once; the results are then sorted by rows.
     """
     if mode not in TABLEAU_MODES:
         raise ValueError(f"mode must be one of {TABLEAU_MODES}, got {mode!r}")
     lam = validate_partition(shape)
     n = sum(lam)
-    bounds = tuple(itertools.accumulate(lam, initial=0))
     if mode == "all":
+        bounds = tuple(itertools.accumulate(lam, initial=0))
         return tuple(_trusted_tableau(p, bounds) for p in itertools.permutations(range(1, n + 1)))
-    # per cell in row-major order: the cells bounding it from below (index n
-    # stands for no cell and holds 0) and the number of cells under it
     heights = conjugate(lam)
-    cells = [
-        (bounds[r - 1] + c if r else n,
-         bounds[r] + c - 1 if c and mode == "standard" else n,
-         heights[c] - r - 1)
-        for r, p in enumerate(lam) for c in range(p)
-    ]
-    filling = [0] * (n + 1)
-    out = []
-
-    def fill(k: int, free: list[int]) -> None:
-        if k == n:
-            out.append(_trusted_tableau(filling, bounds))
-            return
-        above, left, below = cells[k]
-        for i in range(bisect_right(free, max(filling[above], filling[left])), len(free) - below):
-            filling[k] = free[i]
-            fill(k + 1, free[:i] + free[i + 1:])
-
-    fill(0, list(range(1, n + 1)))
-    return tuple(out)
+    standard = mode == "standard"
+    states: list[tuple[tuple[int, ...], ...]] = [((),) * len(heights)]
+    for v in range(1, n + 1):
+        states = [s[:c] + (s[c] + (v,),) + s[c + 1:]
+                  for s in states for c, h in enumerate(heights)
+                  if len(s[c]) < h and not (standard and c and len(s[c - 1]) <= len(s[c]))]
+    return tuple(sorted(map(column_tableau, states), key=attrgetter("rows")))
 
 
 def column_tableau(blocks) -> Tableau:
     """The tableau whose columns, left to right and each read top to bottom, are
-    the blocks of a canonical set partition (see validate_set_partition).
+    the blocks, longest first: a canonical set partition (see
+    validate_set_partition) or the columns that tableaux fills.
 
-    Its shape is the conjugate of the block sizes. Blocks of equal size come by
-    least entry, so it is the row-major-first column-standard filling with
-    these columns. Like _trusted_tableau, it validates nothing.
+    Its shape is the conjugate of the block sizes. In a canonical set partition
+    blocks of equal size come by least entry, so it is the row-major-first
+    column-standard filling with these columns. Like _trusted_tableau, it
+    validates nothing.
     """
     t = object.__new__(Tableau)
     object.__setattr__(t, "rows", tuple(tuple(c[r] for c in blocks if len(c) > r)

@@ -326,8 +326,11 @@ class Poly:
         return self.__add__(other)
 
     def __neg__(self) -> "Poly":
-        field = self.field
-        return Poly._raw(self.nvars, field, {m: field.neg(c) for m, c in self.terms.items()})
+        # field.neg inlined: a canonical coefficient c of F_p lies in 1..p-1
+        p = self.field.p
+        terms = ({m: -c for m, c in self.terms.items()} if p is None
+                 else {m: p - c for m, c in self.terms.items()})
+        return Poly._raw(self.nvars, self.field, terms)
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, Poly):

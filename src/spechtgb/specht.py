@@ -18,7 +18,7 @@ expanded once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter, itemgetter
 
 from .combinatorics import (
@@ -65,12 +65,33 @@ def _column_terms(h: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((p, flip * s) for p, s in perms)
 
 
+@lru_cache(maxsize=None)
+def _stacked_terms(n: int, heights: tuple[int, ...],
+                   field: Field) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """The terms of a product of Vandermonde factors on disjoint variables, in
+    layout order: n - sum(heights) zeros, then each column's exponents top to
+    bottom. Returns the exponent tuples and, in the same order, the +-1
+    coefficients as elements of the field."""
+    monos: list = [(0,) * (n - sum(heights))]
+    signs: list = [1]
+    for h in heights:
+        table = _column_terms(h)
+        monos = [m + e for m in monos for e, _ in table]
+        signs = [s * u for s in signs for _, u in table]
+    coefficient = {1: field.one, -1: field.neg(field.one)}
+    return tuple(monos), tuple(map(coefficient.__getitem__, signs))
+
+
 def specht_polynomial(t: Tableau, field: Field = QQ) -> Poly:
-    """Expanded column-difference product of a tableau.
+    """Expanded column-difference product of a tableau: prod (x_i - x_j) over
+    the pairs i above j in a column, with no normalization.
 
     Columns share no variables, so every term is one term of each column's
     Vandermonde expansion (see _column_terms), concatenated: prod h_j! terms,
-    each with coefficient +-1.
+    each with coefficient +-1. Those terms depend only on n, the column
+    heights and the field, so they come from one table per height sequence
+    (_stacked_terms); the tableau only says which variable each exponent
+    belongs to.
     """
     n = t.n
     columns = [c for c in t.columns() if len(c) > 1]
@@ -83,15 +104,8 @@ def specht_polynomial(t: Tableau, field: Field = QQ) -> Poly:
     slot = [0] * n
     for idx, v in enumerate(layout):
         slot[v - 1] = idx
-    monos: list = [(0,) * (n - len(stacked))]
-    signs: list = [1]
-    for c in columns:
-        table = _column_terms(len(c))
-        monos = [m + e for m in monos for e, _ in table]
-        signs = [s * u for s in signs for _, u in table]
-    coefficient = {1: field.one, -1: field.neg(field.one)}
-    terms = dict(zip(map(itemgetter(*slot), monos), map(coefficient.__getitem__, signs)))
-    return Poly._raw(n, field, terms)
+    monos, coefficients = _stacked_terms(n, tuple(map(len, columns)), field)
+    return Poly._raw(n, field, dict(zip(map(itemgetter(*slot), monos), coefficients)))
 
 
 def _normalized(p: Poly, reference) -> Poly:
@@ -113,8 +127,11 @@ def shape_generators(shape, *, mode: str = "column_standard",
     the row-major-first column-standard filling with those columns
     (column_tableau), and expands each once: the tableau that the full
     column-standard enumeration meets first for its polynomial. Standard
-    tableaux already have pairwise distinct columns. all mode expands every
-    filling and keeps the first tableau of each polynomial, an independent
+    tableaux already have pairwise distinct columns. In both modes every
+    column increases downwards, so the lex leading coefficient is
+    (-1)^(sum_j C(h_j, 2)) over the column heights h_j, one sign per shape.
+    all mode expands every filling, reads each leading coefficient off its
+    terms, and keeps the first tableau of each polynomial, an independent
     route to the column-standard set. Each (shape, mode, field) is expanded
     once per process; every call returns that tuple.
     """
@@ -126,14 +143,18 @@ def shape_generators(shape, *, mode: str = "column_standard",
 @lru_cache(maxsize=None)
 def _shape_generators_cached(lam: Partition, mode: str,
                              field: Field) -> tuple[SpechtGenerator, ...]:
-    reference = lex_order(sum(lam))
     if mode == "column_standard":
         fillings = sorted(map(column_tableau, set_partitions_of_type(conjugate(lam))),
                           key=attrgetter("rows"))
     else:
         fillings = tableaux(lam, mode)
+    if mode == "all":
+        normalize = partial(_normalized, reference=lex_order(sum(lam)))
+    else:  # each factor x_upper - x_lower has lex-leading term -x_lower
+        odd = sum(h * (h - 1) // 2 for h in conjugate(lam)) % 2
+        normalize = Poly.__neg__ if odd else (lambda p: p)
     gens = (SpechtGenerator(shape=lam, tableau=t,
-                            polynomial=_normalized(specht_polynomial(t, field), reference))
+                            polynomial=normalize(specht_polynomial(t, field)))
             for t in fillings)
     if mode != "all":
         return tuple(gens)

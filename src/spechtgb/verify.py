@@ -193,13 +193,15 @@ def _lex_reduced(polys: tuple[Poly, ...]) -> tuple[Poly, ...]:
 
 def check_lexgb(filt: PartitionFilter, *, field: Field = QQ) -> CheckReport:
     """The column-standard generator set of a lower filter is already a basis
-    under lex x1 < ... < xn, each generator's lex leading monomial is its
-    tableau's closed form (initial_monomial), and enumerating every tableau
-    instead of only the column-standard ones leaves the ideal unchanged,
-    tested by membership against the certified set (_generates). The
-    column-standard set is built from set partitions, one per set of
-    columns, while all-mode expands every filling and drops the repeats, so
-    this comparison is also the runtime cross-check of that construction."""
+    under lex x1 < ... < xn, each generator's lex leading term is its
+    tableau's closed form (initial_monomial) with coefficient 1, and
+    enumerating every tableau instead of only the column-standard ones leaves
+    the ideal unchanged, tested by membership against the certified set
+    (_generates). The column-standard set is built from set partitions, one
+    per set of columns, and signed by a rule of its shape, while all-mode
+    expands every filling, normalizes each by its leading coefficient and
+    drops the repeats, so these two tests are also the runtime cross-check
+    of that construction."""
     parameters = {"n": filt.n, "filter": filter_text(filt), "field": field.text()}
 
     def body():
@@ -207,8 +209,8 @@ def check_lexgb(filt: PartitionFilter, *, field: Field = QQ) -> CheckReport:
         gens = filter_generators(filt, field=field)
         cs = tuple(g.polynomial for g in gens)
         for g in gens:
-            if leading_term(g.polynomial, order)[0] != initial_monomial(g.tableau):
-                return "fail", "a lex leading monomial is not its tableau's closed form", {
+            if leading_term(g.polynomial, order) != (initial_monomial(g.tableau), field.one):
+                return "fail", "a lex leading term is not 1 times its tableau's closed form", {
                     "tableau": [list(r) for r in g.tableau.rows]}
         ok, counts, failed = _lex_certificate(cs)
         evidence = {"generators": len(cs), "pair_counts": dict(counts)}

@@ -301,13 +301,16 @@ class TestTableaux:
                 for mode, count in expected.items():
                     assert tableau_count(lam, mode) == count
                     if n <= 6 if mode == "all" else n <= 8 or count <= 20_000:
-                        assert len(tableaux(lam, mode)) == count
+                        rows = [t.rows for t in tableaux(lam, mode)]
+                        assert len(rows) == count
+                        # strictly increasing: rows order, and no repeats
+                        assert all(a < b for a, b in zip(rows, rows[1:]))
         assert len(tableaux((4, 4, 4), "standard")) == 462
         with pytest.raises(ValueError):
             tableau_count((2, 1), "restricted_standard")
 
     def test_direct_modes_match_the_scan(self):
-        # the backtracking modes keep exactly what filtering the n! scan keeps, in its order
+        # the direct modes keep exactly what filtering the n! scan keeps, in its order
         for n in range(1, 8):
             for lam in partitions_of(n):
                 everything = tableaux(lam, "all")

@@ -349,10 +349,11 @@ class TestStandardGeneratorsOfEight:
     def test_hook_many_distinct_standard_tableaux_with_their_products(self):
         shapes = [lam for lam in partitions_of(8) if len(lam) == 3]
         assert len(shapes) == 5
-        for lam in shapes:
-            gens = shape_generators(lam, mode="standard")
+        for field, lam in itertools.product((QQ, GF(7)), shapes):
+            gens = shape_generators(lam, mode="standard", field=field)
             assert len(gens) == hook_length_count(lam)
-            assert len({g.tableau.rows for g in gens}) == len(gens)
+            order = [g.tableau.rows for g in gens]
+            assert order == sorted(set(order))
             for g in gens:
                 rows = g.tableau.rows
                 assert tuple(len(r) for r in rows) == lam
@@ -362,7 +363,11 @@ class TestStandardGeneratorsOfEight:
                 # normalized to leading coefficient 1 under lex with x_n
                 # dominant, each factor is x_lower - x_upper
                 expected = prod(self.POINT[b - 1] - self.POINT[a - 1] for a, b in pairs)
-                assert eval_poly(g.polynomial.terms, self.POINT) == expected
+                value = eval_poly(g.polynomial.terms, self.POINT)
+                if field.p is None:
+                    assert value == expected
+                else:  # the point's values taken mod p
+                    assert value % field.p == expected % field.p
 
 
 class TestFilterGenerators:

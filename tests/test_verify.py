@@ -52,6 +52,9 @@ from oracles import REF_EXPANDS, ref_order_failure, ref_stratum_vanishing
 from pins import PINS
 
 
+LEADING_TERM = "a lex leading term is not 1 times its tableau's closed form"
+
+
 def assert_clean_pass(report, check_id):
     assert report.check_id == check_id
     assert report.verdict == "pass"
@@ -71,8 +74,27 @@ class TestIndividualChecks:
             t.row_index()[i] for i in range(1, t.n + 1)))
         report = check_lexgb(filter_closure(3, [(2, 1)], "lower"))
         assert report.verdict == "fail"
-        assert report.reason == "a lex leading monomial is not its tableau's closed form"
+        assert report.reason == LEADING_TERM
         assert report.evidence == {"tableau": [[1, 2], [3]]}
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=lambda f: f.text())
+    def test_lexgb_checks_the_sign_of_each_leading_term(self, monkeypatch, field):
+        # the last column-standard generator negated: same ideal, same
+        # leading monomial, leading coefficient -1
+        filt = filter_closure(3, [(2, 1)], "lower")
+        built = verify.filter_generators
+
+        def last_negated(filt, *, mode="column_standard", field=QQ):
+            gens = built(filt, mode=mode, field=field)
+            if mode != "column_standard":
+                return gens
+            return gens[:-1] + (replace(gens[-1], polynomial=-gens[-1].polynomial),)
+
+        monkeypatch.setattr(verify, "filter_generators", last_negated)
+        report = check_lexgb(filt, field=field)
+        assert report.verdict == "fail"
+        assert report.reason == LEADING_TERM
+        assert report.evidence == {"tableau": [[1], [2], [3]]}
 
     def test_universal(self):
         filt = filter_closure(3, [(2, 1)], "lower")

@@ -5,7 +5,9 @@ is deterministic for a fixed (configuration, seed): evidence holds counts and
 small witnesses only, timing lives outside the payload. Where a fact has two
 independent computational routes (tableau generators plus Buchberger on one
 side, the strata intersection oracle on the other) the check runs both and
-compares, rather than trusting either.
+compares, rather than trusting either. Each check_* only builds its inputs
+and hands them to its judge, the private function named after the check,
+which its negative control runs on a corrupted input.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 
 from .combinatorics import (
@@ -203,29 +205,32 @@ def check_lexgb(filt: PartitionFilter, *, field: Field = QQ) -> CheckReport:
     drops the repeats, so these two tests are also the runtime cross-check
     of that construction."""
     parameters = {"n": filt.n, "filter": filter_text(filt), "field": field.text()}
+    return _guarded("lexgb", parameters, lambda: _lexgb(
+        filter_generators(filt, field=field),
+        [g.polynomial for g in filter_generators(filt, mode="all", field=field)]))
 
-    def body():
-        order = lex_order(filt.n)
-        gens = filter_generators(filt, field=field)
-        cs = tuple(g.polynomial for g in gens)
-        for g in gens:
-            if leading_term(g.polynomial, order) != (initial_monomial(g.tableau), field.one):
-                return "fail", "a lex leading term is not 1 times its tableau's closed form", {
-                    "tableau": [list(r) for r in g.tableau.rows]}
-        ok, counts, failed = _lex_certificate(cs)
-        evidence = {"generators": len(cs), "pair_counts": dict(counts)}
-        if not ok:
-            evidence["failed_pairs"] = [dict(p) for p in failed]
-            return "fail", "an S-polynomial did not reduce to zero under lex", evidence
-        all_polys = [g.polynomial for g in filter_generators(filt, mode="all", field=field)]
-        evidence["all_mode_same_generators"] = same_set = set(all_polys) == set(cs)
-        evidence["reduced_basis_size"] = len(_lex_reduced(cs))
-        if not same_set and (mismatch := _generates(cs, all_polys, order)):
-            return "fail", "all-tableaux mode produced a different reduced basis", {
-                **evidence, "mismatch": mismatch}
-        return "pass", None, evidence
 
-    return _guarded("lexgb", parameters, body)
+def _lexgb(gens, all_polys: list[Poly]):
+    """lexgb's judgment of column-standard generators against the all-mode
+    polynomials of their filter."""
+    order = lex_order(gens[0].tableau.n)
+    cs = tuple(g.polynomial for g in gens)
+    for g in gens:
+        if leading_term(g.polynomial, order) != (initial_monomial(g.tableau),
+                                                 g.polynomial.field.one):
+            return "fail", "a lex leading term is not 1 times its tableau's closed form", {
+                "tableau": [list(r) for r in g.tableau.rows]}
+    ok, counts, failed = _lex_certificate(cs)
+    evidence = {"generators": len(cs), "pair_counts": dict(counts)}
+    if not ok:
+        evidence["failed_pairs"] = [dict(p) for p in failed]
+        return "fail", "an S-polynomial did not reduce to zero under lex", evidence
+    evidence["all_mode_same_generators"] = same_set = set(all_polys) == set(cs)
+    evidence["reduced_basis_size"] = len(_lex_reduced(cs))
+    if not same_set and (mismatch := _generates(cs, all_polys, order)):
+        return "fail", "all-tableaux mode produced a different reduced basis", {
+            **evidence, "mismatch": mismatch}
+    return "pass", None, evidence
 
 
 def _referee_orders(n: int, seed: int) -> list[MonomialOrder]:
@@ -354,16 +359,15 @@ def check_universal(filt: PartitionFilter, *, seed: int = 0,
     parameters = {"n": filt.n, "filter": filter_text(filt), "field": field.text(),
                   "seed": seed}
     metrics: dict = {}
+    return _guarded("universal", parameters, lambda: _universal(
+        filter_generators(filt, field=field), seed, metrics), metrics)
 
-    def body():
-        gens = filter_generators(filt, field=field)
-        evidence = {"generators": len(gens)}
-        failure = _every_order_failure(gens, seed, evidence, metrics)
-        if failure:
-            return "fail", failure, evidence
-        return "pass", None, evidence
 
-    return _guarded("universal", parameters, body, metrics)
+def _universal(gens, seed: int, metrics: dict):
+    """universal's judgment of a generator set (_every_order_failure)."""
+    evidence = {"generators": len(gens)}
+    failure = _every_order_failure(gens, seed, evidence, metrics)
+    return ("fail", failure, evidence) if failure else ("pass", None, evidence)
 
 
 def check_reduced(filt: PartitionFilter, *,
@@ -374,37 +378,36 @@ def check_reduced(filt: PartitionFilter, *,
     two-sided membership and by exact reduced-basis agreement; passing means
     the generated ideal is radical and cuts out exactly those strata."""
     parameters = {"n": filt.n, "filter": filter_text(filt), "field": "Q"}
-
-    def body():
-        order = lex_order(filt.n)
-        gens = [g.polynomial for g in filter_generators(filt)]
-        lhs = groebner_basis(gens, order, pair_budget=pair_budget)
-        complement = filt.complement()
-        if not len(complement):
-            one = Poly.constant(1, filt.n, QQ)
-            if lhs == [one]:
-                return "pass", None, {"complement_size": 0, "unit_ideal": True}
-            return "fail", "the full filter should generate the unit ideal", {
-                "reduced_basis_size": len(lhs)}
-        oracle = vanishing_ideal_oracle(complement, pair_budget=pair_budget)
-        rhs = list(oracle.generators)
-        oracle_in_gens = _reduce_to_zero(rhs, lhs, order)
-        gens_in_oracle = _reduce_to_zero(gens, rhs, order)
-        evidence = {
-            "complement_size": len(complement),
-            "generators": len(gens),
-            "oracle_basis_size": len(rhs),
-            "reduced_basis_size": len(lhs),
-            "oracle_contained_in_generated": oracle_in_gens,
-            "generated_contained_in_oracle": gens_in_oracle,
-            "reduced_bases_equal": lhs == rhs,
-        }
-        if oracle_in_gens and gens_in_oracle and lhs == rhs:
-            return "pass", None, evidence
-        return "fail", "generated ideal and strata oracle disagree", evidence
-
     metrics: dict = {}
-    return _guarded("reduced", parameters, _counting_oracle(body, metrics), metrics)
+    return _guarded("reduced", parameters, _counting_oracle(lambda: _reduced(
+        [g.polynomial for g in filter_generators(filt)], filt.complement(), pair_budget),
+        metrics), metrics)
+
+
+def _reduced(gens: list[Poly], complement: PartitionFilter, pair_budget: int):
+    """reduced's judgment of generators against the strata of complement."""
+    order = lex_order(complement.n)
+    lhs = groebner_basis(gens, order, pair_budget=pair_budget)
+    if not len(complement):
+        if lhs == [Poly.constant(1, complement.n, QQ)]:
+            return "pass", None, {"complement_size": 0, "unit_ideal": True}
+        return "fail", "the full filter should generate the unit ideal", {
+            "reduced_basis_size": len(lhs)}
+    rhs = list(vanishing_ideal_oracle(complement, pair_budget=pair_budget).generators)
+    oracle_in_gens = _reduce_to_zero(rhs, lhs, order)
+    gens_in_oracle = _reduce_to_zero(gens, rhs, order)
+    evidence = {
+        "complement_size": len(complement),
+        "generators": len(gens),
+        "oracle_basis_size": len(rhs),
+        "reduced_basis_size": len(lhs),
+        "oracle_contained_in_generated": oracle_in_gens,
+        "generated_contained_in_oracle": gens_in_oracle,
+        "reduced_bases_equal": lhs == rhs,
+    }
+    if oracle_in_gens and gens_in_oracle and lhs == rhs:
+        return "pass", None, evidence
+    return "fail", "generated ideal and strata oracle disagree", evidence
 
 
 def check_stratum_vanishing(n: int, *, samples: int = 10, seed: int = 0) -> CheckReport:
@@ -412,43 +415,44 @@ def check_stratum_vanishing(n: int, *, samples: int = 10, seed: int = 0) -> Chec
     stratum whose type the shape does not dominate, and at each sampled point
     of a dominated stratum at least one generator of the shape is nonzero."""
     parameters = {"n": n, "samples": samples, "seed": seed, "field": "Q"}
+    return _guarded("vanishing", parameters, lambda: _vanishing(n, samples, seed, dominates))
 
-    def body():
-        shapes = partitions_of(n)
-        zero = QQ.zero
-        zero_evaluations = 0
-        witness_points = 0
-        for lam_idx, lam in enumerate(shapes):
-            gens = [g.polynomial for g in shape_generators(lam)]
-            for mu_idx, mu in enumerate(shapes):
-                stratum_seed = seed * 1_000_003 + lam_idx * len(shapes) + mu_idx
-                points = sample_stratum(mu, samples, stratum_seed)
-                if not dominates(lam, mu):
-                    # generator by generator, each at every point in turn
-                    for values in zip(*(evaluations(gens, point) for point in points)):
-                        for v in values:
-                            if v != zero:
-                                return "fail", (
-                                    f"a generator of {partition_text(lam)} is nonzero on "
-                                    f"a point of type {partition_text(mu)}"
-                                ), {"zero_evaluations": zero_evaluations}
-                            zero_evaluations += 1
-                else:
-                    for point in points:
-                        if all(v == zero for v in evaluations(gens, point)):
+
+def _vanishing(n: int, samples: int, seed: int, dominates):
+    """vanishing's judgment, under the dominance test dominates(lam, mu)."""
+    shapes = partitions_of(n)
+    zero = QQ.zero
+    zero_evaluations = 0
+    witness_points = 0
+    for lam_idx, lam in enumerate(shapes):
+        gens = [g.polynomial for g in shape_generators(lam)]
+        for mu_idx, mu in enumerate(shapes):
+            stratum_seed = seed * 1_000_003 + lam_idx * len(shapes) + mu_idx
+            points = sample_stratum(mu, samples, stratum_seed)
+            if not dominates(lam, mu):
+                # generator by generator, each at every point in turn
+                for values in zip(*(evaluations(gens, point) for point in points)):
+                    for v in values:
+                        if v != zero:
                             return "fail", (
-                                f"no generator of {partition_text(lam)} is nonzero on "
+                                f"a generator of {partition_text(lam)} is nonzero on "
                                 f"a point of type {partition_text(mu)}"
-                            ), {"witness_points": witness_points}
-                        witness_points += 1
-        evidence = {
-            "shapes": len(shapes),
-            "zero_evaluations": zero_evaluations,
-            "witness_points": witness_points,
-        }
-        return "pass", None, evidence
-
-    return _guarded("vanishing", parameters, body)
+                            ), {"zero_evaluations": zero_evaluations}
+                        zero_evaluations += 1
+            else:
+                for point in points:
+                    if all(v == zero for v in evaluations(gens, point)):
+                        return "fail", (
+                            f"no generator of {partition_text(lam)} is nonzero on "
+                            f"a point of type {partition_text(mu)}"
+                        ), {"witness_points": witness_points}
+                    witness_points += 1
+    evidence = {
+        "shapes": len(shapes),
+        "zero_evaluations": zero_evaluations,
+        "witness_points": witness_points,
+    }
+    return "pass", None, evidence
 
 
 def _random_degree2_poly(n: int, rng: random.Random, *, max_terms: int = 3) -> Poly:
@@ -480,55 +484,59 @@ def check_coefficient_descent(n: int, *, trials: int = 20, seed: int = 0,
     ring with one variable fewer. Tried on random ideal members; membership of
     the input is verified before the coefficient property is asserted."""
     parameters = {"n": n, "trials": trials, "seed": seed, "field": "Q"}
-
-    def body():
-        order = lex_order(n)
-        inner_order = lex_order(n - 1)
-        filters = enumerate_upper_filters(n)
-        memberships = 0
-        trivial = 0
-        for f_idx, filt in enumerate(filters):
-            oracle = vanishing_ideal_oracle(filt, pair_budget=pair_budget)
-            if oracle.is_zero():
-                trivial += 1
-                continue
-            gens = list(oracle.generators)
-            rng = random.Random(seed * 7919 + f_idx)
-            for _ in range(trials):
-                f = _random_member(gens, rng)
-                redraws = 0
-                while not f.terms and redraws < 20:
-                    f = _random_member(gens, rng)
-                    redraws += 1
-                if not f.terms:
-                    continue
-                if not _reduce_to_zero([f], gens, order):
-                    return "fail", "a constructed member failed its membership precondition", {
-                        "filter": filter_text(filt)}
-                shares = coefficients_in_last_variable(f)
-                top_degree = len(shares) - 1
-                derived = derived_filter(filt, top_degree + 1)
-                if not len(derived):
-                    trivial += len(shares)
-                    continue
-                derived_oracle = vanishing_ideal_oracle(derived, pair_budget=pair_budget)
-                for share in shares:
-                    if not _reduce_to_zero([share], derived_oracle.generators, inner_order):
-                        return "fail", "a coefficient escaped the derived filter's ideal", {
-                            "filter": filter_text(filt),
-                            "derived": filter_text(derived),
-                            "top_degree": top_degree,
-                        }
-                    memberships += 1
-        evidence = {
-            "filters": len(filters),
-            "memberships": memberships,
-            "trivial_cases": trivial,
-        }
-        return "pass", None, evidence
-
     metrics: dict = {}
-    return _guarded("descent", parameters, _counting_oracle(body, metrics), metrics)
+    return _guarded("descent", parameters, _counting_oracle(lambda: _descent(
+        enumerate_upper_filters(n), trials, seed, pair_budget, _random_member),
+        metrics), metrics)
+
+
+def _descent(filters, trials: int, seed: int, pair_budget: int, draw):
+    """descent's judgment of upper filters, on the members draw(gens, rng)
+    offers as members of each one's vanishing ideal."""
+    n = filters[0].n
+    order = lex_order(n)
+    inner_order = lex_order(n - 1)
+    memberships = 0
+    trivial = 0
+    for f_idx, filt in enumerate(filters):
+        oracle = vanishing_ideal_oracle(filt, pair_budget=pair_budget)
+        if oracle.is_zero():
+            trivial += 1
+            continue
+        gens = list(oracle.generators)
+        rng = random.Random(seed * 7919 + f_idx)
+        for _ in range(trials):
+            f = draw(gens, rng)
+            redraws = 0
+            while not f.terms and redraws < 20:
+                f = draw(gens, rng)
+                redraws += 1
+            if not f.terms:
+                continue
+            if not _reduce_to_zero([f], gens, order):
+                return "fail", "a constructed member failed its membership precondition", {
+                    "filter": filter_text(filt)}
+            shares = coefficients_in_last_variable(f)
+            top_degree = len(shares) - 1
+            derived = derived_filter(filt, top_degree + 1)
+            if not len(derived):
+                trivial += len(shares)
+                continue
+            derived_oracle = vanishing_ideal_oracle(derived, pair_budget=pair_budget)
+            for share in shares:
+                if not _reduce_to_zero([share], derived_oracle.generators, inner_order):
+                    return "fail", "a coefficient escaped the derived filter's ideal", {
+                        "filter": filter_text(filt),
+                        "derived": filter_text(derived),
+                        "top_degree": top_degree,
+                    }
+                memberships += 1
+    evidence = {
+        "filters": len(filters),
+        "memberships": memberships,
+        "trivial_cases": trivial,
+    }
+    return "pass", None, evidence
 
 
 def check_restricted(shape, *, field: Field = QQ) -> CheckReport:
@@ -539,24 +547,24 @@ def check_restricted(shape, *, field: Field = QQ) -> CheckReport:
     lam = validate_partition(shape)
     n = sum(lam)
     parameters = {"n": n, "shape": partition_text(lam), "field": field.text()}
+    return _guarded("restricted", parameters, lambda: _restricted(
+        tuple(g.polynomial for g in restricted_standard_generators(lam, field=field)),
+        [g.polynomial for g in filter_generators(filter_closure(n, [lam], "lower"),
+                                                 field=field)]))
 
-    def body():
-        restricted = tuple(g.polynomial
-                           for g in restricted_standard_generators(lam, field=field))
-        ok, counts, _ = _lex_certificate(restricted)
-        evidence = {"restricted_generators": len(restricted), "pair_counts": dict(counts)}
-        if not ok:
-            return "fail", "the restricted set is not a basis under lex", evidence
-        full = [g.polynomial
-                for g in filter_generators(filter_closure(n, [lam], "lower"), field=field)]
-        evidence["full_generators"] = len(full)
-        evidence["reduced_basis_size"] = len(_lex_reduced(restricted))
-        if mismatch := _generates(restricted, full, lex_order(n)):
-            return "fail", "the restricted set generates a different ideal", {
-                **evidence, "mismatch": mismatch}
-        return "pass", None, evidence
 
-    return _guarded("restricted", parameters, body)
+def _restricted(restricted: tuple[Poly, ...], full: list[Poly]):
+    """restricted's judgment of a restricted set against the full one."""
+    ok, counts, _ = _lex_certificate(restricted)
+    evidence = {"restricted_generators": len(restricted), "pair_counts": dict(counts)}
+    if not ok:
+        return "fail", "the restricted set is not a basis under lex", evidence
+    evidence["full_generators"] = len(full)
+    evidence["reduced_basis_size"] = len(_lex_reduced(restricted))
+    if mismatch := _generates(restricted, full, lex_order(full[0].nvars)):
+        return "fail", "the restricted set generates a different ideal", {
+            **evidence, "mismatch": mismatch}
+    return "pass", None, evidence
 
 
 def check_finite_field(filt: PartitionFilter, p: int) -> CheckReport:
@@ -564,29 +572,29 @@ def check_finite_field(filt: PartitionFilter, p: int) -> CheckReport:
     generator set is a lex basis over F_p and over Q, and its reduced basis
     over F_p is the termwise image of the rational one."""
     parameters = {"n": filt.n, "filter": filter_text(filt), "p": p}
+    return _guarded("finite_field", parameters, lambda: _finite_field(
+        tuple(g.polynomial for g in filter_generators(filt, field=GF(p))),
+        tuple(g.polynomial for g in filter_generators(filt))))
 
-    def body():
-        fp = GF(p)
-        gens_p = filter_generators(filt, field=fp)
-        polys_p = tuple(g.polynomial for g in gens_p)
-        ok, counts, _ = _lex_certificate(polys_p)
-        evidence = {"generators_mod_p": len(gens_p), "pair_counts": dict(counts)}
-        if not ok:
-            return "fail", f"not a lex basis over F_{p}", evidence
-        polys_q = tuple(g.polynomial for g in filter_generators(filt))
-        if not _lex_certificate(polys_q)[0]:
-            return "fail", "the rational generators are not a lex basis", evidence
-        try:
-            image = tuple(Poly(filt.n, fp, g.terms) for g in _lex_reduced(polys_q))
-        except ValueError:
-            return "fail", f"a rational coefficient has no image mod {p}", evidence
-        rgb_p = _lex_reduced(polys_p)
-        evidence["reduced_basis_size"] = len(rgb_p)
-        if image != rgb_p:
-            return "fail", "the reduced basis mod p is not the image of the rational one", evidence
-        return "pass", None, evidence
 
-    return _guarded("finite_field", parameters, body)
+def _finite_field(polys_p: tuple[Poly, ...], polys_q: tuple[Poly, ...]):
+    """finite_field's judgment of one generator set over F_p and over Q."""
+    fp = polys_p[0].field
+    ok, counts, _ = _lex_certificate(polys_p)
+    evidence = {"generators_mod_p": len(polys_p), "pair_counts": dict(counts)}
+    if not ok:
+        return "fail", f"not a lex basis over F_{fp.p}", evidence
+    if not _lex_certificate(polys_q)[0]:
+        return "fail", "the rational generators are not a lex basis", evidence
+    try:
+        image = tuple(Poly(g.nvars, fp, g.terms) for g in _lex_reduced(polys_q))
+    except ValueError:
+        return "fail", f"a rational coefficient has no image mod {fp.p}", evidence
+    rgb_p = _lex_reduced(polys_p)
+    evidence["reduced_basis_size"] = len(rgb_p)
+    if image != rgb_p:
+        return "fail", "the reduced basis mod p is not the image of the rational one", evidence
+    return "pass", None, evidence
 
 
 def check_containment(n: int, *, field: Field = QQ,
@@ -595,34 +603,36 @@ def check_containment(n: int, *, field: Field = QQ,
     generator of the lower shape reduces to zero against a basis computed from
     the higher shape's own generators alone."""
     parameters = {"n": n, "field": field.text()}
+    return _guarded("containment", parameters,
+                    lambda: _containment(n, field, pair_budget, dominates))
 
-    def body():
-        order = lex_order(n)
-        shapes = partitions_of(n)
-        bases = {lam: groebner_basis([g.polynomial for g in shape_generators(lam, field=field)],
-                                     order, pair_budget=pair_budget) for lam in shapes}
-        comparable_pairs = 0
-        memberships = 0
-        for lam in shapes:
-            for mu in shapes:
-                if mu == lam or not dominates(lam, mu):
-                    continue
-                comparable_pairs += 1
-                gens = [g.polynomial for g in shape_generators(mu, mode="standard", field=field)]
-                if not _reduce_to_zero(gens, bases[lam], order):
-                    return "fail", (
-                        f"a generator of {partition_text(mu)} is outside the ideal "
-                        f"of {partition_text(lam)}"
-                    ), {"comparable_pairs": comparable_pairs}
-                memberships += len(gens)
-        evidence = {
-            "shapes": len(shapes),
-            "comparable_pairs": comparable_pairs,
-            "memberships": memberships,
-        }
-        return "pass", None, evidence
 
-    return _guarded("containment", parameters, body)
+def _containment(n: int, field: Field, pair_budget: int, dominates):
+    """containment's judgment, under the dominance test dominates(lam, mu)."""
+    order = lex_order(n)
+    shapes = partitions_of(n)
+    bases = {lam: groebner_basis([g.polynomial for g in shape_generators(lam, field=field)],
+                                 order, pair_budget=pair_budget) for lam in shapes}
+    comparable_pairs = 0
+    memberships = 0
+    for lam in shapes:
+        for mu in shapes:
+            if mu == lam or not dominates(lam, mu):
+                continue
+            comparable_pairs += 1
+            gens = [g.polynomial for g in shape_generators(mu, mode="standard", field=field)]
+            if not _reduce_to_zero(gens, bases[lam], order):
+                return "fail", (
+                    f"a generator of {partition_text(mu)} is outside the ideal "
+                    f"of {partition_text(lam)}"
+                ), {"comparable_pairs": comparable_pairs}
+            memberships += len(gens)
+    evidence = {
+        "shapes": len(shapes),
+        "comparable_pairs": comparable_pairs,
+        "memberships": memberships,
+    }
+    return "pass", None, evidence
 
 
 def check_engine(*, trials: int = 100, seed: int = 0,
@@ -631,178 +641,119 @@ def check_engine(*, trials: int = 100, seed: int = 0,
     never changes the reduced basis, and neither does disabling the chain
     criterion."""
     parameters = {"trials": trials, "seed": seed}
+    return _guarded("engine", parameters,
+                    lambda: _engine(trials, seed, pair_budget, groebner_basis))
 
-    def body():
-        rng = random.Random(seed)
-        ran = 0
-        for trial in range(trials):
-            n = rng.choice((2, 3))
-            if trial % 10 == 9:
-                filters = enumerate_lower_filters(n)
-                filt = filters[rng.randrange(len(filters))]
-                gens = [g.polynomial for g in filter_generators(filt)]
-            else:
-                gens = [_random_degree2_poly(n, rng, max_terms=4) for _ in range(rng.randint(2, 3))]
-                gens = [g for g in gens if g.terms]
-                if not gens:
-                    continue
-            kind = rng.choice(("lex", "grlex", "grevlex"))
-            ranking = tuple(rng.sample(range(1, n + 1), n))
-            order = MonomialOrder(kind, n, ranking)
-            base = groebner_basis(gens, order, pair_budget=pair_budget)
-            shuffled = list(gens)
-            rng.shuffle(shuffled)
-            if groebner_basis(shuffled, order, pair_budget=pair_budget) != base:
-                return "fail", "permuting the generators changed the reduced basis", {
-                    "trial": trial}
-            no_chain = groebner_basis(gens, order, pair_budget=pair_budget,
-                                      use_chain_criterion=False)
-            if no_chain != base:
-                return "fail", "the chain criterion changed the reduced basis", {"trial": trial}
-            ran += 1
-        return "pass", None, {"trials_run": ran}
 
-    return _guarded("engine", parameters, body)
+def _engine(trials: int, seed: int, pair_budget: int, complete):
+    """engine's judgment of complete, a stand-in for groebner_basis."""
+    rng = random.Random(seed)
+    ran = 0
+    for trial in range(trials):
+        n = rng.choice((2, 3))
+        if trial % 10 == 9:
+            filters = enumerate_lower_filters(n)
+            filt = filters[rng.randrange(len(filters))]
+            gens = [g.polynomial for g in filter_generators(filt)]
+        else:
+            gens = [_random_degree2_poly(n, rng, max_terms=4) for _ in range(rng.randint(2, 3))]
+            gens = [g for g in gens if g.terms]
+            if not gens:
+                continue
+        kind = rng.choice(("lex", "grlex", "grevlex"))
+        ranking = tuple(rng.sample(range(1, n + 1), n))
+        order = MonomialOrder(kind, n, ranking)
+        base = complete(gens, order, pair_budget=pair_budget)
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        if complete(shuffled, order, pair_budget=pair_budget) != base:
+            return "fail", "permuting the generators changed the reduced basis", {
+                "trial": trial}
+        no_chain = complete(gens, order, pair_budget=pair_budget, use_chain_criterion=False)
+        if no_chain != base:
+            return "fail", "the chain criterion changed the reduced basis", {"trial": trial}
+        ran += 1
+    return "pass", None, {"trials_run": ran}
 
 
 # ---------------------------------------------------------------------------
-# negative controls: corrupted fixtures that the checks must reject
+# negative controls: corrupted inputs that the checks' judges must refuse
 
 
-def _control(name: str, parameters: dict, body) -> CheckReport:
-    def judged():
-        detected, evidence = body()
-        if detected:
-            return "pass", None, evidence
-        return "fail", "a corrupted input went undetected", evidence
-
-    return _guarded(f"control_{name}", parameters, judged)
+def _reversed_dominance(lam, mu) -> bool:
+    return dominates(mu, lam)
 
 
 def negative_controls(*, seed: int = 0) -> list[CheckReport]:
-    """One deliberately corrupted fixture per check class.
+    """One corrupted input per check, handed to that check's own judge.
 
-    Each control passes exactly when the corrupted computation is detected as
-    wrong, so a passing control certifies that its check can actually fail.
+    Each control passes exactly when the judge fails the input with the
+    reason its corruption must give, so a passing control certifies that
+    its check's decision can fail. The judges are looked up when a control
+    runs, so wrapping one reaches both its check and its control.
     """
-    reports = []
-
-    def lexgb_body():
-        # one shape dropped from a two-shape filter, label kept: what is
-        # left is a lex basis whose ideal misses the all-mode generators
-        corrupted = [g.polynomial for g in shape_generators((1, 1, 1))]
-        every = filter_generators(filter_closure(3, [(2, 1)], "lower"), mode="all")
-        detected = _generates(corrupted, [g.polynomial for g in every], lex_order(3)) is not None
-        return detected, {"dropped_shape": partition_text((2, 1))}
-
-    reports.append(_control("lexgb", {"n": 3, "filter": "lower:[2,1],[1,1,1]"}, lexgb_body))
-
-    def universal_body():
+    lower21 = filter_closure(3, [(2, 1)], "lower")
+    # name -> (parameters, the judge on a corrupted input, the reason it must give)
+    controls = {
+        # the generators of [1,1,1] under the label of lower<=[2,1]: a lex
+        # basis whose ideal misses the all-mode generators of [2,1]
+        "lexgb": ({"n": 3, "filter": "lower:[2,1],[1,1,1]"}, lambda: _lexgb(
+            shape_generators((1, 1, 1)),
+            [g.polynomial for g in filter_generators(lower21, mode="all")]),
+            "all-tableaux mode produced a different reduced basis"),
         # x3 - x1 dropped from the stable set of lower<=[2,1]: the rest is
         # still a lex basis, so only the stability test can refuse it
-        gens = filter_generators(filter_closure(3, [(2, 1)], "lower"))
-        kept = [g for g in gens if g.tableau.rows != ((1, 2), (3,))]
-        failure = _every_order_failure(kept, seed, {}, {})
-        return failure == "not stable under permutations of the variables", {"reason": failure}
+        "universal": ({"n": 3, "fixture": "lower<=[2,1] without x3-x1"}, lambda: _universal(
+            [g for g in filter_generators(lower21) if g.tableau.rows != ((1, 2), (3,))],
+            seed, {}), "not stable under permutations of the variables"),
+        # lower:[1,1,1] against the strata of upper:[3], not of its complement
+        "reduced": ({"n": 3, "filter": "lower:[1,1,1]", "complement": "upper:[3]"},
+                    lambda: _reduced([g.polynomial for g in shape_generators((1, 1, 1))],
+                                     filter_closure(3, [(3,)], "upper"), DEFAULT_PAIR_BUDGET),
+                    "generated ideal and strata oracle disagree"),
+        # [3] no longer dominates [2,1], so its generator 1 must vanish there
+        "vanishing": ({"n": 3, "seed": seed, "dominance": "reversed"},
+                      lambda: _vanishing(3, 5, seed, _reversed_dominance),
+                      "a generator of [3] is nonzero on a point of type [2,1]"),
+        # x1 - x2 offered as a member of the ideal of upper:[2,1], which
+        # holds only the Vandermonde multiples
+        "descent": ({"n": 3, "fixture": "x1-x2 vs upper:[2,1]"}, lambda: _descent(
+            [filter_closure(3, [(2, 1)], "upper")], 1, seed, DEFAULT_PAIR_BUDGET,
+            lambda gens, rng: Poly(3, QQ, {(1, 0, 0): 1, (0, 1, 0): -1})),
+            "a constructed member failed its membership precondition"),
+        # the shape's own generators dropped from the restricted set: the
+        # rest is still a lex basis, so only the membership test can refuse it
+        "restricted": ({"n": 4, "shape": "[2,2]"}, lambda: _restricted(
+            tuple(g.polynomial for g in restricted_standard_generators((2, 2))
+                  if g.shape != (2, 2)),
+            [g.polynomial for g in filter_generators(filter_closure(4, [(2, 2)], "lower"))]),
+            "the restricted set generates a different ideal"),
+        # the rational generator x2 - x1 of lower:[1,1] with its tail
+        # coefficient bumped to -2, against its image mod 3
+        "finite_field": ({"n": 2, "p": 3, "fixture": "x2-2*x1 vs lower:[1,1]"},
+                         lambda: _finite_field(
+                             tuple(g.polynomial for g in filter_generators(
+                                 filter_closure(2, [(1, 1)], "lower"), field=GF(3))),
+                             (Poly(2, QQ, {(0, 1): 1, (1, 0): -2}),)),
+                         "the reduced basis mod p is not the image of the rational one"),
+        # [2,1] now dominates [3], so its ideal must hold the generator 1
+        "containment": ({"n": 3, "dominance": "reversed"}, lambda: _containment(
+            3, QQ, DEFAULT_PAIR_BUDGET, _reversed_dominance),
+            "a generator of [3] is outside the ideal of [2,1]"),
+        # a completion that returns its input keeps the order it was given
+        "engine": ({"trials": 10, "seed": 0, "fixture": "completion returns its input"},
+                   lambda: _engine(10, 0, DEFAULT_PAIR_BUDGET, lambda gens, order, **_: gens),
+                   "permuting the generators changed the reduced basis"),
+    }
 
-    reports.append(_control("universal", {"n": 3, "fixture": "lower<=[2,1] without x3-x1"},
-                            universal_body))
+    def refused(judged, reason):
+        verdict, got, evidence = judged()
+        if (verdict, got) == ("fail", reason):
+            return "pass", None, evidence
+        return "fail", f"the judge gave {verdict} ({got}), not fail ({reason})", evidence
 
-    def reduced_body():
-        # generated ideal compared against the oracle of the wrong complement
-        order = lex_order(3)
-        filt = filter_closure(3, [(1, 1, 1)], "lower")
-        lhs = groebner_basis([g.polynomial for g in filter_generators(filt)], order)
-        wrong = vanishing_ideal_oracle(filter_closure(3, [(3,)], "upper"))
-        detected = lhs != list(wrong.generators)
-        return detected, {"filter": filter_text(filt), "wrong_complement": "upper:[3]"}
-
-    reports.append(_control("reduced", {"n": 3, "filter": "lower:[1,1,1]"}, reduced_body))
-
-    def vanishing_body():
-        # a dominated stratum: the generators must NOT all vanish there
-        gens = [g.polynomial for g in shape_generators((2, 1))]
-        points = sample_stratum((1, 1, 1), 5, seed)
-        zero = QQ.zero
-        all_vanish = all(v == zero for point in points for v in evaluations(gens, point))
-        return not all_vanish, {"shape": "[2,1]", "stratum": "[1,1,1]", "points": len(points)}
-
-    reports.append(_control("vanishing", {"n": 3, "seed": seed}, vanishing_body))
-
-    def descent_body():
-        # f outside the filter's ideal: the precondition must reject it, and
-        # the coefficient property must fail when forced anyway
-        filt = filter_closure(3, [(2, 1)], "upper")
-        oracle = vanishing_ideal_oracle(filt)
-        f = Poly(3, QQ, {(1, 0, 0): 1, (0, 1, 0): -1})
-        rejected = not _reduce_to_zero([f], oracle.generators, lex_order(3))
-        shares = coefficients_in_last_variable(f)
-        derived = derived_filter(filt, len(shares))
-        derived_oracle = vanishing_ideal_oracle(derived)
-        property_fails = not _reduce_to_zero(shares, derived_oracle.generators, lex_order(2))
-        return rejected and property_fails, {
-            "filter": filter_text(filt),
-            "precondition_rejected": rejected,
-            "forced_property_failed": property_fails,
-        }
-
-    reports.append(_control("descent", {"n": 3, "fixture": "x1-x2 vs upper:[2,1]"},
-                            descent_body))
-
-    def restricted_body():
-        # drop the shape's own generators from the restricted set: the rest
-        # is still a lex basis, so only the membership test can refuse it
-        order = lex_order(4)
-        lam = (2, 2)
-        corrupted = [g.polynomial for g in restricted_standard_generators(lam) if g.shape != lam]
-        full = [g.polynomial for g in filter_generators(filter_closure(4, [lam], "lower"))]
-        detected = is_groebner_basis(corrupted, order)[0] and _generates(
-            corrupted, full, order) == "a generator is outside the basis's ideal"
-        return detected, {"shape": partition_text(lam), "kept_generators": len(corrupted)}
-
-    reports.append(_control("restricted", {"n": 4, "shape": "[2,2]"}, restricted_body))
-
-    def finite_field_body():
-        # one tail coefficient of the mod-p image bumped by one
-        fp = GF(3)
-        order = lex_order(2)
-        filt = filter_closure(2, [(1, 1)], "lower")
-        rgb_p = reduce_groebner_basis(
-            [g.polynomial for g in filter_generators(filt, field=fp)], order)
-        rgb_q = groebner_basis([g.polynomial for g in filter_generators(filt)], order)
-        corrupted = []
-        for g in rgb_q:
-            terms = {m: fp.coerce(c) for m, c in g.terms.items()}
-            tail = min(terms)
-            terms[tail] = fp.add(terms[tail], fp.one)
-            corrupted.append(Poly(2, fp, terms))
-        return corrupted != rgb_p, {"p": 3, "filter": filter_text(filt)}
-
-    reports.append(_control("finite_field", {"n": 2, "p": 3}, finite_field_body))
-
-    def containment_body():
-        # reversed inclusion: the lower shape's ideal must not contain the
-        # higher shape's generators
-        order = lex_order(3)
-        low = groebner_basis([g.polynomial for g in shape_generators((1, 1, 1))], order)
-        probe = Poly(3, QQ, {(1, 0, 0): 1, (0, 1, 0): -1})
-        return not _reduce_to_zero([probe], low, order), {"pair": "[2,1] vs [1,1,1]"}
-
-    reports.append(_control("containment", {"n": 3}, containment_body))
-
-    def engine_body():
-        # x1^2 - x2 and x1 are no basis under lex with x1 dominant, and that
-        # must be recognized
-        not_a_basis = [Poly(2, QQ, {(2, 0): 1, (0, 1): -1}), Poly(2, QQ, {(1, 0): 1})]
-        x1_dominant = MonomialOrder("lex", 2, (2, 1))
-        ok, _ = is_groebner_basis(not_a_basis, x1_dominant)
-        detected = not ok and groebner_basis(not_a_basis, x1_dominant) == [
-            Poly(2, QQ, {(0, 1): 1}), Poly(2, QQ, {(1, 0): 1})]
-        return detected, {"fixture": "x1^2-x2,x1 under lex:2,1"}
-
-    reports.append(_control("engine", {"n": 2}, engine_body))
-
-    return reports
+    return [_guarded(f"control_{name}", parameters, partial(refused, judged, reason))
+            for name, (parameters, judged, reason) in controls.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,31 @@ class TestNegativeControls:
         (control,) = [r for r in negative_controls() if r.check_id == "control_restricted"]
         assert control.verdict == "fail"
 
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_check_and_control_share_one_judge(self, name, monkeypatch):
+        # a judge forced to pass turns its control to fail
+        monkeypatch.setattr(verify, f"_{name}", lambda *args: ("pass", None, {}))
+        (control,) = [r for r in negative_controls() if r.check_id == f"control_{name}"]
+        assert control.verdict == "fail"
+        # and one forced to fail turns its check to fail, over Q and over
+        # each of finite_field's primes
+        monkeypatch.setattr(verify, f"_{name}", lambda *args: ("fail", "forced", {}))
+        config = SuiteConfig(checks=(name,), max_n=2, include_controls=False)
+        reports = verify._run_check(name, config, next(verify._grid(name, config)))
+        assert reports
+        assert {(r.check_id, r.verdict, r.reason) for r in reports} == {(name, "fail", "forced")}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_descent_refuses_coefficients_held_to_the_filter_derived_at_row_d(
+            self, n, monkeypatch):
+        # the filter derived at row d, one row short of the claim's d + 1,
+        # asks more of the coefficients than they hold
+        derive = verify.derived_filter
+        monkeypatch.setattr(verify, "derived_filter", lambda filt, k: derive(filt, max(k - 1, 1)))
+        report = check_coefficient_descent(n)
+        assert report.verdict == "fail"
+        assert report.reason == "a coefficient escaped the derived filter's ideal"
+
 
 class TestSuite:
     def test_deterministic_hash_for_identical_configs(self):

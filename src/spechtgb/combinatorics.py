@@ -195,16 +195,23 @@ def _downset_masks(n: int) -> tuple[int, ...]:
 
 
 def enumerate_lower_filters(n: int, include_empty: bool = False) -> tuple[PartitionFilter, ...]:
-    """Every lower filter of the partitions of n, enumerated deterministically."""
+    """Every lower filter of the partitions of n, by increasing member mask
+    (bit i for partitions_of(n)[i]). A stack walk decides the partitions from
+    the last to the first, out before in, and takes one in only when all it
+    dominates (listed after it) is in: it visits down-sets, not 2^p(n) masks."""
     ps = partitions_of(n)
     masks = _downset_masks(n)
     out = []
-    for mask in range(1 << len(ps)):
-        if mask == 0 and not include_empty:
-            continue
-        sel = [i for i in range(len(ps)) if mask >> i & 1]
-        if all(mask | masks[i] == mask for i in sel):
-            out.append(PartitionFilter(n, [ps[i] for i in sel], "lower"))
+    stack = [(len(ps), 0)]
+    while stack:
+        i, mask = stack.pop()
+        if i:
+            taken = mask | 1 << (i - 1)
+            if masks[i - 1] | mask == taken:
+                stack.append((i - 1, taken))
+            stack.append((i - 1, mask))
+        elif mask or include_empty:
+            out.append(PartitionFilter(n, [p for j, p in enumerate(ps) if mask >> j & 1], "lower"))
     return tuple(out)
 
 

@@ -12,7 +12,8 @@ the package, so that both sides raise and return the same types:
   IdealBasis container, and is_groebner_basis for ref_order_failure only;
 - spechtgb.combinatorics: partitions_of, set_partitions_of_type and
   validate_set_partition, which list the set partitions the strata
-  references intersect, and tableaux, which the generator-set reference
+  references intersect (partitions_of also orders the lower-filter
+  reference's subsets), and tableaux, which the generator-set reference
   enumerates;
 - spechtgb.specht: specht_polynomial, the expansion the generator-set
   reference deduplicates (ref_specht_polynomial referees it);
@@ -33,8 +34,9 @@ certified every order by Buchberger before universal proved every order at
 once; it referees that proof, not the kernel, so it runs the package's
 checker. Then dense row reduction, which computed span ranks before
 generators were divided by one another; the dominance-closure test that
-compared every member with every partition; and the per-check size rules
-that listed what each verify check expands. Then the strata oracle that
+compared every member with every partition, and the lower-filter
+enumeration that scanned every subset of the partitions; and the per-check
+size rules that listed what each verify check expands. Then the strata oracle that
 scanned every pair of set partitions, folded each filter from scratch and
 interreduced each whole elimination basis, starting from subspace ideals
 given by consecutive differences; its eliminations run the frozen
@@ -51,7 +53,7 @@ function that hilbert_numerator's series must expand to.
 import heapq
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from math import factorial
 from operator import add, neg, sub
 
@@ -269,12 +271,6 @@ def hook_length_count(shape) -> int:
     return factorial(n) // prod
 
 
-def hook_product(shape) -> int:
-    """Product of all hook lengths of the diagram."""
-    n = sum(shape)
-    return factorial(n) // hook_length_count(shape)
-
-
 def column_group_order(shape) -> int:
     """Order of the group permuting each column within itself."""
     conj = [sum(1 for p in shape if p > c) for c in range(shape[0])]
@@ -365,10 +361,6 @@ def is_standard_filling(rows) -> bool:
     rows = [list(r) for r in rows]
     return all(a < b for row in rows for a, b in zip(row, row[1:])) and all(
         upper[c] < lower[c] for upper, lower in zip(rows, rows[1:]) for c in range(len(lower)))
-
-
-def all_permutations(n: int):
-    return permutations(range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +865,26 @@ def ref_closure_violations(n: int, members, kind: str) -> set:
             if violates:
                 out.add((lam, mu))
     return out
+
+
+def ref_enumerate_lower_filters(n: int, include_empty: bool = False) -> tuple:
+    """The member sets of the lower filters of n, in the order of the scan
+    that enumerate_lower_filters ran before its walk over down-sets: every
+    subset of partitions_of(n) as a bitmask, in increasing order, kept when
+    it holds everything its members dominate."""
+    from spechtgb.combinatorics import partitions_of
+
+    ps = partitions_of(n)
+    masks = [sum(1 << j for j, mu in enumerate(ps) if dominates_by_partial_sums(lam, mu))
+             for lam in ps]
+    out = []
+    for mask in range(1 << len(ps)):
+        if mask == 0 and not include_empty:
+            continue
+        sel = [i for i in range(len(ps)) if mask >> i & 1]
+        if all(mask | masks[i] == mask for i in sel):
+            out.append(frozenset(ps[i] for i in sel))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

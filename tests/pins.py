@@ -7,30 +7,31 @@ CI_ONLY_PINS, each in a fresh process:
 
     PYTHONPATH=src python tests/pins.py
 
-which prints each row's arguments and last line, and exits 1 naming every
-row that differs. Standard library only: the CI job that runs it installs
-nothing.
+which prints each row's arguments, last line and wall time (start-up
+included), and exits 1 naming every row that differs. Standard library
+only: the CI job that runs it installs nothing.
 """
 
 import subprocess
 import sys
+import time
 
 PINS = (
     # the example line of README "Determinism"
     ("all --max-n 4 --seed 7",
-     "89 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:f3229da1e58ba680]"),
+     "89 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:ee32615adfb58eb0]"),
     # every lower filter up to n=5
     ("all --max-n 5 --seed 7",
-     "120 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:47ca153cb1b22265]"),
+     "120 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:27a4f5ff5cd351a0]"),
     # the F_p grids: lexgb, universal and finite_field meet the same
     # (filter, p) certificate, and the Groebner work runs mod-p arithmetic;
     # reduced, vanishing and descent report the 16 skipped rows
     ("all --max-n 4 --seed 3 --field F7",
-     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:72ab09f440e896dd]"),
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:9ae00230d117c518]"),
     ("all --max-n 4 --seed 3 --field F2",
-     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:593ebac14d4f0f1e]"),
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:4543631de4dfdd10]"),
     ("all --max-n 4 --seed 3 --field F3",
-     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:c7c17b858b79532b]"),
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:2469cd4ea7116b6f]"),
     # every principal filter of 6, all-mode fillings included
     ("lexgb --n 6 --seed 7",
      "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:51ffceae6267f8bd]"),
@@ -48,8 +49,8 @@ CI_ONLY_PINS = (
     # the two checks that run the strata oracle at n=6
     ("reduced --n 6 --seed 7",
      "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:793103ada12c684c]"),
-    ("descent --n 6 --seed 7",
-     "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:3a00467fddd6fd2f]"),
+    ("descent --n 6",
+     "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:8a2807bbd21fb873]"),
     # two n=6 completions outside the oracle
     ("restricted --n 6 --seed 7",
      "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:da21413d43fb035c]"),
@@ -79,8 +80,9 @@ def last_line(args: str) -> str:
 def main() -> int:
     differ = []
     for args, expected in PINS + CI_ONLY_PINS:
+        started = time.perf_counter()
         got = last_line(args)
-        print(f"verify {args}\n  {got}", flush=True)
+        print(f"verify {args}  ({time.perf_counter() - started:.1f} s)\n  {got}", flush=True)
         if got != expected:
             print(f"  expected {expected}", flush=True)
             differ.append(args)

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import re
+import time
 from math import factorial
 
 import pytest
@@ -40,6 +41,7 @@ from oracles import (
     hook_length_count,
     is_standard_filling,
     ref_closure_violations,
+    ref_enumerate_lower_filters,
     set_partition_count,
     bell_number,
 )
@@ -213,6 +215,35 @@ class TestFilters:
             13,
         ]
         assert len(enumerate_lower_filters(6, include_empty=True)) == 14
+
+    @pytest.mark.parametrize("include_empty", [False, True])
+    def test_enumeration_matches_the_subset_scan(self, include_empty):
+        # the walk over down-sets lists the scan's filters in the scan's order
+        for n in range(1, 8):
+            lowers = enumerate_lower_filters(n, include_empty)
+            expected = ref_enumerate_lower_filters(n, include_empty)
+            assert [f.members for f in lowers] == list(expected)
+            assert all(f.kind == "lower" for f in lowers)
+            uppers = enumerate_upper_filters(n, include_empty)
+            assert [f.complement().members for f in uppers] == [
+                m for m in ref_enumerate_lower_filters(n, True)
+                if include_empty or len(m) < len(partitions_of(n))]
+
+    def test_enumeration_reaches_eight(self):
+        # 2^22 subsets for the scan, 37 down-sets for the walk
+        start = time.perf_counter()
+        assert len(enumerate_lower_filters(8)) == 37
+        assert time.perf_counter() - start < 1.0
+
+    def test_derived_filters_shrink_as_the_row_grows(self):
+        # D_(r+1) lies in D_r for an upper filter, a premise of descent's proof
+        pairs = 0
+        for n in range(2, 9):
+            for f in enumerate_upper_filters(n):
+                for r in range(1, n + 1):
+                    assert derived_filter(f, r + 1).members <= derived_filter(f, r).members
+                    pairs += 1
+        assert pairs == 575
 
     def test_enumerated_filters_are_distinct_and_closed(self):
         for n in range(2, 7):

@@ -48,7 +48,7 @@ from spechtgb import (
 )
 from spechtgb import verify
 
-from oracles import REF_EXPANDS, ref_order_failure, ref_stratum_vanishing
+from oracles import REF_EXPANDS, parse_polynomial, ref_order_failure, ref_stratum_vanishing
 from pins import PINS
 
 
@@ -120,7 +120,7 @@ class TestIndividualChecks:
 
     def test_descent(self):
         assert_clean_pass(
-            check_coefficient_descent(3, trials=5, seed=0), "descent"
+            check_coefficient_descent(3), "descent"
         )
 
     def test_restricted(self):
@@ -193,7 +193,7 @@ class TestNegativeControls:
         assert reports
         assert {(r.check_id, r.verdict, r.reason) for r in reports} == {(name, "fail", "forced")}
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_descent_refuses_coefficients_held_to_the_filter_derived_at_row_d(
             self, n, monkeypatch):
         # the filter derived at row d, one row short of the claim's d + 1,
@@ -203,6 +203,22 @@ class TestNegativeControls:
         report = check_coefficient_descent(n)
         assert report.verdict == "fail"
         assert report.reason == "a coefficient escaped the derived filter's ideal"
+
+    def test_descent_checks_every_coefficient_not_only_the_top_one(self):
+        # x4*(x2 - x1) + x1 offered as the basis of upper:[4],[3,1]: its top
+        # coefficient x2 - x1 lies in J(D_2) = J(upper:[3]), the ideal of the
+        # line x1 = x2 = x3, and its constant coefficient x1 does not
+        filt = verify.parse_filter_text("upper:[4],[3,1]", 4)
+        g = parse_polynomial("x4*(x2 - x1) + x1", 4)
+        derived = verify.derived_filter(filt, 2)
+        assert derived == filter_closure(3, [(3,)], "upper")
+        ideal = verify.vanishing_ideal_oracle(derived).generators
+        constant, top = verify.coefficients_in_last_variable(g)
+        assert verify._reduce_to_zero([top], ideal, lex_order(3))
+        assert not verify._reduce_to_zero([constant], ideal, lex_order(3))
+        assert verify._descent([(filt, (g,))], verify.DEFAULT_PAIR_BUDGET) == (
+            "fail", "a coefficient escaped the derived filter's ideal",
+            {"filter": "upper:[4],[3,1]", "derived": "upper:[3]", "top_degree": 1})
 
 
 class TestSuite:
@@ -631,15 +647,22 @@ class TestSingleRunFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments: --order-budget 6" in capsys.readouterr().err
 
+    def test_the_trials_flag_is_gone(self, capsys):
+        # descent proves its lemma from each oracle basis, so it draws no members
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "descent", "--trials", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+        assert "trials" not in SuiteConfig.__dataclass_fields__
+        assert check_coefficient_descent(2).parameters == {"n": 2, "field": "Q"}
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--samples", "0", "must be positive, got 0"),
         ("--samples", "-2", "must be positive, got -2"),
-        ("--trials", "0", "must be positive, got 0"),
     ])
     def test_budget_flags_refuse_values_that_void_a_check(self, flag, value, message, capsys):
-        check = {"--samples": "vanishing", "--trials": "descent"}[flag]
         with pytest.raises(SystemExit) as exc:
-            main(["verify", check, "--n", "3", flag, value])
+            main(["verify", "vanishing", "--n", "3", flag, value])
         assert exc.value.code == 2
         assert f"{flag}: {message}" in capsys.readouterr().err
 
@@ -1272,7 +1295,7 @@ class TestMetrics:
         # upper >= [4,1] keeps ([4,1],), the prefix just built
         report = check_reduced(filter_closure(5, [(3, 2)], "lower"))
         assert report.metrics == {"oracle_eliminations": 0, "oracle_prefixes_reused": 1}
-        report = check_coefficient_descent(4, trials=2, seed=1)
+        report = check_coefficient_descent(4)
         assert report.verdict == "pass"
         assert set(report.metrics) == {"oracle_eliminations", "oracle_prefixes_reused"}
         assert report.metrics["oracle_eliminations"] > 0

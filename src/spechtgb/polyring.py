@@ -376,34 +376,54 @@ class Poly:
         )
 
     def evaluate(self, point):
-        return next(evaluations((self,), point))
+        return next(next(evaluations((self,), (point,))))
 
     def __repr__(self) -> str:
         return f"Poly({polynomial_text(self)!r}, nvars={self.nvars}, field={self.field.text()})"
 
 
-def evaluations(polys, point):
-    """Yield the value at point of each polynomial of one ring in turn. They
-    share one table of monomial values, which lives only as long as this call."""
-    if not (polys := tuple(polys)):
+def evaluations(polys, points):
+    """For each point in turn, yield an iterator of the values there of each
+    polynomial of one ring in turn.
+
+    A monomial m splits into its low half m[:h] and its high half m[h:], with
+    h = nvars // 2. The terms of the polynomials are indexed once per call, by
+    their distinct halves. The first value asked for at a point values each
+    distinct half there; each value is then a sum of coefficient * low * high."""
+    polys = tuple(polys)
+    if not polys:
+        yield from (iter(()) for _ in points)
         return
     for f in polys[1:]:
         polys[0]._check_compatible(f)
     nvars, field = polys[0].nvars, polys[0].field
-    values = [field.coerce(v) for v in point]
-    if len(values) != nvars:
-        raise ValueError(f"point has {len(values)} coordinates, need {nvars}")
-    p, moduli = field.p, (field.p,) * nvars
-    table: dict = {}
-    for f in polys:
-        total = 0
-        for m, c in f.terms.items():
-            v = table.get(m)
-            if v is None:
-                v = table[m] = (math.prod(map(pow, values, m)) if p is None
-                                else math.prod(map(pow, values, m, moduli)) % p)
-            total += c * v
-        yield field.coerce(total)
+    h = nvars // 2
+    lows: dict = {}
+    highs: dict = {}
+    index = [(tuple(f.terms.values()),
+              [lows.setdefault(m[:h], len(lows)) for m in f.terms],
+              [highs.setdefault(m[h:], len(highs)) for m in f.terms]) for f in polys]
+    for point in points:
+        values = [field.coerce(v) for v in point]
+        if len(values) != nvars:
+            raise ValueError(f"point has {len(values)} coordinates, need {nvars}")
+        yield _values_at(index, lows, highs, values, h, field)
+
+
+def _values_at(index, lows, highs, values, h, field):
+    """The values at one point of the indexed polynomials (see evaluations)."""
+    lo = _half_table(lows, values[:h], field.p).__getitem__
+    hi = _half_table(highs, values[h:], field.p).__getitem__
+    for coeffs, li, hj in index:
+        yield field.coerce(sum(map(mul, coeffs, map(mul, map(lo, li), map(hi, hj)))))
+
+
+def _half_table(halves, values, p):
+    """The value at values of each half monomial, in the order of halves."""
+    if p is None:
+        return [math.prod(map(pow, values, m)) for m in halves]
+    moduli = (p,) * len(values)
+    return [math.prod(map(pow, values, m, moduli)) % p for m in halves]
 
 
 def leading_term(f: Poly, order: MonomialOrder) -> tuple[Monomial, object]:

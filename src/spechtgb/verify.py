@@ -414,24 +414,34 @@ def check_stratum_vanishing(n: int, *, samples: int = 10, seed: int = 0) -> Chec
     """Every generator of a shape vanishes at every sampled point of every
     stratum whose type the shape does not dominate, and at each sampled point
     of a dominated stratum at least one generator of the shape is nonzero."""
+    _require_positive("samples", samples)
     parameters = {"n": n, "samples": samples, "seed": seed, "field": "Q"}
     return _guarded("vanishing", parameters, lambda: _vanishing(n, samples, seed, dominates))
 
 
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def _vanishing(n: int, samples: int, seed: int, dominates):
-    """vanishing's judgment, under the dominance test dominates(lam, mu)."""
+    """vanishing's judgment, under the dominance test dominates(lam, mu). A
+    shape's generators are valued at the sampled points of all its strata
+    by one evaluations call."""
     shapes = partitions_of(n)
     zero = QQ.zero
     zero_evaluations = 0
     witness_points = 0
     for lam_idx, lam in enumerate(shapes):
         gens = [g.polynomial for g in shape_generators(lam)]
-        for mu_idx, mu in enumerate(shapes):
-            stratum_seed = seed * 1_000_003 + lam_idx * len(shapes) + mu_idx
-            points = sample_stratum(mu, samples, stratum_seed)
+        strata = [sample_stratum(mu, samples, seed * 1_000_003 + lam_idx * len(shapes) + mu_idx)
+                  for mu_idx, mu in enumerate(shapes)]
+        at_points = evaluations(gens, [point for points in strata for point in points])
+        for mu, points in zip(shapes, strata):
+            at = list(itertools.islice(at_points, len(points)))
             if not dominates(lam, mu):
                 # generator by generator, each at every point in turn
-                for values in zip(*(evaluations(gens, point) for point in points)):
+                for values in zip(*at):
                     for v in values:
                         if v != zero:
                             return "fail", (
@@ -440,8 +450,8 @@ def _vanishing(n: int, samples: int, seed: int, dominates):
                             ), {"zero_evaluations": zero_evaluations}
                         zero_evaluations += 1
             else:
-                for point in points:
-                    if all(v == zero for v in evaluations(gens, point)):
+                for values in at:
+                    if all(v == zero for v in values):
                         return "fail", (
                             f"no generator of {partition_text(lam)} is nonzero on "
                             f"a point of type {partition_text(mu)}"
@@ -615,6 +625,7 @@ def check_engine(*, trials: int = 100, seed: int = 0,
     """Engine self-consistency on randomized inputs: permuting the generators
     never changes the reduced basis, and neither does disabling the chain
     criterion."""
+    _require_positive("trials", trials)
     parameters = {"trials": trials, "seed": seed}
     return _guarded("engine", parameters,
                     lambda: _engine(trials, seed, pair_budget, groebner_basis))
@@ -843,6 +854,7 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
     for name in config.checks:
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}")
+    _require_positive("samples", config.samples)
     reports: list[CheckReport] = []
     for name in config.checks:
         for arg in _grid(name, config):

@@ -245,13 +245,16 @@ def column_pairs(rows):
 
 
 def eval_poly(poly: dict, point) -> Fraction:
-    total = Fraction(0)
+    """The value at a point of int or Fraction coordinates, term by term. The
+    arithmetic is exact and stays in ints while everything is integral."""
+    total = 0
     for mono, coeff in poly.items():
         v = coeff
         for e, x in zip(mono, point):
-            v *= Fraction(x) ** e
+            if e:
+                v *= x ** e
         total += v
-    return total
+    return Fraction(total)
 
 
 # ---------------------------------------------------------------------------

@@ -385,78 +385,115 @@ def shared_polys(draw, field):
     return draw(st.lists(terms.map(lambda d: Poly(3, field, d)), max_size=6))
 
 
-def points(field):
-    return st.tuples(scalars(field), scalars(field), scalars(field))
+def points(field, nvars=3):
+    return st.tuples(*[scalars(field)] * nvars)
 
 
 def expected_values(polys, point):
     return [f.field.coerce(eval_poly(f.terms, point)) for f in polys]
 
 
-class CountingTerms(dict):
-    """A term dict that records each time its terms are read."""
+def all_values(polys, pts):
+    """Every value evaluations yields, point by point."""
+    return [list(values) for values in evaluations(polys, pts)]
 
-    def __init__(self, terms, reads):
-        super().__init__(terms)
-        self.reads = reads
 
-    def items(self):
-        self.reads.append(self)
-        return super().items()
+class CountingInt(int):
+    """An int coefficient that logs each product it is the left factor of."""
+
+    def __new__(cls, value, log):
+        self = super().__new__(cls, value)
+        self.log = log
+        return self
+
+    def __mul__(self, other):
+        self.log.append(other)
+        return int(self) * other
 
 
 FIELDS = st.sampled_from([QQ, GF(2), GF(3), GF(7)])
 
 
 class TestEvaluations:
-    """evaluations(polys, point) yields what Poly.evaluate gives for each
-    polynomial, lazily, from a table of monomial values private to the call."""
+    """evaluations(polys, points) yields, point by point, an iterator of what
+    Poly.evaluate gives for each polynomial. The iterator values nothing until
+    its first value is asked for, and then yields one value at a time."""
 
     @settings(max_examples=80)
     @given(st.data(), FIELDS)
     def test_matches_the_fraction_reference(self, data, field):
         polys = data.draw(shared_polys(field)) + [Poly.zero(3, field)]
-        point = data.draw(points(field))
-        values = list(evaluations(polys, point))
-        assert values == expected_values(polys, point)
-        assert values == [f.evaluate(point) for f in polys]
-        if field == QQ:
-            assert all(type(v) is int or v.denominator != 1 for v in values)
-        else:
-            assert all(type(v) is int and 0 <= v < field.p for v in values)
+        pts = data.draw(st.lists(points(field), min_size=1, max_size=3))
+        rows = all_values(polys, pts)
+        assert rows == [expected_values(polys, pt) for pt in pts]
+        assert rows == [[f.evaluate(pt) for f in polys] for pt in pts]
+        for values in rows:
+            if field == QQ:
+                assert all(type(v) is int or v.denominator != 1 for v in values)
+            else:
+                assert all(type(v) is int and 0 <= v < field.p for v in values)
+
+    @pytest.mark.parametrize("nvars", range(1, 9))
+    @settings(max_examples=25)
+    @given(data=st.data(), field=FIELDS)
+    def test_every_split_matches_the_reference(self, nvars, data, field):
+        # h = nvars // 2 splits odd and even widths, and leaves the low half
+        # of one variable empty. Monomials join halves from two small pools,
+        # so that halves recur across them in different pairings.
+        h = nvars // 2
+        lows, highs = (data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * k),
+                                          min_size=1, max_size=3, unique=True))
+                       for k in (h, nvars - h))
+        pool = [low + high for low in lows for high in highs]
+        terms = st.dictionaries(st.sampled_from(pool), scalars(field), max_size=len(pool))
+        polys = data.draw(st.lists(terms.map(lambda d: Poly(nvars, field, d)), max_size=5))
+        polys.insert(data.draw(st.integers(0, len(polys))), Poly.zero(nvars, field))
+        pts = data.draw(st.lists(points(field, nvars), min_size=1, max_size=4))
+        assert all_values(polys, pts) == [expected_values(polys, pt) for pt in pts]
+        # in lockstep, as the vanishing check steps them
+        a, b = pts[0], pts[-1]
+        assert list(zip(*evaluations(polys, (a, b)))) == list(
+            zip(expected_values(polys, a), expected_values(polys, b)))
 
     @settings(max_examples=60)
     @given(st.data(), FIELDS)
     def test_each_point_has_its_own_table(self, data, field):
         polys = data.draw(shared_polys(field))
         a, b = data.draw(points(field)), data.draw(points(field))
-        assert list(evaluations(polys, a)) == expected_values(polys, a)
-        assert list(evaluations(polys, b)) == expected_values(polys, b)
+        assert all_values(polys, (a, b)) == [expected_values(polys, a),
+                                             expected_values(polys, b)]
         # in lockstep, as the vanishing check steps them
-        rows = list(zip(*(evaluations(polys, pt) for pt in (a, b))))
+        rows = list(zip(*evaluations(polys, (a, b))))
         assert rows == list(zip(expected_values(polys, a), expected_values(polys, b)))
 
     @given(st.data(), FIELDS)
     def test_a_constant_in_no_variables(self, data, field):
         c = data.draw(scalars(field))
         f = Poly.constant(c, 0, field)
-        assert list(evaluations([f, Poly.zero(0, field)], ())) == [field.coerce(c), 0]
+        assert all_values([f, Poly.zero(0, field)], [(), ()]) == [[field.coerce(c), 0]] * 2
         assert f.evaluate(()) == field.coerce(c)
 
-    def test_a_consumer_that_stops_early_reads_one_polynomial(self):
-        reads = []
-        polys = [Poly._raw(2, QQ, CountingTerms({(1, k): k + 1}, reads)) for k in range(4)]
-        values = evaluations(polys, (2, 3))
-        assert next(values) == 2
-        assert reads == [polys[0].terms]
+    def test_a_point_values_nothing_until_asked_then_one_polynomial_at_a_time(self):
+        products = []
+        polys = [Poly._raw(2, QQ, {(1, k): CountingInt(k + 1, products)}) for k in range(4)]
+        at_points = evaluations(polys, [(2, 3), (5, 7)])
+        first, second = next(at_points), next(at_points)
+        assert len(products) == 0
+        assert next(first) == 2
+        assert len(products) == 1
+        assert list(second) == [5 * (k + 1) * 7**k for k in range(4)]
+        assert len(products) == 5
+        assert list(first) == [2 * (k + 1) * 3**k for k in range(1, 4)]
+        assert len(products) == 8
 
     def test_an_empty_list_yields_nothing(self):
-        assert list(evaluations([], (1, 2))) == []
+        assert all_values([], [(1, 2), (3, 4)]) == [[], []]
+        assert all_values([Poly.variable(1, 2)], []) == []
 
     CALLS = {
-        "nvars": lambda: list(evaluations([Poly.variable(1, 2), Poly.variable(1, 3)], (1, 2))),
-        "field": lambda: list(evaluations([Poly.variable(1, 2), Poly.variable(1, 2, GF(5))],
-                                          (1, 2))),
+        "nvars": lambda: all_values([Poly.variable(1, 2), Poly.variable(1, 3)], [(1, 2)]),
+        "field": lambda: all_values([Poly.variable(1, 2), Poly.variable(1, 2, GF(5))],
+                                    [(1, 2)]),
     }
 
     @pytest.mark.parametrize("entry", sorted(CALLS))
@@ -466,11 +503,11 @@ class TestEvaluations:
 
     def test_a_point_of_the_wrong_length_is_refused(self):
         with pytest.raises(ValueError, match="point has 2 coordinates, need 3"):
-            list(evaluations([Poly.variable(1, 3)], (1, 2)))
+            all_values([Poly.variable(1, 3)], [(1, 2, 3), (1, 2)])
 
     def test_an_inexact_coordinate_is_refused(self):
         with pytest.raises(TypeError):
-            list(evaluations([Poly.variable(1, 2)], (0.5, 1)))
+            all_values([Poly.variable(1, 2)], [(0.5, 1)])
 
 
 class TestInexactInputs:

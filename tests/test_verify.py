@@ -163,6 +163,28 @@ class TestIndividualChecks:
         assert_clean_pass(check_engine(trials=12, seed=0), "engine")
 
 
+class TestCountsThatVoidACheck:
+    """A check that samples no point or runs no trial cannot fail. The
+    library refuses such a count before anything runs, as the CLI does."""
+
+    CALLS = {
+        "check_stratum_vanishing": lambda k: check_stratum_vanishing(4, samples=k),
+        "run_suite": lambda k: run_suite(SuiteConfig(checks=("vanishing",), samples=k)),
+        "check_engine": lambda k: check_engine(trials=k),
+    }
+
+    @pytest.mark.parametrize("count", [0, -2])
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_refused_before_anything_runs(self, entry, count, monkeypatch):
+        def untouched(*args, **kwargs):
+            raise AssertionError("ran before the count was checked")
+
+        for name in ("shape_generators", "sample_stratum", "groebner_basis", "negative_controls"):
+            monkeypatch.setattr(verify, name, untouched)
+        with pytest.raises(ValueError, match=f"must be positive, got {count}$"):
+            self.CALLS[entry](count)
+
+
 class TestNegativeControls:
     def test_every_control_detects_its_corruption(self):
         reports = negative_controls(seed=0)
@@ -1224,46 +1246,87 @@ class TestVanishingEvidence:
     on a failing row as well as a passing one. Three points per stratum, not
     four: with x1 - x3 added [2,2] has four generators, and with as many
     points as generators a point-major loop would count the same as a
-    generator-major one."""
+    generator-major one. The check samples all of a shape's strata before
+    it values any of them, so every kind of row is also compared at
+    n = 4, 5, 6 with seeds 0-2."""
 
-    def compare(self, monkeypatch, change):
+    def compare(self, monkeypatch, change, n=4, seed=3):
         original = verify.shape_generators
 
         def patched(lam, **kwargs):
             return change(lam, original(lam, **kwargs))
 
         monkeypatch.setattr(verify, "shape_generators", patched)
-        report = check_stratum_vanishing(4, samples=3, seed=3)
-        expected = ref_stratum_vanishing(4, lambda lam: [g.polynomial for g in patched(lam)],
-                                         samples=3, seed=3)
+        report = check_stratum_vanishing(n, samples=3, seed=seed)
+        expected = ref_stratum_vanishing(n, lambda lam: [g.polynomial for g in patched(lam)],
+                                         samples=3, seed=seed)
         assert (report.verdict, report.reason, report.evidence) == expected
         return report
+
+    @staticmethod
+    def second_generator(poly):
+        """poly in second place among the generators of [2,2,1^(n-4)]."""
+        lam0 = (2, 2) + (1,) * (poly.nvars - 4)
+
+        def change(lam, gens):
+            if lam != lam0:
+                return gens
+            return gens[:1] + (replace(gens[0], polynomial=poly),) + gens[1:]
+
+        return change
+
+    @staticmethod
+    def spread(n):
+        """n * sum x_i^2 - (sum x_i)^2, the sum of (x_i - x_j)^2 over i < j:
+        zero only where all coordinates agree, so nonzero at every point
+        of [n-1,1]."""
+        xs = [Poly.variable(i, n) for i in range(1, n + 1)]
+        return n * sum(x * x for x in xs) - sum(xs) ** 2
+
+    @staticmethod
+    def zero_on_its_own_stratum(n):
+        """[1^n]'s generator in place of [2,2,1^(n-4)]'s: it vanishes wherever
+        two coordinates agree, so on the stratum [2,2,1^(n-4)] itself."""
+        lam0 = (2, 2) + (1,) * (n - 4)
+        vandermonde = shape_generators((1,) * n)
+        return lambda lam, gens: vandermonde if lam == lam0 else gens
 
     def test_the_passing_row(self, monkeypatch):
         report = self.compare(monkeypatch, lambda lam, gens: gens)
         assert_clean_pass(report, "vanishing")
 
     def test_a_generator_nonzero_on_a_stratum_it_does_not_dominate(self, monkeypatch):
-        # x1 - x3 in second place among [2,2]'s generators: zero on the
-        # stratum [4] and at the first sampled point of [3,1], not the second
+        # x1 - x3 is zero on the stratum [4] and at the first sampled point
+        # of [3,1], not the second
         x1_minus_x3 = Poly(4, QQ, {(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})
-
-        def change(lam, gens):
-            if lam != (2, 2):
-                return gens
-            return gens[:1] + (replace(gens[0], polynomial=x1_minus_x3),) + gens[1:]
-
-        report = self.compare(monkeypatch, change)
+        report = self.compare(monkeypatch, self.second_generator(x1_minus_x3))
         assert report.verdict == "fail"
         assert report.reason == "a generator of [2,2] is nonzero on a point of type [3,1]"
 
     def test_every_generator_vanishing_on_a_dominated_stratum(self, monkeypatch):
-        # [1,1,1,1]'s generator in place of [2,2]'s: it vanishes wherever two
-        # coordinates agree, so on the stratum [2,2] itself
-        vandermonde = shape_generators((1, 1, 1, 1))
-        report = self.compare(monkeypatch, lambda lam, gens: vandermonde if lam == (2, 2) else gens)
+        report = self.compare(monkeypatch, self.zero_on_its_own_stratum(4))
         assert report.verdict == "fail"
         assert report.reason == "no generator of [2,2] is nonzero on a point of type [2,2]"
+
+    def row(self, kind, n):
+        """The generator change of one kind of row at n, and its reason."""
+        lam0 = "[2,2" + ",1" * (n - 4) + "]"
+        if kind == "pass":
+            return (lambda lam, gens: gens), None
+        if kind == "nonzero":
+            return (self.second_generator(self.spread(n)),
+                    f"a generator of {lam0} is nonzero on a point of type [{n - 1},1]")
+        return (self.zero_on_its_own_stratum(n),
+                f"no generator of {lam0} is nonzero on a point of type {lam0}")
+
+    @pytest.mark.parametrize("kind", ["all_zero", "nonzero", "pass"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_row_matches_the_reference(self, monkeypatch, n, seed, kind):
+        change, reason = self.row(kind, n)
+        report = self.compare(monkeypatch, change, n=n, seed=seed)
+        assert report.verdict == ("pass" if reason is None else "fail")
+        assert report.reason == reason
 
 
 class TestMetrics:

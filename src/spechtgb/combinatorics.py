@@ -9,6 +9,7 @@ Also owns the text syntax for partitions and filters shared by the CLI:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 from operator import attrgetter
@@ -16,7 +17,7 @@ from operator import attrgetter
 Partition = tuple[int, ...]
 
 FILTER_KINDS = ("lower", "upper")
-TABLEAU_MODES = ("all", "column_standard", "standard")
+TABLEAU_MODES = ("column_standard", "standard")
 
 
 def validate_partition(parts) -> Partition:
@@ -278,31 +279,20 @@ class Tableau:
         return f"Tableau({[list(r) for r in self.rows]})"
 
 
-def _trusted_tableau(entries, bounds) -> Tableau:
-    """Unvalidated Tableau with rows entries[a:b] for consecutive bounds: only for
-    enumerations that guarantee a partition shape and a bijection onto 1..n."""
-    t = object.__new__(Tableau)
-    object.__setattr__(t, "rows", tuple(tuple(entries[a:b]) for a, b in zip(bounds, bounds[1:])))
-    return t
+def tableaux(shape, mode: str = "column_standard") -> tuple[Tableau, ...]:
+    """Enumerate the column-standard or the standard fillings of the shape,
+    ordered lexicographically by row-major entry sequence.
 
-
-def tableaux(shape, mode: str = "all") -> tuple[Tableau, ...]:
-    """Enumerate fillings of the shape, ordered lexicographically by row-major entry sequence.
-
-    mode selects all fillings (a scan of the n! permutations), the column-standard
-    ones, or the standard ones. The last two are built directly: 1, 2, ..., n
-    are placed in turn at the foot of a column that has room, which keeps every
-    column increasing downwards, and in standard mode only under a cell whose
-    left neighbour is already filled, which keeps every row increasing too.
-    Each filling is reached exactly once; the results are then sorted by rows.
+    Both are built directly: 1, 2, ..., n are placed in turn at the foot of a
+    column that has room, which keeps every column increasing downwards, and
+    in standard mode only under a cell whose left neighbour is already
+    filled, which keeps every row increasing too. Each filling is reached
+    exactly once; the results are then sorted by rows.
     """
     if mode not in TABLEAU_MODES:
         raise ValueError(f"mode must be one of {TABLEAU_MODES}, got {mode!r}")
     lam = validate_partition(shape)
     n = sum(lam)
-    if mode == "all":
-        bounds = tuple(itertools.accumulate(lam, initial=0))
-        return tuple(_trusted_tableau(p, bounds) for p in itertools.permutations(range(1, n + 1)))
     heights = conjugate(lam)
     standard = mode == "standard"
     states: list[tuple[tuple[int, ...], ...]] = [((),) * len(heights)]
@@ -320,8 +310,7 @@ def column_tableau(blocks) -> Tableau:
 
     Its shape is the conjugate of the block sizes. In a canonical set partition
     blocks of equal size come by least entry, so it is the row-major-first
-    column-standard filling with these columns. Like _trusted_tableau, it
-    validates nothing.
+    column-standard filling with these columns. It validates nothing.
     """
     t = object.__new__(Tableau)
     object.__setattr__(t, "rows", tuple(tuple(c[r] for c in blocks if len(c) > r)
@@ -329,16 +318,14 @@ def column_tableau(blocks) -> Tableau:
     return t
 
 
-def tableau_count(shape, mode: str = "all") -> int:
-    """len(tableaux(shape, mode)) in closed form: n!, n! over the product of
-    c_j! for the column lengths c_j, or the hook-length count."""
+def tableau_count(shape, mode: str = "column_standard") -> int:
+    """len(tableaux(shape, mode)) in closed form: n! over the product of c_j!
+    for the column lengths c_j, or the hook-length count."""
     if mode not in TABLEAU_MODES:
         raise ValueError(f"mode must be one of {TABLEAU_MODES}, got {mode!r}")
     lam = validate_partition(shape)
     heights = conjugate(lam)
-    if mode == "all":
-        divisor = 1
-    elif mode == "column_standard":
+    if mode == "column_standard":
         divisor = prod(factorial(h) for h in heights)
     else:
         divisor = prod(p - c + heights[c] - r - 1 for r, p in enumerate(lam) for c in range(p))
@@ -368,6 +355,14 @@ def validate_set_partition(blocks, n: int) -> SetPartition:
     if flat != list(range(1, n + 1)):
         raise ValueError(f"blocks must partition 1..{n}: {blocks!r}")
     return tuple(sorted(blks, key=lambda b: (-len(b), b)))
+
+
+def set_partition_count(mu) -> int:
+    """len(set_partitions_of_type(mu)) in closed form: n! over the product of
+    the parts' factorials and of the factorials of the parts' multiplicities."""
+    mu = validate_partition(mu)
+    divisor = prod(map(factorial, mu)) * prod(map(factorial, Counter(mu).values()))
+    return factorial(sum(mu)) // divisor
 
 
 def set_partitions_of_type(mu) -> tuple[SetPartition, ...]:

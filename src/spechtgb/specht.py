@@ -12,13 +12,16 @@ polynomial up to a scalar fixes the columns of length two or more, and they
 fix it up to sign. The distinct column-standard generators of a shape
 therefore match the set partitions of 1..n of the conjugate type, Bell(n)
 of them over all shapes of n, and each is built from its set partition and
-expanded once.
+expanded once. Every filling of the shape, column-standard or not, gives
+one of them up to sign, which is how verify's lexgb ties the set to the
+ideal of all Specht polynomials of the shape without expanding the n!
+fillings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import attrgetter, itemgetter
 
 from .combinatorics import (
@@ -35,7 +38,7 @@ from .combinatorics import (
     validate_partition,
 )
 from .groebner import normal_form
-from .polyring import QQ, Field, Monomial, Poly, leading_term, lex_order
+from .polyring import QQ, Field, Monomial, Poly, lex_order
 
 
 @dataclass(frozen=True)
@@ -108,15 +111,6 @@ def specht_polynomial(t: Tableau, field: Field = QQ) -> Poly:
     return Poly._raw(n, field, dict(zip(map(itemgetter(*slot), monos), coefficients)))
 
 
-def _normalized(p: Poly, reference) -> Poly:
-    _, lc = leading_term(p, reference)
-    if lc == p.field.one:
-        return p
-    if lc == p.field.neg(p.field.one):
-        return -p
-    return p.term_mul((0,) * p.nvars, p.field.inv(lc))
-
-
 def shape_generators(shape, *, mode: str = "column_standard",
                      field: Field = QQ) -> tuple[SpechtGenerator, ...]:
     """Distinct generators for one shape, in tableau enumeration order.
@@ -130,10 +124,8 @@ def shape_generators(shape, *, mode: str = "column_standard",
     tableaux already have pairwise distinct columns. In both modes every
     column increases downwards, so the lex leading coefficient is
     (-1)^(sum_j C(h_j, 2)) over the column heights h_j, one sign per shape.
-    all mode expands every filling, reads each leading coefficient off its
-    terms, and keeps the first tableau of each polynomial, an independent
-    route to the column-standard set. Each (shape, mode, field) is expanded
-    once per process; every call returns that tuple.
+    Each (shape, mode, field) is expanded once per process; every call
+    returns that tuple.
     """
     if mode not in TABLEAU_MODES:
         raise ValueError(f"mode must be one of {TABLEAU_MODES}, got {mode!r}")
@@ -148,20 +140,12 @@ def _shape_generators_cached(lam: Partition, mode: str,
                           key=attrgetter("rows"))
     else:
         fillings = tableaux(lam, mode)
-    if mode == "all":
-        normalize = partial(_normalized, reference=lex_order(sum(lam)))
-    else:  # each factor x_upper - x_lower has lex-leading term -x_lower
-        odd = sum(h * (h - 1) // 2 for h in conjugate(lam)) % 2
-        normalize = Poly.__neg__ if odd else (lambda p: p)
-    gens = (SpechtGenerator(shape=lam, tableau=t,
-                            polynomial=normalize(specht_polynomial(t, field)))
-            for t in fillings)
-    if mode != "all":
-        return tuple(gens)
-    first: dict[Poly, SpechtGenerator] = {}  # one hash per polynomial
-    for g in gens:
-        first.setdefault(g.polynomial, g)
-    return tuple(first.values())
+    # each factor x_upper - x_lower has lex-leading term -x_lower
+    odd = sum(h * (h - 1) // 2 for h in conjugate(lam)) % 2
+    normalize = Poly.__neg__ if odd else (lambda p: p)
+    return tuple(SpechtGenerator(shape=lam, tableau=t,
+                                 polynomial=normalize(specht_polynomial(t, field)))
+                 for t in fillings)
 
 
 def filter_generators(filt: PartitionFilter, *, mode: str = "column_standard",

@@ -25,13 +25,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import lru_cache
-from math import factorial
 
 from .combinatorics import (
     Partition,
     PartitionFilter,
     orbit_type,
     partitions_of,
+    set_partition_count,
     set_partitions_of_type,
     validate_partition,
     validate_set_partition,
@@ -130,17 +130,6 @@ def _kept_types(n: int, members) -> tuple[Partition, ...]:
                  and not any(nu != mu and _merges_into(nu, mu) for nu in members))
 
 
-def _subspace_count(mu: Partition) -> int:
-    # set partitions of type mu: n! / (prod of part factorials * prod of
-    # factorials of part multiplicities)
-    count = factorial(sum(mu))
-    for part in mu:
-        count //= factorial(part)
-    for multiplicity in Counter(mu).values():
-        count //= factorial(multiplicity)
-    return count
-
-
 _COUNTS = Counter()
 
 
@@ -186,7 +175,7 @@ def vanishing_ideal_oracle(g: PartitionFilter, *,
     if not len(g):
         raise ValueError("the oracle needs a nonempty filter")
     types = _kept_types(g.n, g.members)
-    count = sum(map(_subspace_count, types))
+    count = sum(map(set_partition_count, types))
     if count > MAX_ORACLE_SUBSPACES:
         raise ValueError(f"the oracle would intersect {count} subspace ideals, "
                          f"more than the limit of {MAX_ORACLE_SUBSPACES}")

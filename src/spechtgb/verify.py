@@ -41,6 +41,7 @@ from .combinatorics import (
     parse_partition_text,
     partition_text,
     partitions_of,
+    set_partition_count,
     tableau_count,
     validate_partition,
 )
@@ -196,40 +197,57 @@ def _lex_reduced(polys: tuple[Poly, ...]) -> tuple[Poly, ...]:
 def check_lexgb(filt: PartitionFilter, *, field: Field = QQ) -> CheckReport:
     """The column-standard generator set of a lower filter is already a basis
     under lex x1 < ... < xn, each generator's lex leading term is its
-    tableau's closed form (initial_monomial) with coefficient 1, and
-    enumerating every tableau instead of only the column-standard ones leaves
-    the ideal unchanged, tested by membership against the certified set
-    (_generates). The column-standard set is built from set partitions, one
-    per set of columns, and signed by a rule of its shape, while all-mode
-    expands every filling, normalizes each by its leading coefficient and
-    drops the repeats, so these two tests are also the runtime cross-check
-    of that construction."""
+    tableau's closed form (initial_monomial) with coefficient 1, and every
+    filling of the filter's shapes gives a generator up to sign.
+
+    The last claim needs no filling: each generator's tableau is a
+    column-standard filling of its shape, the generator is +- its column
+    product, and per shape the generators' sets of columns of length two or
+    more are distinct and as many as the set partitions of 1..n of the
+    conjugate type (set_partition_count), so they are all of them. A
+    filling's columns are one of those, and by unique factorization (see the
+    specht module) its polynomial is +- the generator with the same columns.
+    """
     parameters = {"n": filt.n, "filter": filter_text(filt), "field": field.text()}
-    return _guarded("lexgb", parameters, lambda: _lexgb(
-        filter_generators(filt, field=field),
-        [g.polynomial for g in filter_generators(filt, mode="all", field=field)]))
+    return _guarded("lexgb", parameters,
+                    lambda: _lexgb(filt, filter_generators(filt, field=field)))
 
 
-def _lexgb(gens, all_polys: list[Poly]):
-    """lexgb's judgment of column-standard generators against the all-mode
-    polynomials of their filter."""
-    order = lex_order(gens[0].tableau.n)
-    cs = tuple(g.polynomial for g in gens)
+def _lexgb(filt: PartitionFilter, gens):
+    """lexgb's judgment of generators offered for a lower filter."""
+    order = lex_order(filt.n)
+    entries = list(range(1, filt.n + 1))
     for g in gens:
-        if leading_term(g.polynomial, order) != (initial_monomial(g.tableau),
-                                                 g.polynomial.field.one):
+        t = g.tableau
+        if (t.shape != g.shape or g.shape not in filt or sorted(sum(t.rows, ())) != entries
+                or not t.is_column_standard()):
+            return "fail", "a tableau is not a column-standard filling of a filter shape", {
+                "tableau": [list(r) for r in t.rows]}
+        if leading_term(g.polynomial, order) != (initial_monomial(t), g.polynomial.field.one):
             return "fail", "a lex leading term is not 1 times its tableau's closed form", {
-                "tableau": [list(r) for r in g.tableau.rows]}
+                "tableau": [list(r) for r in t.rows]}
+    cs = tuple(g.polynomial for g in gens)
     ok, counts, failed = _lex_certificate(cs)
     evidence = {"generators": len(cs), "pair_counts": dict(counts)}
     if not ok:
         evidence["failed_pairs"] = [dict(p) for p in failed]
         return "fail", "an S-polynomial did not reduce to zero under lex", evidence
-    evidence["all_mode_same_generators"] = same_set = set(all_polys) == set(cs)
+    seen = set()
+    for g in gens:
+        columns = frozenset(frozenset(c) for c in g.tableau.columns() if len(c) > 1)
+        if columns in seen:
+            return "fail", "two generators have the same columns", {
+                "tableau": [list(r) for r in g.tableau.rows]}
+        seen.add(columns)
+    per_shape = Counter(g.shape for g in gens)
+    for lam in filt.sorted_members():
+        if per_shape[lam] != (count := set_partition_count(conjugate(lam))):
+            return "fail", "a shape has fewer generators than set partitions of its conjugate", {
+                "shape": partition_text(lam), "generators": per_shape[lam], "set_partitions": count}
+    if (g := _not_a_column_product(gens)) is not None:
+        return "fail", "a generator is not its tableau's column product", {
+            "tableau": [list(r) for r in g.tableau.rows]}
     evidence["reduced_basis_size"] = len(_lex_reduced(cs))
-    if not same_set and (mismatch := _generates(cs, all_polys, order)):
-        return "fail", "all-tableaux mode produced a different reduced basis", {
-            **evidence, "mismatch": mismatch}
     return "pass", None, evidence
 
 
@@ -291,6 +309,16 @@ def _column_product(t: Tableau, field: Field) -> Poly:
     return product
 
 
+def _not_a_column_product(gens):
+    """The first generator that is not +- its tableau's column product, or
+    None; lexgb and universal both test this."""
+    for g in gens:
+        product = _column_product(g.tableau, g.polynomial.field)
+        if g.polynomial not in (product, -product):
+            return g
+    return None
+
+
 def _every_order_failure(gens, seed: int, evidence: dict, metrics: dict) -> str | None:
     """Why the generators are not proved a basis under every monomial order,
     or None when they are.
@@ -299,20 +327,20 @@ def _every_order_failure(gens, seed: int, evidence: dict, metrics: dict) -> str 
     homogeneous; they are stable up to scalars under every permutation of the
     variables (_stable_under_permutations); they are a basis under lex
     x1 < ... < xn (_lex_certificate, shared per set with the other checks);
-    and each is, up to a scalar, its tableau's column product of factors
-    x_i - x_j (_column_product). Stability carries the lex basis to every
-    lex ranking. Leading terms multiply, so under any order each generator's
-    leading term is the product of its factors' larger variables, which is
-    its leading term under the lex order that ranks the variables alike. The
-    leading terms therefore generate that lex order's initial ideal, which
-    lies inside the order's own; the ideal is homogeneous, so both have its
-    Hilbert function and are equal. That holds over any field. Three seeded
-    referee orders (_referee_orders), named in evidence, then cross-check
-    the proof without its column-product argument, though leaning on the
-    lex certificate: the leading monomials under lex then generate the
-    initial ideal, so they have the ideal's Hilbert series, and under a
-    referee order they generate part of its initial ideal, all of it (the
-    set is a basis there) exactly when the two series agree
+    and each is +- its tableau's column product of factors x_i - x_j
+    (_not_a_column_product, shared with lexgb). Stability carries the lex
+    basis to every lex ranking. Leading terms multiply, so under any order
+    each generator's leading term is the product of its factors' larger
+    variables, which is its leading term under the lex order that ranks the
+    variables alike. The leading terms therefore generate that lex order's
+    initial ideal, which lies inside the order's own; the ideal is
+    homogeneous, so both have its Hilbert function and are equal. That holds
+    over any field. Three seeded referee orders (_referee_orders), named in
+    evidence, then cross-check the proof without its column-product argument,
+    though leaning on the lex certificate: the leading monomials under lex
+    then generate the initial ideal, so they have the ideal's Hilbert series,
+    and under a referee order they generate part of its initial ideal, all of
+    it (the set is a basis there) exactly when the two series agree
     (hilbert_numerator). metrics gets the time of each phase.
     """
     started = time.perf_counter()
@@ -327,8 +355,7 @@ def _every_order_failure(gens, seed: int, evidence: dict, metrics: dict) -> str 
     n = polys[0].nvars
     if any(len({sum(m) for m in p.terms}) != 1 for p in polys):
         return "a generator is not homogeneous"
-    keys = [_scaled(p.terms, p.field) for p in polys]
-    stable = _stable_under_permutations(polys, set(keys))
+    stable = _stable_under_permutations(polys, {_scaled(p.terms, p.field) for p in polys})
     lap("stability")
     if not stable:
         return "not stable under permutations of the variables"
@@ -336,10 +363,8 @@ def _every_order_failure(gens, seed: int, evidence: dict, metrics: dict) -> str 
     lap("lex_certificate")
     if not lex_basis:
         return f"not a basis under {lex_order(n).text()}"
-    for g, key in zip(gens, keys):
-        product = _column_product(g.tableau, g.polynomial.field)
-        if _scaled(product.terms, product.field) != key:
-            return "a generator is not its tableau's column product"
+    if _not_a_column_product(gens) is not None:
+        return "a generator is not its tableau's column product"
     lap("column_products")
     lex_series = _leading_series(polys, lex_order(n))
     referees = _referee_orders(n, seed)
@@ -414,6 +439,7 @@ def check_stratum_vanishing(n: int, *, samples: int = 10, seed: int = 0) -> Chec
     """Every generator of a shape vanishes at every sampled point of every
     stratum whose type the shape does not dominate, and at each sampled point
     of a dominated stratum at least one generator of the shape is nonzero."""
+    _require_positive("n", n)
     _require_positive("samples", samples)
     parameters = {"n": n, "samples": samples, "seed": seed, "field": "Q"}
     return _guarded("vanishing", parameters, lambda: _vanishing(n, samples, seed, dominates))
@@ -491,7 +517,10 @@ def check_coefficient_descent(n: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET)
     Algorithms, ch. 2). And D_(r+1) lies in D_r for D_r = derived_filter(G, r),
     so J(D_(e+1)) lies in J(D_(d+1)). The lemma therefore holds for every
     member exactly when it holds for each basis element, which _descent tests.
+    With one variable there is no ring of one fewer, so n starts at 2.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     parameters = {"n": n, "field": "Q"}
     metrics: dict = {}
     return _guarded("descent", parameters, _counting_oracle(lambda: _descent(
@@ -587,6 +616,7 @@ def check_containment(n: int, *, field: Field = QQ,
     """For every strict dominance relation between shapes, each standard
     generator of the lower shape reduces to zero against a basis computed from
     the higher shape's own generators alone."""
+    _require_positive("n", n)
     parameters = {"n": n, "field": field.text()}
     return _guarded("containment", parameters,
                     lambda: _containment(n, field, pair_budget, dominates))
@@ -679,19 +709,23 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
     runs, so wrapping one reaches both its check and its control.
     """
     lower21 = filter_closure(3, [(2, 1)], "lower")
+
+    def without_x3_x1():
+        return [g for g in filter_generators(lower21) if g.tableau.rows != ((1, 2), (3,))]
+
     # name -> (parameters, the judge on a corrupted input, the reason it must give)
     controls = {
-        # the generators of [1,1,1] under the label of lower<=[2,1]: a lex
-        # basis whose ideal misses the all-mode generators of [2,1]
-        "lexgb": ({"n": 3, "filter": "lower:[2,1],[1,1,1]"}, lambda: _lexgb(
-            shape_generators((1, 1, 1)),
-            [g.polynomial for g in filter_generators(lower21, mode="all")]),
-            "all-tableaux mode produced a different reduced basis"),
-        # x3 - x1 dropped from the stable set of lower<=[2,1]: the rest is
-        # still a lex basis, so only the stability test can refuse it
-        "universal": ({"n": 3, "fixture": "lower<=[2,1] without x3-x1"}, lambda: _universal(
-            [g for g in filter_generators(lower21) if g.tableau.rows != ((1, 2), (3,))],
-            seed, {}), "not stable under permutations of the variables"),
+        # x3 - x1 dropped from lower<=[2,1]: the rest is still a lex basis
+        # of leading terms in closed form, so only the count of [2,1]'s
+        # column sets can refuse it
+        "lexgb": ({"n": 3, "fixture": "lower<=[2,1] without x3-x1"},
+                  lambda: _lexgb(lower21, without_x3_x1()),
+                  "a shape has fewer generators than set partitions of its conjugate"),
+        # the same fixture is stable only without x3 - x1's orbit, so only
+        # the stability test can refuse it
+        "universal": ({"n": 3, "fixture": "lower<=[2,1] without x3-x1"},
+                      lambda: _universal(without_x3_x1(), seed, {}),
+                      "not stable under permutations of the variables"),
         # lower:[1,1,1] against the strata of upper:[3], not of its complement
         "reduced": ({"n": 3, "filter": "lower:[1,1,1]", "complement": "upper:[3]"},
                     lambda: _reduced([g.polynomial for g in shape_generators((1, 1, 1))],
@@ -777,22 +811,20 @@ class _Check:
     check that runs over SuiteConfig.field when it is finite and once per
     PRIMES otherwise. run calls the check by its module-level name, so that
     wrapping that name reaches the suite too. max_n is the largest n its grid
-    runs. expands names the tableau modes in which it may build the
-    generators of its input's shapes (see _INPUTS), so that an oversized
-    input is refused before any of it runs; a mode with fewer tableaux per
-    shape that the check also uses is covered by a larger one.
+    runs. expands says whether it may build the generators of its input's
+    shapes (see _INPUTS), so that an oversized input is refused before any of
+    it runs; the column-standard count bounds the standard one too.
     """
 
     takes: str | None
     over: str
     run: Callable[[SuiteConfig, object], CheckReport]
     max_n: int | None = None
-    expands: tuple[str, ...] = ("column_standard",)
+    expands: bool = True
 
 
 _CHECKS = {
-    "lexgb": _Check("filter", "any", lambda c, filt: check_lexgb(filt, field=c.field),
-                    expands=("column_standard", "all")),
+    "lexgb": _Check("filter", "any", lambda c, filt: check_lexgb(filt, field=c.field)),
     "universal": _Check("filter", "any", lambda c, filt: check_universal(
         filt, seed=c.seed, field=c.field)),
     "reduced": _Check("filter", "Q", lambda c, filt: check_reduced(
@@ -802,14 +834,14 @@ _CHECKS = {
     # builds no tableaux, but the strata oracles of every upper filter of 7
     # and of its derived filters do not finish in minutes
     "descent": _Check("n", "Q", lambda c, n: check_coefficient_descent(
-        n, pair_budget=c.pair_budget), max_n=6, expands=()),
+        n, pair_budget=c.pair_budget), max_n=6, expands=False),
     "restricted": _Check("shape", "any", lambda c, lam: check_restricted(lam, field=c.field)),
     "finite_field": _Check("filter", "F_p", lambda c, filt: check_finite_field(
         filt, c.field.p), max_n=4),
     "containment": _Check("n", "any", lambda c, n: check_containment(
         n, field=c.field, pair_budget=c.pair_budget)),
     "engine": _Check(None, "any", lambda c, _: check_engine(
-        trials=ENGINE_TRIALS, seed=c.seed, pair_budget=c.pair_budget), expands=()),
+        trials=ENGINE_TRIALS, seed=c.seed, pair_budget=c.pair_budget), expands=False),
 }
 CHECK_NAMES = tuple(_CHECKS)
 _RATIONAL_ONLY_REASON = "needs the rational field: strata are only dense there"
@@ -950,9 +982,7 @@ def _check_selection_size(config: SuiteConfig, single) -> None:
             continue  # builds no generators, or is skipped
         shapes_of = _INPUTS[spec.takes][2]
         for arg in _grid(name, config) if single is None else [single]:
-            shapes = shapes_of(arg)
-            for mode in spec.expands:
-                _check_enumeration_size(shapes, mode)
+            _check_enumeration_size(shapes_of(arg), "column_standard")
 
 
 def _cmd_gens(args) -> int:
@@ -1126,7 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
     gens_source.add_argument("--filter", help='e.g. "lower<=[2,1]" or "[2,1],[1,1,1]"')
     gens_source.add_argument("--shape", help='a single shape, e.g. "[2,1]" or "21"')
     gens_p.add_argument("--mode", default="column_standard",
-                        choices=("all", "column_standard", "standard", "restricted_standard"))
+                        choices=("column_standard", "standard", "restricted_standard"))
     gens_p.add_argument("--field", default="Q", help='"Q" or a prime field like "F7"')
     _add_output_flags(gens_p)
 

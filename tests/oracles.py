@@ -13,8 +13,8 @@ the package, so that both sides raise and return the same types:
 - spechtgb.combinatorics: partitions_of, set_partitions_of_type and
   validate_set_partition, which list the set partitions the strata
   references intersect (partitions_of also orders the lower-filter
-  reference's subsets), and tableaux, which the generator-set reference
-  enumerates;
+  reference's subsets), and the Tableau type of the fillings that
+  ref_fillings lists;
 - spechtgb.specht: specht_polynomial, the expansion the generator-set
   reference deduplicates (ref_specht_polynomial referees it);
 - spechtgb.strata: sample_stratum, the points the vanishing-check
@@ -28,20 +28,22 @@ read leading-monomial supports, and the two-loop pair engine that the
 shared pair core replaced. Then the Specht expansion that folded one factor
 x_i - x_j at a time into a term dict, before each column was expanded as a
 Vandermonde determinant, and the generator sets that expanded every
-enumerated tableau and kept the first of each polynomial, before one
-tableau was built per set partition. Then the universal-order sweep that
-certified every order by Buchberger before universal proved every order at
-once; it referees that proof, not the kernel, so it runs the package's
-checker. Then dense row reduction, which computed span ranks before
-generators were divided by one another; the dominance-closure test that
-compared every member with every partition, and the lower-filter
-enumeration that scanned every subset of the partitions; and the per-check
-size rules that listed what each verify check expands. Then the strata oracle that
-scanned every pair of set partitions, folded each filter from scratch and
-interreduced each whole elimination basis, starting from subspace ideals
-given by consecutive differences; its eliminations run the frozen
-Buchberger and reduction. Last, the vanishing check's loop before its
-generators shared one table of monomial values per point.
+filling, normalized it and kept the first of each polynomial, before one
+tableau was built per set partition; its fillings are the n! permutations
+of 1..n cut into rows, which the package no longer enumerates. Then the
+universal-order sweep that certified every order by Buchberger before
+universal proved every order at once; it referees that proof, not the
+kernel, so it runs the package's checker. Then dense row reduction, which
+computed span ranks before generators were divided by one another; the
+dominance-closure test that compared every member with every partition, and
+the lower-filter enumeration that scanned every subset of the partitions;
+and the per-check size rules that listed what each verify check expands.
+Then the strata oracle that scanned every pair of set partitions, folded
+each filter from scratch and interreduced each whole elimination basis,
+starting from subspace ideals given by consecutive differences; its
+eliminations run the frozen Buchberger and reduction. Last, the vanishing
+check's loop before its generators shared one table of monomial values per
+point.
 
 The first section is not a reference but a fixture builder: the parser that
 turns polynomial text into a Poly, so that tests can write their inputs the
@@ -53,7 +55,8 @@ function that hilbert_numerator's series must expand to.
 import heapq
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 from operator import add, neg, sub
 
@@ -754,21 +757,49 @@ def ref_specht_polynomial(t, field: Field = QQ) -> Poly:
     return Poly._raw(n, field, field.canonical(terms))
 
 
+@lru_cache(maxsize=None)
+def ref_fillings(lam) -> tuple:
+    """The rows of every filling of the shape by 1..n, in row-major
+    lexicographic order: each permutation of 1..n cut into rows."""
+    cuts = [sum(lam[:k]) for k in range(len(lam) + 1)]
+    return tuple(tuple(perm[a:b] for a, b in zip(cuts, cuts[1:]))
+                 for perm in permutations(range(1, sum(lam) + 1)))
+
+
+def is_column_standard_filling(rows) -> bool:
+    """Columns increase top to bottom."""
+    return all(upper[c] < lower[c] for upper, lower in zip(rows, rows[1:])
+               for c in range(len(lower)))
+
+
+_KEPT_FILLINGS = {"all": lambda rows: True, "column_standard": is_column_standard_filling,
+                  "standard": is_standard_filling}
+
+
+def ref_normalized(p: Poly, order) -> Poly:
+    """p scaled to leading coefficient 1 under order: p itself when it has
+    one, -p when it has -1."""
+    _, lc = leading_term(p, order)
+    if lc == p.field.one:
+        return p
+    if lc == p.field.neg(p.field.one):
+        return -p
+    return p.term_mul((0,) * p.nvars, p.field.inv(lc))
+
+
 def ref_shape_generators(lam, mode: str, field: Field = QQ) -> tuple:
     """(tableau, polynomial) for each distinct generator of a shape: every
-    enumerated tableau expanded and normalized to leading coefficient 1 under
-    lex, the first tableau of each polynomial kept, in enumeration order."""
-    from spechtgb.combinatorics import tableaux
+    filling the mode keeps ("all", "column_standard" or "standard") expanded
+    and normalized to leading coefficient 1 under lex, the first tableau of
+    each polynomial kept, in row-major order of the fillings."""
+    from spechtgb.combinatorics import Tableau
     from spechtgb.specht import specht_polynomial
 
     order = lex_order(sum(lam))
     kept: dict = {}
-    for t in tableaux(lam, mode):
-        p = specht_polynomial(t, field)
-        lc = leading_term(p, order)[1]
-        if lc != field.one:
-            p = p.term_mul((0,) * p.nvars, field.inv(lc))
-        kept.setdefault(p, t)
+    for rows in filter(_KEPT_FILLINGS[mode], ref_fillings(tuple(lam))):
+        t = Tableau(rows)
+        kept.setdefault(ref_normalized(specht_polynomial(t, field), order), t)
     return tuple((t, p) for p, t in kept.items())
 
 
@@ -908,7 +939,7 @@ def _every_shape(*modes):
 
 
 REF_EXPANDS = {
-    "lexgb": _filter_members("column_standard", "all"),
+    "lexgb": _filter_members("column_standard"),
     "universal": _filter_members("column_standard"),
     "reduced": _filter_members("column_standard"),
     "vanishing": _every_shape("column_standard"),

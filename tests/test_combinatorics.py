@@ -32,6 +32,7 @@ from spechtgb import (
     validate_partition,
     validate_set_partition,
 )
+from spechtgb import combinatorics
 from spechtgb.combinatorics import column_tableau
 
 from oracles import (
@@ -39,8 +40,10 @@ from oracles import (
     column_group_order,
     dominates_by_partial_sums,
     hook_length_count,
+    is_column_standard_filling,
     is_standard_filling,
     ref_closure_violations,
+    ref_fillings,
     ref_enumerate_lower_filters,
     set_partition_count,
     bell_number,
@@ -319,49 +322,53 @@ class TestTableaux:
         assert is_standard_filling(Tableau([[1, 2], [3]]).rows)
 
     def test_mode_counts(self):
-        # the n! scan is checked up to n=6; the direct modes go on to n=10,
-        # where column-standard counts reach 10!, so past n=8 only shapes
-        # with at most 20,000 of them are enumerated
+        # the n! fillings are listed on the test side up to n=6; the modes go
+        # on to n=10, where column-standard counts reach 10!, so past n=8
+        # only shapes with at most 20,000 of them are enumerated
         for n in range(1, 11):
             for lam in partitions_of(n):
                 expected = {
-                    "all": factorial(n),
                     "column_standard": factorial(n) // column_group_order(lam),
                     "standard": hook_length_count(lam),
                 }
+                if n <= 6:
+                    assert len(ref_fillings(lam)) == factorial(n)
                 for mode, count in expected.items():
                     assert tableau_count(lam, mode) == count
-                    if n <= 6 if mode == "all" else n <= 8 or count <= 20_000:
+                    if n <= 8 or count <= 20_000:
                         rows = [t.rows for t in tableaux(lam, mode)]
                         assert len(rows) == count
                         # strictly increasing: rows order, and no repeats
                         assert all(a < b for a, b in zip(rows, rows[1:]))
         assert len(tableaux((4, 4, 4), "standard")) == 462
-        with pytest.raises(ValueError):
-            tableau_count((2, 1), "restricted_standard")
+        for mode in ("restricted_standard", "all"):
+            with pytest.raises(ValueError):
+                tableau_count((2, 1), mode)
+            with pytest.raises(ValueError):
+                tableaux((2, 1), mode)
 
     def test_direct_modes_match_the_scan(self):
-        # the direct modes keep exactly what filtering the n! scan keeps, in its order
+        # the modes keep exactly what filtering every filling keeps, in its order
         for n in range(1, 8):
             for lam in partitions_of(n):
-                everything = tableaux(lam, "all")
-                assert tableaux(lam, "standard") == tuple(
-                    t for t in everything if is_standard_filling(t.rows)
-                )
-                assert tableaux(lam, "column_standard") == tuple(
-                    t for t in everything if t.is_column_standard()
-                )
+                everything = ref_fillings(lam)
+                assert [t.rows for t in tableaux(lam, "standard")] == [
+                    rows for rows in everything if is_standard_filling(rows)
+                ]
+                assert [t.rows for t in tableaux(lam, "column_standard")] == [
+                    rows for rows in everything if is_column_standard_filling(rows)
+                ]
 
     def test_enumerated_tableaux_pass_validation(self):
         for n in range(1, 7):
             for lam in partitions_of(n):
-                for mode in ("all", "column_standard", "standard"):
+                for mode in ("column_standard", "standard"):
                     for t in tableaux(lam, mode):
                         assert Tableau(t.rows).rows == t.rows
 
     def test_modes_nest(self):
         for lam in [(2, 2), (3, 1, 1), (2, 2, 1)]:
-            everything = set(tableaux(lam, "all"))
+            everything = {Tableau(rows) for rows in ref_fillings(lam)}
             colstd = set(tableaux(lam, "column_standard"))
             std = set(tableaux(lam, "standard"))
             assert std <= colstd <= everything
@@ -408,6 +415,14 @@ class TestOrbitsAndSetPartitions:
                     assert validate_set_partition(blocks, n) == blocks
                 total += len(parts)
             assert total == bell_number(n)
+
+    def test_set_partition_count_is_the_enumerated_count(self):
+        # the closed form that the oracle's size rule and lexgb's count read
+        for n in range(1, 9):
+            for mu in partitions_of(n):
+                assert combinatorics.set_partition_count(mu) == len(set_partitions_of_type(mu))
+        with pytest.raises(ValueError):
+            combinatorics.set_partition_count((1, 2))
 
     def test_validate_canonicalizes(self):
         blocks = validate_set_partition([[3, 1], [2], [5, 4]], 5)

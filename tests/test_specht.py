@@ -38,6 +38,7 @@ from oracles import (
     eval_poly,
     hook_length_count,
     is_standard_filling,
+    ref_fillings,
     ref_poly_rank,
     ref_shape_generators,
     ref_specht_polynomial,
@@ -53,9 +54,9 @@ class TestSpechtPolynomial:
     def test_matches_brute_expansion_everywhere(self):
         for n in range(2, 6):
             for lam in partitions_of(n):
-                for t in tableaux(lam, "all"):
-                    ref = difference_product(column_pairs(t.rows), n)
-                    assert specht_polynomial(t).terms == ref
+                for rows in ref_fillings(lam):
+                    ref = difference_product(column_pairs(rows), n)
+                    assert specht_polynomial(Tableau(rows)).terms == ref
 
     def test_worked_example(self):
         t = Tableau([[3, 2, 1, 7], [4, 5], [6]])
@@ -137,8 +138,8 @@ class TestVandermondeExpansion:
     def test_every_filling_up_to_five(self):
         for n in range(1, 6):
             for lam in partitions_of(n):
-                for t in tableaux(lam, "all"):
-                    self.assert_matches_fold(t)
+                for rows in ref_fillings(lam):
+                    self.assert_matches_fold(Tableau(rows))
 
     def test_every_column_standard_tableau_of_six(self):
         for lam in partitions_of(6):
@@ -155,8 +156,8 @@ class TestVandermondeExpansion:
 
 class TestShapeGeneratorMemo:
     def test_repeated_call_returns_the_same_tuple(self):
-        first = shape_generators((3, 2), mode="all")
-        assert shape_generators((3, 2), mode="all") is first
+        first = shape_generators((3, 2), mode="standard")
+        assert shape_generators((3, 2), mode="standard") is first
 
     def test_equal_requests_share_one_entry(self):
         cache = specht._shape_generators_cached
@@ -170,14 +171,14 @@ class TestShapeGeneratorMemo:
     def test_modes_and_fields_get_their_own_entries(self):
         cache = specht._shape_generators_cached
         cache.cache_clear()
-        variants = [shape_generators((2, 1), mode=mode) for mode in ("all", "standard")]
+        variants = [shape_generators((2, 1), mode="standard")]
         variants += [shape_generators((2, 1), field=field) for field in (QQ, GF(2), GF(3))]
         assert cache.cache_info().currsize == len(variants)
         assert {g.polynomial.field for g in variants[-1]} == {GF(3)}
 
     @pytest.mark.parametrize("shape, mode", [
         ((1, 2), "standard"), ((0,), "standard"), ((), "all"),
-        ((2, 1), "fancy"), ((2, 1), ["standard"]),
+        ((2, 1), "fancy"), ((2, 1), ["standard"]), ((2, 1), "all"),
     ])
     def test_invalid_requests_still_raise(self, shape, mode):
         with pytest.raises(ValueError):
@@ -193,7 +194,7 @@ class TestShapeGeneratorMemo:
         checked = 0
         for n in range(1, 5):
             for lam in partitions_of(n):
-                for mode in ("all", "column_standard", "standard"):
+                for mode in ("column_standard", "standard"):
                     for field in (QQ, GF(2), GF(3), GF(7)):
                         size = cache.cache_info().currsize
                         gens = shape_generators(lam, mode=mode, field=field)
@@ -251,13 +252,12 @@ class TestShapeGenerators:
             assert len(polys) == count
 
     def test_all_mode_collapses_to_column_standard_set(self):
+        # every filling, expanded, normalized and deduplicated, leaves the
+        # column-standard generators, tableaux and order included
         for n in range(2, 6):
             for lam in partitions_of(n):
-                cs = {g.polynomial for g in shape_generators(lam)}
-                everything = {
-                    g.polynomial for g in shape_generators(lam, mode="all")
-                }
-                assert cs == everything
+                cs = [(g.tableau, g.polynomial) for g in shape_generators(lam)]
+                assert cs == list(ref_shape_generators(lam, "all"))
 
     def test_generators_are_monic_under_default_lex(self):
         for n in range(2, 6):
@@ -334,10 +334,6 @@ class TestDirectConstruction:
     def test_standard_expands_once_per_standard_tableau(self, monkeypatch):
         standard = sum(hook_length_count(lam) for lam in partitions_of(6))
         assert self.count_expansions(monkeypatch, 6, "standard") == (standard, standard)
-
-    def test_all_mode_still_expands_every_filling(self, monkeypatch):
-        fillings = len(partitions_of(5)) * 120
-        assert self.count_expansions(monkeypatch, 5, "all") == (fillings, bell_number(5))
 
 
 class TestStandardGeneratorsOfEight:

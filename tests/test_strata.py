@@ -145,8 +145,8 @@ class TestTypeAbsorption:
     def test_subspace_count_is_the_orbit_size(self):
         for n in range(1, 8):
             for mu in partitions_of(n):
-                assert strata._subspace_count(mu) == set_partition_count(mu)
-        assert strata._subspace_count((2, 2, 1, 1)) == len(set_partitions_of_type((2, 2, 1, 1)))
+                assert strata.set_partition_count(mu) == set_partition_count(mu)
+        assert strata.set_partition_count((2, 2, 1, 1)) == len(set_partitions_of_type((2, 2, 1, 1)))
 
     def test_merging_is_not_dominance(self):
         # [4,2] dominates [3,3], but a block of 3 does not fit in a block of 2
@@ -175,7 +175,7 @@ class TestOracleMatchesReference:
         # diagonal of upper:[n], or the zero ideal of the full filter
         clear_oracle_caches()
         lone = [g for n in range(1, 7) for g in enumerate_upper_filters(n)
-                if sum(map(strata._subspace_count, strata._kept_types(g.n, g.members))) == 1]
+                if sum(map(strata.set_partition_count, strata._kept_types(g.n, g.members))) == 1]
         assert sorted(strata._kept_types(g.n, g.members) for g in lone) == sorted(
             {((n,),) for n in range(1, 7)} | {((1,) * n,) for n in range(1, 7)})
         for g in lone:
@@ -267,7 +267,7 @@ class TestKnownBlockElimination:
 class TestOracleSizeRule:
     def test_limit_admits_small_grids_and_refuses_large_ones(self):
         def count(g):
-            return sum(map(strata._subspace_count, strata._kept_types(g.n, g.members)))
+            return sum(map(strata.set_partition_count, strata._kept_types(g.n, g.members)))
 
         small = [g for n in range(1, 7) for g in enumerate_upper_filters(n)]
         small += [filter_closure(7, [lam], "lower").complement() for lam in partitions_of(7)[1:]]

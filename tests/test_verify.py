@@ -84,10 +84,8 @@ class TestIndividualChecks:
         filt = filter_closure(3, [(2, 1)], "lower")
         built = verify.filter_generators
 
-        def last_negated(filt, *, mode="column_standard", field=QQ):
-            gens = built(filt, mode=mode, field=field)
-            if mode != "column_standard":
-                return gens
+        def last_negated(filt, *, field=QQ):
+            gens = built(filt, field=field)
             return gens[:-1] + (replace(gens[-1], polynomial=-gens[-1].polynomial),)
 
         monkeypatch.setattr(verify, "filter_generators", last_negated)
@@ -185,6 +183,31 @@ class TestCountsThatVoidACheck:
             self.CALLS[entry](count)
 
 
+class TestSizesBelowACheck:
+    """A check called below its smallest n is refused before any work, as a
+    count that voids a check is: descent needs a ring of n - 1 variables,
+    vanishing and containment a partition of n."""
+
+    LEAST = {"check_coefficient_descent": 2, "check_stratum_vanishing": 1,
+             "check_containment": 1}
+
+    @pytest.mark.parametrize("entry", sorted(LEAST))
+    def test_refused_before_anything_runs(self, entry, monkeypatch):
+        check, least = getattr(verify, entry), self.LEAST[entry]
+        report = check(least)
+        assert_clean_pass(report, report.check_id)
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("ran before n was checked")
+
+        for name in ("_guarded", "partitions_of", "lex_order", "enumerate_upper_filters"):
+            monkeypatch.setattr(verify, name, untouched)
+        rule = "positive" if least == 1 else f"at least {least}"
+        for n in (least - 1, -3):
+            with pytest.raises(ValueError, match=f"^n must be {rule}, got {n}$"):
+                check(n)
+
+
 class TestNegativeControls:
     def test_every_control_detects_its_corruption(self):
         reports = negative_controls(seed=0)
@@ -241,6 +264,68 @@ class TestNegativeControls:
         assert verify._descent([(filt, (g,))], verify.DEFAULT_PAIR_BUDGET) == (
             "fail", "a coefficient escaped the derived filter's ideal",
             {"filter": "upper:[4],[3,1]", "derived": "upper:[3]", "top_degree": 1})
+
+
+class TestLexgbCompleteness:
+    """lexgb proves that every filling's polynomial is +- a generator from
+    three tests: each tableau is a column-standard filling of a shape of the
+    filter, the column sets are distinct and as many per shape as set
+    partitions of its conjugate type, and each generator is +- its column
+    product. Each input here keeps lex leading terms in closed form, and each
+    with the right tableaux stays a lex basis, so only those tests can
+    refuse it."""
+
+    FILTER = filter_closure(3, [(2, 1)], "lower")
+    FILLING = "a tableau is not a column-standard filling of a filter shape"
+
+    def judged(self, gens):
+        return verify._lexgb(self.FILTER, gens)
+
+    def test_a_missing_column_set_is_refused_by_the_count(self):
+        # the control fixture: x3 - x1 dropped, and the rest still a lex basis
+        gens = filter_generators(self.FILTER)
+        kept = [g for g in gens if g.tableau.rows != ((1, 2), (3,))]
+        assert {g.polynomial for g in gens} - {g.polynomial for g in kept} == {
+            parse_polynomial("x3 - x1", 3)}
+        assert verify._lex_certificate(tuple(g.polynomial for g in kept))[0]
+        assert self.judged(kept) == (
+            "fail", "a shape has fewer generators than set partitions of its conjugate",
+            {"shape": "[2,1]", "generators": 2, "set_partitions": 3})
+
+    def test_a_duplicated_column_set_is_refused(self):
+        # the first [2,1] generator in place of the last: three of them still,
+        # and a lex basis still, but two share their columns
+        gens = list(filter_generators(self.FILTER))
+        assert [g.shape for g in gens] == [(2, 1)] * 3 + [(1, 1, 1)]
+        gens[2] = gens[0]
+        assert verify._lex_certificate(tuple(g.polynomial for g in gens))[0]
+        assert self.judged(gens) == ("fail", "two generators have the same columns",
+                                     {"tableau": [list(r) for r in gens[0].tableau.rows]})
+
+    def test_a_generator_that_is_not_its_column_product_is_refused(self):
+        # x3 - x1 becomes x3 + x2 - 2*x1: the same leading term and the same
+        # ideal, and still a lex basis, but no product of column factors
+        gens = list(filter_generators(self.FILTER))
+        (k,) = [k for k, g in enumerate(gens) if g.tableau.rows == ((1, 2), (3,))]
+        gens[k] = replace(gens[k], polynomial=parse_polynomial("x3 + x2 - 2*x1", 3))
+        assert verify._lex_certificate(tuple(g.polynomial for g in gens))[0]
+        assert self.judged(gens) == ("fail", "a generator is not its tableau's column product",
+                                     {"tableau": [[1, 2], [3]]})
+
+    def test_a_tableau_of_the_wrong_shape_is_refused(self):
+        # the [1,1,1] generator's tableau under a [2,1] generator
+        gens = list(filter_generators(self.FILTER))
+        gens[0] = replace(gens[0], tableau=gens[-1].tableau)
+        assert self.judged(gens) == ("fail", self.FILLING, {"tableau": [[1], [2], [3]]})
+        # [3]'s generator 1, whose shape is outside the filter
+        (one,) = shape_generators((3,))
+        assert self.judged(list(filter_generators(self.FILTER)) + [one]) == (
+            "fail", self.FILLING, {"tableau": [[1, 2, 3]]})
+        # and a filling of [2,1] with a decreasing column, which the closed
+        # form of the leading term does not cover
+        gens = list(filter_generators(self.FILTER))
+        gens[0] = replace(gens[0], tableau=Tableau([[3, 2], [1]]))
+        assert self.judged(gens) == ("fail", self.FILLING, {"tableau": [[3, 2], [1]]})
 
 
 class TestSuite:
@@ -372,12 +457,9 @@ class TestCli:
     def test_gens_enumerates_large_shapes_in_standard_mode(self, capsys):
         assert main(["gens", "--n", "12", "--shape", "[6,6]", "--mode", "standard"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 132
-        assert main(["gens", "--n", "8", "--shape", "[7,1]", "--mode", "all"]) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 28
 
     def test_gens_rejects_exponential_requests_at_once(self, capsys):
         for argv, what in (
-            (["--n", "10", "--shape", "[4,3,3]", "--mode", "all"], "3628800 all tableaux"),
             (["--n", "12", "--shape", "[4,4,4]", "--mode", "column_standard"],
              "369600 column_standard tableaux"),
             (["--n", "12", "--shape", "[1,1,1,1,1,1,1,1,1,1,1,1]", "--mode", "standard"],
@@ -520,6 +602,11 @@ class TestCli:
         capsys.readouterr()
         assert main(["gens", "--n", "3"]) == 2
         capsys.readouterr()
+        # every filling's polynomial is +- a column-standard one: no mode lists them all
+        with pytest.raises(SystemExit) as stop:
+            main(["gens", "--n", "3", "--shape", "[2,1]", "--mode", "all"])
+        assert stop.value.code == 2
+        assert "invalid choice: 'all'" in capsys.readouterr().err
         assert main(["verify", "descent", "--n", "3", "--filter", "[2,1]"]) == 2
         capsys.readouterr()
 
@@ -693,8 +780,9 @@ class TestEnumerationLimits:
     @pytest.mark.parametrize("argv, what", [
         (["verify", "universal", "--n", "12"], "1191578522 column_standard tableaux"),
         (["verify", "lexgb", "--n", "9"], "column_standard tableaux"),
-        # lexgb's all-mode expansion at n=7, before any n=2 check has run
-        (["verify", "all", "--max-n", "12"], "32402160 terms"),
+        # the column-standard tableaux of lexgb's first input at n=9,
+        # lower<=[9], before any n=2 check has run
+        (["verify", "all", "--max-n", "12"], "871030 column_standard tableaux"),
         (["verify", "restricted", "--shape", "[1,1,1,1,1,1,1,1,1,1,1,1]"], "terms"),
         (["gb", "--n", "12", "--filter", "lower<=[12]"], "column_standard tableaux"),
         # descent expands no tableaux; its grid ends at n=6, so a larger
@@ -1167,7 +1255,7 @@ class TestLexCertificate:
 
 
 class TestMembershipRoute:
-    """restricted and lexgb test ideal equality against a certified lex basis
+    """restricted tests ideal equality against a certified lex basis
     (_generates): the basis must lie among the other side's generators, and
     each of those must reduce to zero by it. Each half can fail on its own."""
 
@@ -1204,34 +1292,6 @@ class TestMembershipRoute:
         assert report.verdict == "fail"
         assert report.reason == "the restricted set generates a different ideal"
         assert report.evidence["pair_counts"]["failed"] == 0
-        assert report.evidence["mismatch"] == self.MEMBERSHIP
-
-    def lexgb_with(self, monkeypatch, extra):
-        # all-mode gains one more polynomial; column-standard mode is untouched
-        filt = filter_closure(4, [(2, 2)], "lower")
-        original = verify.filter_generators
-        cs = [g.polynomial for g in original(filt)]
-
-        def patched(f, *, mode="column_standard", field=QQ):
-            gens = original(f, mode=mode, field=field)
-            if mode != "all":
-                return gens
-            return gens + (replace(gens[0], polynomial=extra(cs)),)
-
-        monkeypatch.setattr(verify, "filter_generators", patched)
-        return check_lexgb(filt)
-
-    def test_an_all_mode_set_with_the_same_ideal_passes(self, monkeypatch):
-        x1 = Poly(4, QQ, {(1, 0, 0, 0): 1})
-        report = self.lexgb_with(monkeypatch, lambda cs: x1 * cs[0] + cs[1])
-        assert_clean_pass(report, "lexgb")
-        assert report.evidence["all_mode_same_generators"] is False
-
-    def test_an_all_mode_set_with_a_larger_ideal_fails(self, monkeypatch):
-        outside = shape_generators((3, 1))[0].polynomial
-        report = self.lexgb_with(monkeypatch, lambda cs: outside)
-        assert report.verdict == "fail"
-        assert report.reason == "all-tableaux mode produced a different reduced basis"
         assert report.evidence["mismatch"] == self.MEMBERSHIP
 
     def test_restricted_and_lexgb_complete_nothing(self):

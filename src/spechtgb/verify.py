@@ -399,38 +399,30 @@ def check_reduced(filt: PartitionFilter, *,
                   pair_budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
     """Dual-route identity for a lower filter: the ideal generated from its
     tableaux equals the full vanishing ideal of the strata outside the filter,
-    computed independently as an intersection of subspace primes. Checked by
-    two-sided membership and by exact reduced-basis agreement; passing means
-    the generated ideal is radical and cuts out exactly those strata."""
+    computed independently as an intersection of subspace primes. Decided by
+    one comparison of reduced lex bases (_reduced); passing means the
+    generated ideal is radical and cuts out exactly those strata."""
     parameters = {"n": filt.n, "filter": filter_text(filt), "field": "Q"}
     metrics: dict = {}
     return _guarded("reduced", parameters, _counting_oracle(lambda: _reduced(
-        [g.polynomial for g in filter_generators(filt)], filt.complement(), pair_budget),
+        tuple(g.polynomial for g in filter_generators(filt)), filt.complement(), pair_budget),
         metrics), metrics)
 
 
-def _reduced(gens: list[Poly], complement: PartitionFilter, pair_budget: int):
-    """reduced's judgment of generators against the strata of complement."""
-    order = lex_order(complement.n)
-    lhs = groebner_basis(gens, order, pair_budget=pair_budget)
-    if not len(complement):
-        if lhs == [Poly.constant(1, complement.n, QQ)]:
-            return "pass", None, {"complement_size": 0, "unit_ideal": True}
-        return "fail", "the full filter should generate the unit ideal", {
-            "reduced_basis_size": len(lhs)}
-    rhs = list(vanishing_ideal_oracle(complement, pair_budget=pair_budget).generators)
-    oracle_in_gens = _reduce_to_zero(rhs, lhs, order)
-    gens_in_oracle = _reduce_to_zero(gens, rhs, order)
-    evidence = {
-        "complement_size": len(complement),
-        "generators": len(gens),
-        "oracle_basis_size": len(rhs),
-        "reduced_basis_size": len(lhs),
-        "oracle_contained_in_generated": oracle_in_gens,
-        "generated_contained_in_oracle": gens_in_oracle,
-        "reduced_bases_equal": lhs == rhs,
-    }
-    if oracle_in_gens and gens_in_oracle and lhs == rhs:
+def _reduced(gens: tuple[Poly, ...], complement: PartitionFilter, pair_budget: int):
+    """reduced's judgment of generators against the strata of complement. A
+    reduced lex basis is unique to its ideal (Cox, Little & O'Shea, ch. 2,
+    section 7), so once the generators certify as a lex basis, the ideals are
+    equal exactly when their reduced bases are. An empty complement has the
+    unit ideal."""
+    if not _lex_certificate(gens)[0]:
+        return "fail", "the generators are not a basis under lex", {"generators": len(gens)}
+    lhs = _lex_reduced(gens)
+    rhs = (vanishing_ideal_oracle(complement, pair_budget=pair_budget).generators
+           if len(complement) else (Poly.constant(1, complement.n, QQ),))
+    evidence = {"complement_size": len(complement), "generators": len(gens),
+                "oracle_basis_size": len(rhs), "reduced_basis_size": len(lhs)}
+    if lhs == rhs:
         return "pass", None, evidence
     return "fail", "generated ideal and strata oracle disagree", evidence
 
@@ -728,7 +720,7 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
                       "not stable under permutations of the variables"),
         # lower:[1,1,1] against the strata of upper:[3], not of its complement
         "reduced": ({"n": 3, "filter": "lower:[1,1,1]", "complement": "upper:[3]"},
-                    lambda: _reduced([g.polynomial for g in shape_generators((1, 1, 1))],
+                    lambda: _reduced(tuple(g.polynomial for g in shape_generators((1, 1, 1))),
                                      filter_closure(3, [(3,)], "upper"), DEFAULT_PAIR_BUDGET),
                     "generated ideal and strata oracle disagree"),
         # [3] no longer dominates [2,1], so its generator 1 must vanish there
@@ -1106,13 +1098,15 @@ def _cmd_verify(args) -> int:
         include_controls=args.check == "all" and not args.no_controls,
     )
     single = _single_input(args)
+    spec = _CHECKS.get(args.check)
+    # one input, named by --filter or --shape, or by --n for a check that takes n
+    if (spec and spec.over != "any" and (field.p is None) == (spec.over == "F_p")
+            and (single is not None or spec.takes == "n" and args.n is not None)):
+        needs = _RATIONAL_ONLY_REASON if spec.over == "Q" else (
+            "needs a prime field: pass --field F<p>")
+        raise ValueError(f"a single {args.check} run {needs}")
     _check_selection_size(config, single)
-    if single is None:
-        reports = run_suite(config)
-    elif _CHECKS[args.check].over == "F_p" and field.p is None:
-        raise ValueError(f"a single {args.check} run needs a prime field: pass --field F<p>")
-    else:
-        reports = _run_check(args.check, config, single)
+    reports = run_suite(config) if single is None else _run_check(args.check, config, single)
     if not reports:
         tops = "".join(f", {name}'s ends at n={_CHECKS[name].max_n}"
                        for name in config.checks if _CHECKS[name].max_n is not None)
@@ -1185,9 +1179,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--samples", type=_positive, default=10)
     verify_p.add_argument("--pair-budget", type=_nonnegative, default=DEFAULT_PAIR_BUDGET,
-                          help="S-pairs per completion or elimination in reduced, descent, "
-                               "containment and engine; lexgb, universal, restricted and "
-                               "finite_field certify without a budget")
+                          help="S-pairs per completion or elimination in descent, "
+                               "containment and engine, and per oracle elimination in "
+                               "reduced; lexgb, universal, restricted, finite_field and "
+                               "reduced's generators certify without a budget")
     verify_p.add_argument("--no-controls", action="store_true",
                           help="skip the corrupted-fixture controls")
     _add_output_flags(verify_p)

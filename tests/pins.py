@@ -8,7 +8,8 @@ CI_ONLY_PINS, each in a fresh process:
     PYTHONPATH=src python tests/pins.py
 
 which prints each row's arguments, last line and wall time (start-up
-included), and exits 1 naming every row that differs. Standard library
+included), and exits 1 naming every row that differs; a row that runs
+past TIMEOUT_S is stopped and differs. Standard library
 only: the CI job that runs it installs nothing.
 """
 
@@ -19,19 +20,19 @@ import time
 PINS = (
     # the example line of README "Determinism"
     ("all --max-n 4 --seed 7",
-     "89 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:4f118d6d9add230e]"),
+     "89 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:517b6c6fe9ab6b7c]"),
     # every lower filter up to n=5
     ("all --max-n 5 --seed 7",
-     "120 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:b8e2287d74cece33]"),
+     "120 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:4bb17594ca2ea498]"),
     # the F_p grids: lexgb, universal and finite_field meet the same
     # (filter, p) certificate, and the Groebner work runs mod-p arithmetic;
     # reduced, vanishing and descent report the 16 skipped rows
     ("all --max-n 4 --seed 3 --field F7",
-     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:521d7ade2044de40]"),
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:b4b2509d1746ea04]"),
     ("all --max-n 4 --seed 3 --field F2",
-     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:5a4cdaa66fe36027]"),
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:b8ce3365e4730d52]"),
     ("all --max-n 4 --seed 3 --field F3",
-     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:8ed4f4be7ea15fd1]"),
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:29471ccb2979d067]"),
     # every principal filter of 6
     ("lexgb --n 6 --seed 7",
      "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:917780d344e5417a]"),
@@ -48,7 +49,7 @@ PINS = (
 CI_ONLY_PINS = (
     # the two checks that run the strata oracle at n=6
     ("reduced --n 6 --seed 7",
-     "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:793103ada12c684c]"),
+     "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:fc5aceb7f7f32f41]"),
     ("descent --n 6",
      "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:8a2807bbd21fb873]"),
     # two n=6 completions outside the oracle
@@ -69,13 +70,21 @@ CI_ONLY_PINS = (
      "15 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:58a2a5999cfdac59]"),
 )
 
+# seconds one row may run, about five times the slowest row (35 s), so that a
+# row that hangs is named and the rows after it still run
+TIMEOUT_S = 180
+
 
 def last_line(args: str) -> str:
     """The last line `spechtgb verify <args>` prints in a fresh process, or
-    of its error output when it prints nothing. A pinned line counts no fail
-    and no error, so only a run that exits 0 can print it."""
-    done = subprocess.run([sys.executable, "-m", "spechtgb", "verify", *args.split()],
-                          capture_output=True, text=True)
+    of its error output when it prints nothing, or a timeout note when the
+    run outlasts TIMEOUT_S. A pinned line counts no fail and no error, so
+    only a run that exits 0 can print it."""
+    try:
+        done = subprocess.run([sys.executable, "-m", "spechtgb", "verify", *args.split()],
+                              capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"timed out after {TIMEOUT_S} s"
     lines = done.stdout.strip().splitlines() or done.stderr.strip().splitlines()
     return lines[-1] if lines else f"exit {done.returncode}, no output"
 

@@ -15,6 +15,7 @@ import pytest
 import spechtgb
 from spechtgb.polyring import Poly
 
+import pins
 from pins import PINS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,6 +88,16 @@ def test_ci_pin_job_runs_the_table():
     job = re.split(r"\n  \S", workflow.split("\n  pinned-hashes:\n", 1)[1], maxsplit=1)[0]
     assert "python tests/pins.py" in job
     assert "determinism sha256:" not in job
+
+
+def test_a_pin_row_that_outlasts_its_time_is_named(monkeypatch, capsys):
+    monkeypatch.setattr(pins, "TIMEOUT_S", 0.01)
+    monkeypatch.setattr(pins, "PINS", (("lexgb --n 3", "3 pass"),))
+    monkeypatch.setattr(pins, "CI_ONLY_PINS", ())
+    assert pins.main() == 1
+    out = capsys.readouterr().out
+    assert "\n  timed out after 0.01 s\n" in out
+    assert out.endswith("pin differs: verify lexgb --n 3\n")
 
 
 def test_readme_example_line_is_the_pinned_row():

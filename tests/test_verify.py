@@ -107,9 +107,42 @@ class TestIndividualChecks:
         assert_clean_pass(check_reduced(filt), "reduced")
 
     def test_reduced_full_filter_unit_ideal(self):
-        full = filter_closure(3, [(1, 1, 1)], "lower")
-        report = check_reduced(full)
+        # lower<=[3] holds every shape of 3, [3]'s generator 1 among them; its
+        # empty complement has the unit ideal, met by the common comparison
+        report = check_reduced(filter_closure(3, [(3,)], "lower"))
         assert_clean_pass(report, "reduced")
+        assert report.evidence == {"complement_size": 0, "generators": 5,
+                                   "oracle_basis_size": 1, "reduced_basis_size": 1}
+
+    def test_reduced_refuses_generators_that_are_no_lex_basis(self, monkeypatch):
+        # x1^2 - x2 and x1*x2: their S-polynomial leaves -x1^3 under lex
+        # x1 < x2, so no comparison of reduced bases is reached
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(verify, "vanishing_ideal_oracle", no_oracle)
+        gens = (parse_polynomial("x1^2 - x2", 2), parse_polynomial("x1*x2", 2))
+        assert verify._reduced(gens, filter_closure(2, [(2,)], "upper"), 10) == (
+            "fail", "the generators are not a basis under lex", {"generators": 2})
+
+    def test_reduced_is_the_same_cold_and_after_lexgb(self):
+        from spechtgb import strata
+
+        filt = filter_closure(4, [(2, 2)], "lower")
+
+        def cleared():
+            _clear_lex_caches()
+            strata._fold.cache_clear()
+
+        cleared()
+        cold = json.dumps(check_reduced(filt).payload(), sort_keys=True)
+        cleared()
+        assert check_lexgb(filt).verdict == "pass"
+        hits = verify._lex_certificate.cache_info().hits
+        warm = json.dumps(check_reduced(filt).payload(), sort_keys=True)
+        assert verify._lex_certificate.cache_info().hits > hits
+        assert warm == cold
+        assert json.loads(cold)["verdict"] == "pass"
 
     def test_vanishing(self):
         assert_clean_pass(
@@ -641,8 +674,10 @@ def _json_rows(capsys):
 
 
 class TestErrorVerdict:
+    # reduced's generators certify without a budget; the oracle of the
+    # complement of lower:[1,1,1] runs out of one pair
     def test_pair_budget_exhaustion_is_an_error_not_a_failure(self, capsys):
-        assert main(["verify", "reduced", "--n", "3", "--filter", "lower<=[2,1]",
+        assert main(["verify", "reduced", "--n", "3", "--filter", "lower:[1,1,1]",
                      "--pair-budget", "1", "--report", "json"]) == 3
         (row,) = _json_rows(capsys)
         assert row["verdict"] == "error"
@@ -650,7 +685,7 @@ class TestErrorVerdict:
         assert "budget" in row["reason"]
 
     def test_summary_counts_errors(self, capsys):
-        assert main(["verify", "reduced", "--n", "3", "--filter", "lower<=[2,1]",
+        assert main(["verify", "reduced", "--n", "3", "--filter", "lower:[1,1,1]",
                      "--pair-budget", "1"]) == 3
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("0 pass, 0 fail, 0 skipped, 1 error")
@@ -730,12 +765,18 @@ class TestSingleRunFlags:
         assert main(["verify", "lexgb", "--n", "1"]) == 2
         assert "runs no check" in capsys.readouterr().err
 
-    def test_rational_only_single_run_over_fp_is_skipped(self, capsys):
-        assert main(["verify", "reduced", "--n", "3", "--filter", "lower<=[2,1]",
-                     "--field", "F7", "--report", "json"]) == 0
-        (row,) = _json_rows(capsys)
-        assert row["verdict"] == "skipped"
-        assert row["parameters"]["field"] == "F7"
+    @pytest.mark.parametrize("check, single", [
+        ("reduced", ["--filter", "lower:[1,1,1]"]), ("vanishing", []), ("descent", []),
+    ], ids=["reduced", "vanishing", "descent"])
+    def test_rational_only_single_run_over_fp_is_refused(self, check, single, capsys):
+        assert main(["verify", check, "--n", "3", *single, "--field", "F7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a single {check} run needs the rational field: "
+                                "strata are only dense there\n")
+        # its grid keeps the skipped row
+        assert main(["verify", check, "--max-n", "3", "--field", "F7", "--report", "json"]) == 0
+        assert {row["verdict"] for row in _json_rows(capsys)} == {"skipped"}
 
     def test_universal_covers_every_ranking_past_five(self, capsys):
         # one proof covers all 720 lex rankings of 6, and every other order
@@ -845,8 +886,7 @@ class TestSingleRunMatchesGrid:
         (["restricted", "--n", "4", "--shape", "[2,2]"], ["restricted", "--max-n", "4"]),
         (["vanishing", "--n", "3", "--samples", "3", "--seed", "2"],
          ["vanishing", "--max-n", "4", "--samples", "3", "--seed", "2"]),
-        (["reduced", "--n", "3", "--filter", "lower<=[2,1]", "--field", "F7"],
-         ["reduced", "--max-n", "3", "--field", "F7"]),
+        (["reduced", "--n", "3", "--filter", "lower<=[2,1]"], ["reduced", "--max-n", "3"]),
     ])
     def test_single_run_gives_the_grid_row(self, capsys, single, grid):
         # payloads only: timing_ms and metrics depend on what ran before

@@ -2,14 +2,15 @@
 
 Everything here is deliberately naive: brute-force expansion over dicts,
 closed-form counting formulas, definition-chasing predicates. No reference
-runs the package's algorithms (with the one exception named below), so a
+runs the package's algorithms (except the checker, as named below), so a
 bug there cannot hide in its own mirror image. What this module takes from
 the package, so that both sides raise and return the same types:
 
 - spechtgb.polyring: the Poly type and its arithmetic, Field, QQ, Monomial,
   MonomialOrder, leading_term and lex_order;
 - spechtgb.groebner: DEFAULT_PAIR_BUDGET, PairBudgetExceeded, the
-  IdealBasis container, and is_groebner_basis for ref_order_failure only;
+  IdealBasis container, and is_groebner_basis for ref_order_failure and
+  ref_finite_field only;
 - spechtgb.combinatorics: partitions_of, set_partitions_of_type and
   validate_set_partition, which list the set partitions the strata
   references intersect (partitions_of also orders the lower-filter
@@ -33,7 +34,9 @@ tableau was built per set partition; its fillings are the n! permutations
 of 1..n cut into rows, which the package no longer enumerates. Then the
 universal-order sweep that certified every order by Buchberger before
 universal proved every order at once; it referees that proof, not the
-kernel, so it runs the package's checker. Then dense row reduction, which
+kernel, so it runs the package's checker. So does the finite_field route
+that certified and reduced over each prime before the rational certificate
+covered every prime at once. Then dense row reduction, which
 computed span ranks before generators were divided by one another; the
 dominance-closure test that compared every member with every partition, and
 the lower-filter enumeration that scanned every subset of the partitions;
@@ -829,6 +832,30 @@ def ref_order_failure(polys: list[Poly], orders, where: str) -> str | None:
                                     for p in polys):
             return f"leading term disagrees with the induced lex order{where} under {order.text()}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# the finite_field route before the every-prime proof: one prime at a time, a
+# lex certificate over F_p and over Q, then the reduced F_p basis against the
+# image of the rational one. It certifies with the package's checker, as the
+# sweep above does, and reduces with the frozen reduction
+
+
+def ref_finite_field(polys_p: list[Poly], polys_q: list[Poly]) -> tuple[str, str | None]:
+    """(verdict, reason) for generators over F_p and their rational set."""
+    order = lex_order(polys_q[0].nvars)
+    field = polys_p[0].field
+    if not is_groebner_basis(polys_p, order)[0]:
+        return "fail", f"not a lex basis over F_{field.p}"
+    if not is_groebner_basis(polys_q, order)[0]:
+        return "fail", "the rational generators are not a lex basis"
+    try:
+        image = [Poly(g.nvars, field, g.terms) for g in ref_reduce_groebner_basis(polys_q, order)]
+    except ValueError:
+        return "fail", f"a rational coefficient has no image mod {field.p}"
+    if image != ref_reduce_groebner_basis(polys_p, order):
+        return "fail", "the reduced basis mod p is not the image of the rational one"
+    return "pass", None
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,20 @@ from spechtgb import (
     lex_order,
     main,
     negative_controls,
+    reduce_groebner_basis,
     run_suite,
     shape_generators,
     suite_exit_code,
 )
 from spechtgb import verify
 
-from oracles import REF_EXPANDS, parse_polynomial, ref_order_failure, ref_stratum_vanishing
+from oracles import (
+    REF_EXPANDS,
+    parse_polynomial,
+    ref_finite_field,
+    ref_order_failure,
+    ref_stratum_vanishing,
+)
 from pins import PINS
 
 
@@ -214,6 +221,21 @@ class TestCountsThatVoidACheck:
             monkeypatch.setattr(verify, name, untouched)
         with pytest.raises(ValueError, match=f"must be positive, got {count}$"):
             self.CALLS[entry](count)
+
+
+class TestCharacteristicOfAFiniteFieldCheck:
+    """check_finite_field refuses a p that is not prime before any work, as
+    the other entry points refuse a count that voids them."""
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_refused_before_anything_runs(self, p, monkeypatch):
+        def untouched(*args, **kwargs):
+            raise AssertionError("ran before p was checked")
+
+        for name in ("filter_generators", "_guarded"):
+            monkeypatch.setattr(verify, name, untouched)
+        with pytest.raises(ValueError, match=f"must be prime, got {p}$"):
+            check_finite_field(filter_closure(3, [(2, 1)], "lower"), p)
 
 
 class TestSizesBelowACheck:
@@ -1024,7 +1046,11 @@ class TestOrderShortcut:
             calls.append((order.text(), set(polys)))
             return is_groebner_basis(polys, order, **kwargs)
 
+        def refused(*args, **kwargs):
+            raise AssertionError("a reduced basis was computed")
+
         monkeypatch.setattr(verify, "is_groebner_basis", counted)
+        monkeypatch.setattr(verify, "reduce_groebner_basis", refused)
         _clear_lex_caches()
         filt = filter_closure(4, [(2, 2)], "lower")
         report = check_finite_field(filt, 3)
@@ -1032,12 +1058,11 @@ class TestOrderShortcut:
         # the every-order proof is universal's row: none of it runs here
         assert report.metrics == {}
         assert "referee_orders" not in report.evidence
-        # the lex certificate over F_3, then the rational set's lex
-        # certificate in place of its completion, and nothing more
-        assert [text for text, _ in calls] == ["lex:1,2,3,4", "lex:1,2,3,4"]
-        assert calls[0][1] == {g.polynomial for g in filter_generators(filt, field=GF(3))}
-        assert calls[1][1] == {g.polynomial for g in filter_generators(filt)}
-        # warm, both lex certificates are shared: no certificate runs again
+        # one lex certificate, of the rational set: nothing is certified or
+        # reduced over F_3, and no reduced basis is even looked up
+        assert calls == [("lex:1,2,3,4", {g.polynomial for g in filter_generators(filt)})]
+        assert verify._lex_reduced.cache_info() == (0, 0, None, 0)
+        # warm, the rational certificate is shared: no certificate runs again
         calls.clear()
         assert check_finite_field(filt, 3).payload() == report.payload()
         assert calls == []
@@ -1173,9 +1198,10 @@ def _clear_lex_caches():
 
 class TestLexCertificate:
     """lexgb, universal, finite_field and restricted share one lex certificate
-    per generator set in a process (_lex_certificate), and all but universal
-    one reduced basis (_lex_reduced). A row must not depend on what ran
-    before it, and a changed set is certified afresh."""
+    per generator set in a process (_lex_certificate), finite_field that of
+    the rational set at every prime; lexgb, restricted and reduced share one
+    reduced basis (_lex_reduced). A row must not depend on what ran before
+    it, and a changed set is certified afresh."""
 
     FIELDS = [QQ, GF(2), GF(3), GF(7)]
     FILTER = filter_closure(4, [(2, 2)], "lower")
@@ -1189,7 +1215,8 @@ class TestLexCertificate:
         assert [dict(p) for p in failed] == [
             p for p in cert["pairs"] if p["status"] == "failed"][:5]
         if ok:
-            # the completion finite_field ran for its rational basis before
+            # the reduced basis lexgb, restricted and reduced share is the
+            # completion's
             assert verify._lex_reduced(tuple(polys)) == tuple(groebner_basis(polys, order))
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.text())
@@ -1217,8 +1244,8 @@ class TestLexCertificate:
             return check_lexgb(self.FILTER, field=field)
         if check == "universal":
             return check_universal(self.FILTER, seed=3, field=field)
-        # over Q, the rational side of finite_field meets lexgb's certificate
-        return check_finite_field(self.FILTER, 3)
+        # at every prime, finite_field takes the rational set's certificate
+        return check_finite_field(self.FILTER, field.p or 3)
 
     @pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.text())
     @pytest.mark.parametrize("check", ["lexgb", "universal", "finite_field"])
@@ -1226,8 +1253,10 @@ class TestLexCertificate:
         _clear_lex_caches()
         cold = self.run(check, field).payload()
         _clear_lex_caches()
+        # so finite_field meets the certificate the other two take over Q
+        shared = QQ if check == "finite_field" else field
         for other in {"lexgb", "universal", "finite_field"} - {check}:
-            assert self.run(other, field).verdict == "pass"
+            assert self.run(other, shared).verdict == "pass"
         hits = verify._lex_certificate.cache_info().hits
         warm = self.run(check, field)
         assert verify._lex_certificate.cache_info().hits > hits
@@ -1291,7 +1320,62 @@ class TestLexCertificate:
         report = check_finite_field(self.FILTER, 3)
         assert report.verdict == "fail"
         assert report.reason == "the rational generators are not a lex basis"
-        assert report.evidence["generators_mod_p"] == 8
+        assert report.evidence["generators"] == 7
+
+
+class TestFiniteFieldJudge:
+    """finite_field decides every prime at once from the rational set: its
+    coefficients are integers, its lex leading coefficients 1, it is a lex
+    basis, and the F_p set is its termwise image. Each fixture below gives
+    its F_3 side as that exact image, so only one test can refuse it; the
+    lex-basis test is TestLexCertificate's, the image test the control's."""
+
+    F3 = GF(3)
+
+    @classmethod
+    def judged(cls, polys_q):
+        return verify._finite_field(tuple(Poly(g.nvars, cls.F3, g.terms) for g in polys_q),
+                                    tuple(polys_q))
+
+    def test_a_coefficient_that_is_not_an_integer_is_refused(self):
+        # x2 - 1/2*x1: monic, a lex basis, and its image mod 3 exists
+        polys = (parse_polynomial("x2 - 1/2*x1", 2),)
+        assert self.judged(polys) == (
+            "fail", "a rational coefficient is not an integer", {"generators": 1})
+
+    def test_a_leading_coefficient_that_is_not_one_is_refused(self):
+        # coprime leading terms x2 and x1 make a lex basis; 2 is a unit mod 3
+        polys = (parse_polynomial("2*x2 + x1", 2), parse_polynomial("x1", 2))
+        assert self.judged(polys) == (
+            "fail", "a lex leading coefficient is not 1", {"generators": 2})
+
+    CASES = [filt for n in (2, 3, 4) for filt in enumerate_lower_filters(n)] + [
+        filter_closure(5, [lam], "lower") for lam in verify.partitions_of(5)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_agrees_with_the_route_it_replaced(self, p):
+        # every lower filter up to 4 and every principal filter of 5; on a
+        # passing row the corollary holds too: the image of the rational
+        # reduced basis is the package's reduced basis over F_p
+        for filt in self.CASES:
+            polys_p = [g.polynomial for g in filter_generators(filt, field=GF(p))]
+            polys_q = [g.polynomial for g in filter_generators(filt)]
+            report = check_finite_field(filt, p)
+            assert ref_finite_field(polys_p, polys_q)[0] == report.verdict
+            if report.verdict == "pass":
+                order = lex_order(filt.n)
+                image = [Poly(g.nvars, GF(p), g.terms)
+                         for g in reduce_groebner_basis(polys_q, order)]
+                assert image == reduce_groebner_basis(polys_p, order)
+
+    def test_the_control_fixture_fails_both_routes(self):
+        q = (Poly(2, QQ, {(0, 1): 1, (1, 0): -2}),)
+        f3 = [g.polynomial for g in filter_generators(filter_closure(2, [(1, 1)], "lower"),
+                                                       field=self.F3)]
+        image = "the F_p generators are not the images of the rational ones"
+        assert verify._finite_field(tuple(f3), q)[:2] == ("fail", image)
+        assert ref_finite_field(f3, list(q)) == (
+            "fail", "the reduced basis mod p is not the image of the rational one")
 
 
 class TestMembershipRoute:

@@ -161,18 +161,6 @@ def _reduce_to_zero(polys, basis, order) -> bool:
     return not any(r.terms for r in normal_forms(polys, basis, order))
 
 
-def _generates(basis: list[Poly], gens: list[Poly], order) -> str | None:
-    """None when the generators span the ideal of a Groebner basis under
-    order, else which half of the test failed: the basis lies among the
-    generators, so its ideal is in theirs, and each generator reduces to
-    zero by it (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 2)."""
-    if not set(basis) <= set(gens):
-        return "a basis element is not a generator"
-    if not _reduce_to_zero(gens, basis, order):
-        return "a generator is outside the basis's ideal"
-    return None
-
-
 @lru_cache(maxsize=None)
 def _lex_certificate(polys: tuple[Poly, ...]) -> tuple:
     """(verdict, counts, first five failed pair records) of the generators
@@ -188,6 +176,19 @@ def _lex_certificate(polys: tuple[Poly, ...]) -> tuple:
 def _lex_reduced(polys: tuple[Poly, ...]) -> tuple[Poly, ...]:
     """The reduced lex basis of a set _lex_certificate certified, once per set."""
     return tuple(reduce_groebner_basis(polys, lex_order(polys[0].nvars)))
+
+
+@lru_cache(maxsize=None)
+def _shape_basis(gens: tuple[Poly, ...], pair_budget: int) -> tuple[Poly, ...]:
+    """C(lam), the reduced lex basis of one shape's own generators, once per
+    set and budget: a basis a larger budget completed passes no row whose
+    budget runs out."""
+    return tuple(groebner_basis(gens, lex_order(gens[0].nvars), pair_budget=pair_budget))
+
+
+def _own_basis(lam, field: Field, pair_budget: int) -> tuple[Poly, ...]:
+    """C(lam), from shape lam's column-standard generators over field."""
+    return _shape_basis(tuple(g.polynomial for g in shape_generators(lam, field=field)), pair_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -545,31 +546,32 @@ def _descent(cases, pair_budget: int):
                           "memberships": memberships, "trivial_cases": trivial}
 
 
-def check_restricted(shape, *, field: Field = QQ) -> CheckReport:
-    """The standard-tableau generators of the shapes below a given one that
-    keep its first-row length form a lex basis on their own, and they generate
-    the same ideal as the full generator set of the shape's principal filter,
-    tested by membership against the certified set (_generates)."""
+def check_restricted(shape, *, field: Field = QQ,
+                     pair_budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
+    """The standard generators of the shapes below lam that keep its first
+    row (restricted_shapes) are a lex basis of I_lam, the ideal of lam's own
+    generators (Haiman and Woo): they certify under lex x1 < ... < xn, and
+    their reduced basis is C(lam) (_shape_basis), since a reduced basis is
+    unique to its ideal (Cox, Little & O'Shea, ch. 2, section 7). With
+    containment's I_lam = I(lower<=lam) they generate the principal filter's
+    ideal. pair_budget bounds the completion, not the certificate."""
     lam = validate_partition(shape)
     n = sum(lam)
     parameters = {"n": n, "shape": partition_text(lam), "field": field.text()}
     return _guarded("restricted", parameters, lambda: _restricted(
         tuple(g.polynomial for g in restricted_standard_generators(lam, field=field)),
-        [g.polynomial for g in filter_generators(filter_closure(n, [lam], "lower"),
-                                                 field=field)]))
+        _own_basis(lam, field, pair_budget)))
 
 
-def _restricted(restricted: tuple[Poly, ...], full: list[Poly]):
-    """restricted's judgment of a restricted set against the full one."""
+def _restricted(restricted: tuple[Poly, ...], basis: tuple[Poly, ...]):
+    """restricted's judgment of a restricted set against its shape's C(lam)."""
     ok, counts, _ = _lex_certificate(restricted)
     evidence = {"restricted_generators": len(restricted), "pair_counts": dict(counts)}
     if not ok:
         return "fail", "the restricted set is not a basis under lex", evidence
-    evidence["full_generators"] = len(full)
-    evidence["reduced_basis_size"] = len(_lex_reduced(restricted))
-    if mismatch := _generates(restricted, full, lex_order(full[0].nvars)):
-        return "fail", "the restricted set generates a different ideal", {
-            **evidence, "mismatch": mismatch}
+    evidence["reduced_basis_size"] = len(reduced := _lex_reduced(restricted))
+    if reduced != basis:
+        return "fail", "the restricted set generates a different ideal", evidence
     return "pass", None, evidence
 
 
@@ -608,9 +610,12 @@ def _finite_field(polys_p: tuple[Poly, ...], polys_q: tuple[Poly, ...]):
 
 def check_containment(n: int, *, field: Field = QQ,
                       pair_budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
-    """For every strict dominance relation between shapes, each standard
-    generator of the lower shape reduces to zero against a basis computed from
-    the higher shape's own generators alone."""
+    """I_mu lies in I_lam, the ideal of shape lam's own generators, whenever
+    lam strictly dominates mu; so I_lam = I(lower<=lam). Tested on covers
+    only (mu below lam, no shape strictly between): C(mu), the reduced lex
+    basis of mu's generators (_shape_basis), reduces to zero by C(lam). A
+    chain of covers joins every comparable pair, and containment of ideals
+    is transitive, so the covers carry the claim to every pair."""
     _require_positive("n", n)
     parameters = {"n": n, "field": field.text()}
     return _guarded("containment", parameters,
@@ -619,29 +624,20 @@ def check_containment(n: int, *, field: Field = QQ,
 
 def _containment(n: int, field: Field, pair_budget: int, dominates):
     """containment's judgment, under the dominance test dominates(lam, mu)."""
-    order = lex_order(n)
     shapes = partitions_of(n)
-    bases = {lam: groebner_basis([g.polynomial for g in shape_generators(lam, field=field)],
-                                 order, pair_budget=pair_budget) for lam in shapes}
-    comparable_pairs = 0
-    memberships = 0
+    below = {lam: [mu for mu in shapes if mu != lam and dominates(lam, mu)] for lam in shapes}
+    evidence = {"shapes": len(shapes), "comparable_pairs": sum(map(len, below.values())),
+                "covering_pairs": 0, "memberships": 0}
     for lam in shapes:
-        for mu in shapes:
-            if mu == lam or not dominates(lam, mu):
-                continue
-            comparable_pairs += 1
-            gens = [g.polynomial for g in shape_generators(mu, mode="standard", field=field)]
-            if not _reduce_to_zero(gens, bases[lam], order):
-                return "fail", (
-                    f"a generator of {partition_text(mu)} is outside the ideal "
-                    f"of {partition_text(lam)}"
-                ), {"comparable_pairs": comparable_pairs}
-            memberships += len(gens)
-    evidence = {
-        "shapes": len(shapes),
-        "comparable_pairs": comparable_pairs,
-        "memberships": memberships,
-    }
+        for mu in below[lam]:
+            if any(mu in below[nu] for nu in below[lam]):
+                continue  # a shape lies strictly between: covers join them
+            evidence["covering_pairs"] += 1
+            lower = _own_basis(mu, field, pair_budget)
+            if not _reduce_to_zero(lower, _own_basis(lam, field, pair_budget), lex_order(n)):
+                return "fail", (f"a generator of {partition_text(mu)} is outside the ideal "
+                                f"of {partition_text(lam)}"), evidence
+            evidence["memberships"] += len(lower)
     return "pass", None, evidence
 
 
@@ -738,11 +734,11 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
                                      DEFAULT_PAIR_BUDGET),
                     "a coefficient escaped the derived filter's ideal"),
         # the shape's own generators dropped from the restricted set: the
-        # rest is still a lex basis, so only the membership test can refuse it
+        # rest is still a lex basis, so only the comparison can refuse it
         "restricted": ({"n": 4, "shape": "[2,2]"}, lambda: _restricted(
             tuple(g.polynomial for g in restricted_standard_generators((2, 2))
                   if g.shape != (2, 2)),
-            [g.polynomial for g in filter_generators(filter_closure(4, [(2, 2)], "lower"))]),
+            _own_basis((2, 2), QQ, DEFAULT_PAIR_BUDGET)),
             "the restricted set generates a different ideal"),
         # lower:[1,1]'s x2 - x1 over Q bumped to x2 - 2*x1: only the image test refuses it
         "finite_field": ({"n": 2, "p": 3, "fixture": "x2-2*x1 vs lower:[1,1]"},
@@ -827,7 +823,8 @@ _CHECKS = {
     # and of its derived filters do not finish in minutes
     "descent": _Check("n", "Q", lambda c, n: check_coefficient_descent(
         n, pair_budget=c.pair_budget), max_n=6, expands=False),
-    "restricted": _Check("shape", "any", lambda c, lam: check_restricted(lam, field=c.field)),
+    "restricted": _Check("shape", "any", lambda c, lam: check_restricted(
+        lam, field=c.field, pair_budget=c.pair_budget)),
     "finite_field": _Check("filter", "F_p", lambda c, filt: check_finite_field(
         filt, c.field.p), max_n=4),
     "containment": _Check("n", "any", lambda c, n: check_containment(
@@ -1180,9 +1177,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--samples", type=_positive, default=10)
     verify_p.add_argument("--pair-budget", type=_nonnegative, default=DEFAULT_PAIR_BUDGET,
                           help="S-pairs per completion or elimination in descent, "
-                               "containment and engine, and per oracle elimination in "
-                               "reduced; lexgb, universal, restricted, finite_field and "
-                               "reduced's generators certify without a budget")
+                               "containment, restricted and engine, and per oracle "
+                               "elimination in reduced; lexgb, universal, finite_field "
+                               "and the lex certificates of restricted and reduced have none")
     verify_p.add_argument("--no-controls", action="store_true",
                           help="skip the corrupted-fixture controls")
     _add_output_flags(verify_p)

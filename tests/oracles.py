@@ -9,8 +9,8 @@ the package, so that both sides raise and return the same types:
 - spechtgb.polyring: the Poly type and its arithmetic, Field, QQ, Monomial,
   MonomialOrder, leading_term and lex_order;
 - spechtgb.groebner: DEFAULT_PAIR_BUDGET, PairBudgetExceeded, the
-  IdealBasis container, and is_groebner_basis for ref_order_failure and
-  ref_finite_field only;
+  IdealBasis container, and is_groebner_basis for ref_order_failure,
+  ref_finite_field and ref_restricted only;
 - spechtgb.combinatorics: partitions_of, set_partitions_of_type and
   validate_set_partition, which list the set partitions the strata
   references intersect (partitions_of also orders the lower-filter
@@ -20,7 +20,7 @@ the package, so that both sides raise and return the same types:
   reference deduplicates (ref_specht_polynomial referees it);
 - spechtgb.strata: sample_stratum, the points the vanishing-check
   reference evaluates at, with partition_text from spechtgb.combinatorics
-  for its reasons.
+  for its reasons and ref_containment's.
 
 The middle sections are the package's earlier Groebner kernel, kept
 verbatim as differential references: the division that scans whole exponent
@@ -36,8 +36,12 @@ universal-order sweep that certified every order by Buchberger before
 universal proved every order at once; it referees that proof, not the
 kernel, so it runs the package's checker. So does the finite_field route
 that certified and reduced over each prime before the rational certificate
-covered every prime at once. Then dense row reduction, which
-computed span ranks before generators were divided by one another; the
+covered every prime at once, and so does the restricted route that
+divided its principal filter's generators by its certified set, beside
+the containment route that divided every standard generator of each
+dominated shape, before both compared reduced lex bases per shape. Then
+dense row reduction, which computed span ranks before generators were
+divided by one another; the
 dominance-closure test that compared every member with every partition, and
 the lower-filter enumeration that scanned every subset of the partitions;
 and the per-check size rules that listed what each verify check expands.
@@ -855,6 +859,46 @@ def ref_finite_field(polys_p: list[Poly], polys_q: list[Poly]) -> tuple[str, str
         return "fail", f"a rational coefficient has no image mod {field.p}"
     if image != ref_reduce_groebner_basis(polys_p, order):
         return "fail", "the reduced basis mod p is not the image of the rational one"
+    return "pass", None
+
+
+# ---------------------------------------------------------------------------
+# the restricted and containment routes before both compared reduced lex
+# bases per shape: restricted divided every generator of the principal
+# filter by its certified set, and containment divided every standard
+# generator of each dominated shape by the completion of the dominating one.
+# restricted certifies with the package's checker; division and completion
+# are the frozen ones above
+
+
+def ref_restricted(restricted: list[Poly], full: list[Poly]) -> tuple[str, str | None]:
+    """(verdict, reason) of a restricted set against the full generator set of
+    its shape's principal filter: a lex basis that lies among the full set
+    and holds each of its members."""
+    order = lex_order(restricted[0].nvars)
+    if not is_groebner_basis(restricted, order)[0]:
+        return "fail", "the restricted set is not a basis under lex"
+    if not set(restricted) <= set(full) or any(
+            ref_normal_form(f, restricted, order).terms for f in full):
+        return "fail", "the restricted set generates a different ideal"
+    return "pass", None
+
+
+def ref_containment(own: dict, standard: dict) -> tuple[str, str | None]:
+    """(verdict, reason) of containment over the shapes of n, in the order
+    of own, which maps each shape to its column-standard generators;
+    standard maps it to its standard ones. Dominance by partial sums."""
+    from spechtgb.combinatorics import partition_text
+
+    order = lex_order(next(iter(own.values()))[0].nvars)
+    bases = {lam: ref_groebner_basis(gens, order) for lam, gens in own.items()}
+    for lam in own:
+        for mu in own:
+            if mu == lam or not dominates_by_partial_sums(lam, mu):
+                continue
+            if any(ref_normal_form(g, bases[lam], order).terms for g in standard[mu]):
+                return "fail", (f"a generator of {partition_text(mu)} is outside the ideal "
+                                f"of {partition_text(lam)}")
     return "pass", None
 
 

@@ -20,19 +20,19 @@ import time
 PINS = (
     # the example line of README "Determinism"
     ("all --max-n 4 --seed 7",
-     "89 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:db3caa358176a8b3]"),
+     "89 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:b82235559a68b95f]"),
     # every lower filter up to n=5
     ("all --max-n 5 --seed 7",
-     "120 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:71534c8c33ff8d35]"),
+     "120 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:748db8656604b34c]"),
     # the F_p grids: lexgb and universal meet the same (filter, p)
     # certificate, finite_field the rational one, and the Groebner work runs
     # mod-p arithmetic; reduced, vanishing and descent report the 16 skipped rows
     ("all --max-n 4 --seed 3 --field F7",
-     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:a7c40bdc037e7c15]"),
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:25af5499202bbfd7]"),
     ("all --max-n 4 --seed 3 --field F2",
-     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:b45a0aba1b3c8186]"),
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:a1cf16e774637699]"),
     ("all --max-n 4 --seed 3 --field F3",
-     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:7cc27249dccf9925]"),
+     "53 pass, 0 fail, 16 skipped, 0 error  [determinism sha256:4fd825bebf344044]"),
     # every principal filter of 6
     ("lexgb --n 6 --seed 7",
      "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:917780d344e5417a]"),
@@ -52,14 +52,17 @@ CI_ONLY_PINS = (
      "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:fc5aceb7f7f32f41]"),
     ("descent --n 6",
      "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:8a2807bbd21fb873]"),
-    # two n=6 completions outside the oracle
+    # the two checks that complete C(lam), the reduced lex basis of each
+    # shape's own generators, on every shape of 6 and of 7
     ("restricted --n 6 --seed 7",
-     "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:da21413d43fb035c]"),
+     "11 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:217fa91a62a26427]"),
     ("containment --n 6 --seed 7",
-     "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:90685ad2fe6c7818]"),
-    # every shape of 7
+     "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:f6e7b243ce6e7040]"),
     ("restricted --n 7 --seed 7",
-     "15 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:5875ca0f098a4e01]"),
+     "15 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:e3524622975462c8]"),
+    ("containment --n 7 --seed 7",
+     "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:81c3ab53d9fc354a]"),
+    # every shape of 7
     ("vanishing --n 7 --seed 7",
      "1 pass, 0 fail, 0 skipped, 0 error  [determinism sha256:0a5788b6de2069ad]"),
     # every principal filter of 7, about half a minute each on a 2-core

@@ -52,8 +52,10 @@ from spechtgb import verify
 from oracles import (
     REF_EXPANDS,
     parse_polynomial,
+    ref_containment,
     ref_finite_field,
     ref_order_failure,
+    ref_restricted,
     ref_stratum_vanishing,
 )
 from pins import PINS
@@ -273,9 +275,11 @@ class TestNegativeControls:
             assert r.verdict == "pass", (r.check_id, r.reason)
             json.dumps(r.payload(), sort_keys=True)
 
-    def test_the_restricted_control_needs_the_membership_test(self, monkeypatch):
-        # its fixture is still a lex basis, so only membership can refuse it
-        monkeypatch.setattr(verify, "_reduce_to_zero", lambda *args: True)
+    def test_the_restricted_control_needs_the_comparison(self, monkeypatch):
+        # its fixture is still a lex basis, so only the comparison with
+        # C([2,2]) can refuse it
+        monkeypatch.setattr(verify, "_lex_reduced", lambda polys: verify._own_basis(
+            (2, 2), QQ, verify.DEFAULT_PAIR_BUDGET))
         (control,) = [r for r in negative_controls() if r.check_id == "control_restricted"]
         assert control.verdict == "fail"
 
@@ -1194,6 +1198,7 @@ class TestHilbertReferee:
 def _clear_lex_caches():
     verify._lex_certificate.cache_clear()
     verify._lex_reduced.cache_clear()
+    verify._shape_basis.cache_clear()
 
 
 class TestLexCertificate:
@@ -1379,19 +1384,13 @@ class TestFiniteFieldJudge:
 
 
 class TestMembershipRoute:
-    """restricted tests ideal equality against a certified lex basis
-    (_generates): the basis must lie among the other side's generators, and
-    each of those must reduce to zero by it. Each half can fail on its own."""
+    """restricted and containment decide from C(lam), the reduced lex basis of
+    one shape's own generators (_shape_basis): restricted compares its
+    certified set's reduced basis with C(lam), and containment divides C(mu)
+    by C(lam) for each cover. Each fixture below keeps every other test
+    passing, so only the comparison or one cover can refuse it."""
 
-    SUBSET = "a basis element is not a generator"
-    MEMBERSHIP = "a generator is outside the basis's ideal"
-
-    @pytest.fixture(autouse=True)
-    def no_completion(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a completion ran")
-
-        monkeypatch.setattr(verify, "groebner_basis", refuse)
+    DIFFERENT = "the restricted set generates a different ideal"
 
     def restricted_with(self, monkeypatch, change):
         original = verify.restricted_standard_generators
@@ -1399,30 +1398,123 @@ class TestMembershipRoute:
                             lambda lam, **kw: change(original(lam, **kw)))
         return check_restricted((2, 2))
 
-    def test_a_larger_lex_basis_fails_the_subset_test(self, monkeypatch):
-        # [3,1] dominates [2,2]: with its generators added the set is still a
-        # lex basis and holds the full set in its ideal, which is larger
-        report = self.restricted_with(
-            monkeypatch, lambda gens: gens + shape_generators((3, 1), mode="standard"))
-        assert report.verdict == "fail"
-        assert report.reason == "the restricted set generates a different ideal"
-        assert report.evidence["pair_counts"]["failed"] == 0
-        assert report.evidence["mismatch"] == self.SUBSET
+    @staticmethod
+    def x1_minus_x2(n):
+        return SpechtGenerator((n,), Tableau([list(range(1, n + 1))]),
+                               parse_polynomial("x1 - x2", n))
 
-    def test_a_smaller_lex_basis_fails_the_membership_test(self, monkeypatch):
-        # without [2,2]'s own generators, [2,1,1]'s still form a lex basis
-        report = self.restricted_with(
-            monkeypatch, lambda gens: tuple(g for g in gens if g.shape != (2, 2)))
-        assert report.verdict == "fail"
-        assert report.reason == "the restricted set generates a different ideal"
-        assert report.evidence["pair_counts"]["failed"] == 0
-        assert report.evidence["mismatch"] == self.MEMBERSHIP
+    # the two corrupted restricted sets: [3,1] dominates [2,2], so with its
+    # generators added the set is still a lex basis, of a larger ideal; and
+    # without [2,2]'s own generators, [2,1,1]'s still form a lex basis
+    CORRUPTED = {"larger": lambda gens: gens + shape_generators((3, 1), mode="standard"),
+                 "smaller": lambda gens: tuple(g for g in gens if g.shape != (2, 2))}
 
-    def test_restricted_and_lexgb_complete_nothing(self):
-        # every test here runs with groebner_basis refusing to run
+    @pytest.mark.parametrize("kind", sorted(CORRUPTED))
+    def test_another_lex_basis_fails_the_comparison(self, kind, monkeypatch):
+        restricted = [g.polynomial for g in
+                      self.CORRUPTED[kind](verify.restricted_standard_generators((2, 2)))]
+        full = [g.polynomial for g in filter_generators(filter_closure(4, [(2, 2)], "lower"))]
+        assert ref_restricted(restricted, full) == ("fail", self.DIFFERENT)
+        report = self.restricted_with(monkeypatch, self.CORRUPTED[kind])
+        assert (report.verdict, report.reason) == ("fail", self.DIFFERENT)
+        assert report.evidence["pair_counts"]["failed"] == 0
+
+    def test_a_linear_form_added_to_the_restricted_set_fails_the_comparison(self, monkeypatch):
+        # x1 - x2 joins [2,2]'s restricted set, which stays a lex basis, of
+        # an ideal that is not I_[2,2]
+        report = self.restricted_with(monkeypatch, lambda gens: gens + (self.x1_minus_x2(4),))
+        assert (report.verdict, report.reason) == ("fail", self.DIFFERENT)
+        assert report.evidence["pair_counts"]["failed"] == 0
+
+    def test_containment_divides_at_every_cover(self, monkeypatch):
+        # x1 - x2 joins [2,1,1]'s generators: its ideal grows, so of the four
+        # covers of 4 only [2,2] over [2,1,1] can see it
+        original = verify.shape_generators
+
+        def corrupted(lam, **kw):
+            gens = original(lam, **kw)
+            return gens + (self.x1_minus_x2(4),) if lam == (2, 1, 1) else gens
+
+        monkeypatch.setattr(verify, "shape_generators", corrupted)
+        report = check_containment(4)
+        assert (report.verdict, report.reason) == (
+            "fail", "a generator of [2,1,1] is outside the ideal of [2,2]")
+        assert report.evidence["covering_pairs"] == 3
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=lambda f: f.text())
+    def test_agrees_with_the_routes_it_replaced(self, field):
+        # every shape of n <= 6: containment against every comparable pair
+        # with every standard generator divided, restricted against the
+        # division of its principal filter's full set
+        for n in range(1, 7):
+            shapes = verify.partitions_of(n)
+            own = {lam: [g.polynomial for g in shape_generators(lam, field=field)]
+                   for lam in shapes}
+            standard = {lam: [g.polynomial for g in shape_generators(
+                lam, mode="standard", field=field)] for lam in shapes}
+            report = check_containment(n, field=field)
+            assert (report.verdict, report.reason) == ref_containment(own, standard)
+            for lam in shapes:
+                report = check_restricted(lam, field=field)
+                restricted = [g.polynomial for g in
+                              verify.restricted_standard_generators(lam, field=field)]
+                full = [g.polynomial for g in filter_generators(
+                    filter_closure(n, [lam], "lower"), field=field)]
+                assert (report.verdict, report.reason) == ref_restricted(restricted, full)
+
+    def test_restricted_completes_only_its_shape_and_lexgb_nothing(self, monkeypatch):
+        # restricted builds no principal filter and completes only C([3,2])
+        completed = []
+
+        def spy(gens, order, **kw):
+            completed.append(gens)
+            return groebner_basis(gens, order, **kw)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a principal filter was built")
+
+        monkeypatch.setattr(verify, "groebner_basis", spy)
+        monkeypatch.setattr(verify, "filter_generators", refuse)
+        _clear_lex_caches()
         assert_clean_pass(check_restricted((3, 2)), "restricted")
-        for check in (check_restricted, check_lexgb):
-            assert "pair_budget" not in inspect.signature(check).parameters
+        assert completed == [tuple(g.polynomial for g in shape_generators((3, 2)))]
+        assert "pair_budget" in inspect.signature(check_restricted).parameters
+        monkeypatch.undo()
+        monkeypatch.setattr(verify, "groebner_basis", refuse)
+        assert_clean_pass(check_lexgb(filter_closure(5, [(3, 2)], "lower")), "lexgb")
+        assert "pair_budget" not in inspect.signature(check_lexgb).parameters
+
+    def test_containment_completes_each_shape_once_per_process(self, monkeypatch):
+        completed = []
+        original = verify.groebner_basis
+        monkeypatch.setattr(verify, "groebner_basis",
+                            lambda gens, order, **kw: completed.append(gens) or original(
+                                gens, order, **kw))
+        _clear_lex_caches()
+        cold = check_containment(5)
+        assert_clean_pass(cold, "containment")
+        assert len(completed) == 7 and set(completed) == {
+            tuple(g.polynomial for g in shape_generators(lam)) for lam in verify.partitions_of(5)}
+        assert check_containment(5).payload() == cold.payload()
+        assert len(completed) == 7
+
+    ROWS = {"containment": lambda budget: [check_containment(4, pair_budget=budget)],
+            "restricted": lambda budget: [check_restricted(lam, pair_budget=budget)
+                                          for lam in verify.partitions_of(4)]}
+
+    @pytest.mark.parametrize("row, other", [("containment", "restricted"),
+                                            ("restricted", "containment")])
+    def test_a_row_is_the_same_cold_and_after_the_other_at_another_budget(self, row, other):
+        # one pair completes no basis of 4 but [4]'s and [1^4]'s; warmed by
+        # the other check at the default budget, a basis keyed without its
+        # budget would pass the rows that ran out of pairs
+        _clear_lex_caches()
+        cold = [r.payload() for r in self.ROWS[row](1)]
+        assert "error" in {r["verdict"] for r in cold}
+        _clear_lex_caches()
+        assert {r.verdict for r in self.ROWS[other](verify.DEFAULT_PAIR_BUDGET)} == {"pass"}
+        assert verify._shape_basis.cache_info().currsize == 5
+        assert [r.payload() for r in self.ROWS[row](1)] == cold
 
 
 class TestVanishingEvidence:

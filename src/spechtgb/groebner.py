@@ -26,8 +26,8 @@ exponents; on overflow the call restarts with fields twice as wide, so no
 carry crosses a field. A call packs its inputs once, and a completed basis
 stays packed through reduction: only the leading monomial of a new basis
 element and the call's final outputs are unpacked. normal_forms packs its
-basis once for all the polynomials it divides: equality with the ideal of a
-certified basis is a subset test plus those divisions, with no completion.
+basis once for all the polynomials it divides: `containment`'s covers,
+`descent`'s coefficients and `standard_span_rank` divide on it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ class _Packed:
     A reducer row is (lm, v(lm), k(lm), 1/lc, tail, top, variables): lm as a
     tuple, the tail as (key, coefficient) pairs with coefficients in the
     call's field, top the fieldwise max of the tail's v packings, and a
-    bitmask of the variables lm involves.
+    bitmask of the variables lm involves. least is the smallest v(lm): a
+    divisor never packs above its multiple, so nothing divides a term below it.
     """
 
     def __init__(self, order, bits: int, field: Field):
@@ -75,7 +76,7 @@ class _Packed:
         self.weights = None if order.kind == "lex" else [
             order.key(tuple(int(i == v) for i in range(n)))[0] for v in range(n)]
         self.field = field
-        self.rows, self.lmv, self.first = [], [], {}
+        self.rows, self.lmv, self.first, self.least = [], [], {}, self.low + 1
 
     def key(self, m) -> int:
         v = sum(map(lshift, m, self.shifts))
@@ -93,12 +94,13 @@ class _Packed:
     def row(self, terms: dict) -> tuple:
         # terms maps keys to coefficients; only the leading monomial is unpacked
         lmk = max(terms)
-        (lm,) = self.unpack({lmk: 0})
+        lmv, mask = (-lmk if self.grev else lmk) & self.low, (1 << (self.bits - 1)) - 1
+        lm = tuple([(lmv >> s) & mask for s in self.shifts])
         tail = tuple((k, c) for k, c in terms.items() if k != lmk)
         top = 0
         for k, _ in tail:
             top = self.lcm(top, (-k if self.grev else k) & self.low)
-        return (lm, (-lmk if self.grev else lmk) & self.low, lmk, self.field.inv(terms[lmk]),
+        return (lm, lmv, lmk, self.field.inv(terms[lmk]),
                 tail, top, sum(1 << i for i, e in enumerate(lm) if e))
 
     def pack(self, g: Poly) -> tuple:
@@ -108,6 +110,7 @@ class _Packed:
         self.rows.append(row)
         self.lmv.append(row[1])
         self.first.setdefault(row[1], row[2:6])
+        self.least = min(self.least, row[1])
 
     def unpack(self, terms: dict, nvars: int | None = None) -> dict:
         # keys back to exponent tuples of the first nvars variables, in the same order
@@ -121,11 +124,14 @@ class _Packed:
         negated keys, so tail substitutions never touch monomials already
         settled into the remainder. A key is pushed once: a term that cancels
         keeps a zero entry, skipped when popped. Tail updates use raw
-        int/Fraction arithmetic (mod p over F_p), made canonical once.
+        int/Fraction arithmetic (mod p over F_p), made canonical once. Under
+        lex a key is its packing, so once one pops below least, every term
+        left is irreducible and joins the remainder unpopped.
         """
         field = self.field
         p = field.p
         lmv, first, guard, low, grev = self.lmv, self.first, self.guard, self.low, self.grev
+        least, lex = self.least, self.weights is None
         heappush, heappop = heapq.heappush, heapq.heappop
         heap = [-k for k in terms]
         heapq.heapify(heap)
@@ -136,8 +142,14 @@ class _Packed:
             c = terms.pop(m)
             if not c:
                 continue
-            # the earliest reducer in basis order whose leading monomial divides m
             mv = (e if grev else m) & low
+            if mv < least:
+                remainder[m] = c
+                if lex:
+                    remainder.update(terms)
+                    break
+                continue
+            # the earliest reducer in basis order whose leading monomial divides m
             for lm in lmv:
                 d = mv - lm
                 if d >= 0 and not d & guard:
@@ -149,7 +161,9 @@ class _Packed:
             if (top + d) & guard:
                 raise _Overflow
             shift = m - lmk
-            factor = field.mul(c, inv_lc)
+            # over Q a product of ints is canonical already
+            factor = (c * inv_lc if p is None and type(c) is type(inv_lc) is int
+                      else field.mul(c, inv_lc))
             for tk, tc in tail:
                 key = tk + shift
                 prev = terms.get(key)
@@ -167,15 +181,16 @@ class _Packed:
         for k, lm in enumerate(self.lmv):
             d = lcm - lm
             if (d >= 0 and not d & guard and k != i and k != j
-                    and ((i, k) if i < k else (k, i)) in settled
-                    and ((j, k) if j < k else (k, j)) in settled):
+                    and (i << 32 | k if i < k else k << 32 | i) in settled
+                    and (j << 32 | k if j < k else k << 32 | j) in settled):
                 return k
         return None
 
     def s_terms(self, ri: tuple, rj: tuple) -> dict:
         # the S-polynomial of two rows: the leading terms cancel, so only the
         # tails, shifted up to the lcm, contribute
-        lcm = self.key(tuple(map(max, ri[0], rj[0])))
+        lcm = (self.lcm(ri[1], rj[1]) if self.weights is None
+               else self.key(tuple(map(max, ri[0], rj[0]))))
         lcmv = (-lcm if self.grev else lcm) & self.low
         terms: dict = {}
         for r, sign in ((ri, 1), (rj, -1)):
@@ -200,7 +215,7 @@ class _Packed:
         # under divisibility of leading monomials, sorted by them, with each
         # tail reduced by it (no leading monomial divides a smaller monomial,
         # so an element never reduces its own tail)
-        self.rows, self.lmv, self.first = [], [], {}
+        self.rows, self.lmv, self.first, self.least = [], [], {}, self.low + 1
         for r in sorted(rows, key=lambda r: r[2]):
             if not any((d := r[1] - lm) >= 0 and not d & self.guard for lm in self.lmv):
                 self.add(r)
@@ -283,7 +298,7 @@ def _settle_pairs(gens: list, order, *, complete: bool, pair_budget: int | None 
         block_start = list(range(len(gens)))
         for start, stop in known:
             block_start[start:stop] = [start] * (stop - start)
-            settled.update((i, j) for j in range(start, stop) for i in range(start, j))
+            settled.update(i << 32 | j for j in range(start, stop) for i in range(start, j))
         for j, start in enumerate(block_start):
             push_pairs(j, start)
         while heap:
@@ -304,7 +319,7 @@ def _settle_pairs(gens: list, order, *, complete: bool, pair_budget: int | None 
                 status = "added"
             log.append((i, j, status))
             if status != "failed":
-                settled.add((i, j))
+                settled.add(i << 32 | j)
         return log, finish(pk)
 
     return _widening(gens, order, run)

@@ -112,7 +112,7 @@ class Field:
         """Terms whose coefficients are raw int/Fraction sums and products of
         field elements, in canonical form with the zero coefficients dropped."""
         if self.p is None:
-            return {m: _q(c) for m, c in terms.items() if c}
+            return {m: c if type(c) is int else _q(c) for m, c in terms.items() if c}
         p = self.p
         return {m: r for m, c in terms.items() if (r := c % p)}
 

@@ -35,9 +35,10 @@ from spechtgb import (
     partitions_of,
     filter_closure,
     reduce_groebner_basis,
+    set_partitions_of_type,
     shape_generators,
 )
-from spechtgb import groebner
+from spechtgb import groebner, strata
 from spechtgb.groebner import _Packed, _settle_pairs, hilbert_numerator
 
 from oracles import (
@@ -751,6 +752,65 @@ class TestSupportIndexedKernel:
             for chain in (True, False):
                 settled_alike(gens, order, complete=False, chain=chain)
                 settled_alike(gens, lex_order(3, [3, 2, 1]), complete=True, chain=chain)
+
+
+class TestLeastLeadingMonomialExit:
+    """A term packed below every leading monomial has no divisor, so the
+    reduction sends it to the remainder without a divisor scan; under lex the
+    heap pops in packing order, so every term left joins it unpopped. These
+    directed cases pin both paths against the tuple kernel."""
+
+    @pytest.fixture
+    def unpopped(self, monkeypatch):
+        # the coefficients each reduction left unpopped, cancelled zeros included
+        left = []
+        reduce = _Packed.reduce
+
+        def spy(packing, terms):
+            remainder = reduce(packing, terms)
+            left.append(sorted(terms.values()))
+            return remainder
+
+        monkeypatch.setattr(_Packed, "reduce", spy)
+        return left
+
+    def test_lex_exit_leaves_terms_and_cancelled_zeros_unpopped(self, unpopped):
+        # x3*x2 reduces to x2^2, which reduces to x1 and cancels -x1; then
+        # x2*x1 pops below least = x2^2, with x1^2 and the zero left behind
+        basis, order = [p("x3 - x2"), p("x2^2 - x1")], lex_order(3)
+        f = p("x3*x2 + x2*x1 + x1^2 - x1")
+        assert normal_form(f, basis, order) == p("x2*x1 + x1^2")
+        assert unpopped == [[0, 1]]
+        assert typed([normal_form(f, basis, order)]) == typed([ref_normal_form(f, basis, order)])
+
+    @pytest.mark.parametrize("order, basis, f, want", [
+        # grevlex packs x1 on top: x2^2 pops first, below least = x1
+        (MonomialOrder("grevlex", 3), "x1 + 1", "x2^2 + x1 - x3", "x2^2 - x3 - 1"),
+        # x2 weighs 2 and pops before x3, but x3 holds the top field
+        (MonomialOrder("weight", 3, None, [1, 2, 1]), "x3 - x1", "x2 + x3 + x1^2", "x2 + x1^2 + x1"),
+    ])
+    def test_graded_orders_test_each_term(self, order, basis, f, want, unpopped):
+        # a term below least pops before a reducible term with a larger
+        # packing, so only lex may stop popping at the first such term
+        basis, f = [p(basis)], p(f)
+        assert normal_form(f, basis, order) == p(want)
+        assert unpopped == [[]]
+        assert typed([normal_form(f, basis, order)]) == typed([ref_normal_form(f, basis, order)])
+
+    def test_one_real_fold_step(self, unpopped):
+        # the last elimination of the oracle on the complement of
+        # lower<=[2,1,1,1] at n=5: the ten [3,1,1] subspaces, then the fifteen [2,2,1]
+        ideals = [strata.subspace_ideal(blocks, 5) for mu in ((3, 1, 1), (2, 2, 1))
+                  for blocks in set_partitions_of_type(mu)]
+        a = ideals[0]
+        for b in ideals[1:-1]:
+            a = ideal_intersection(a, b)
+        unpopped.clear()
+        got = ideal_intersection(a, ideals[-1])
+        assert any(unpopped) and any(0 in left for left in unpopped)
+        assert got._lex_basis
+        assert typed(got.generators) == typed(ref_ideal_intersection(a, ideals[-1]).generators)
+        assert got == strata._fold(5, ((3, 1, 1), (2, 2, 1)), DEFAULT_PAIR_BUDGET)
 
 
 def mora_generators(k):

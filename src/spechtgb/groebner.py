@@ -28,6 +28,11 @@ stays packed through reduction: only the leading monomial of a new basis
 element and the call's final outputs are unpacked. normal_forms packs its
 basis once for all the polynomials it divides: `containment`'s covers,
 `descent`'s coefficients and `standard_span_rank` divide on it.
+
+ideal_intersection eliminates t from t*A + (1-t)*B and settles, unpopped, each
+pair inside the block of an input known to be a lex basis and each pair of such
+a block's row with a t-free row f: S(t*a, f) = t*S(a, f) and S((t-1)*b, f) =
+(t-1)*h - (L/M)*f (h in B) have lcm-representations by the block.
 """
 
 from __future__ import annotations
@@ -279,7 +284,9 @@ def _settle_pairs(gens: list, order, *, complete: bool, pair_budget: int | None 
     known lists (start, stop) index ranges of the input whose elements are
     already a Groebner basis on their own: a pair inside one range has a
     standard representation by that range, so it is settled without being
-    pushed, popped or logged, and still links chain-criterion skips.
+    pushed, popped or logged, and still links chain-criterion skips. So is
+    the pair of a known row with a row that completion adds free of the last
+    variable t: only ideal_intersection passes known ranges, and proves why.
     """
 
     def run(pk: _Packed) -> tuple:
@@ -290,8 +297,8 @@ def _settle_pairs(gens: list, order, *, complete: bool, pair_budget: int | None 
         settled: set = set()
         log: list = []
 
-        def push_pairs(j: int, stop: int) -> None:
-            for i in range(stop):
+        def push_pairs(j: int, partners) -> None:
+            for i in partners:
                 rank = sum(map(max, rows[i][0], rows[j][0])) if complete else j
                 heapq.heappush(heap, (rank, i, j))
 
@@ -300,7 +307,9 @@ def _settle_pairs(gens: list, order, *, complete: bool, pair_budget: int | None 
             block_start[start:stop] = [start] * (stop - start)
             settled.update(i << 32 | j for j in range(start, stop) for i in range(start, j))
         for j, start in enumerate(block_start):
-            push_pairs(j, start)
+            push_pairs(j, range(start))
+        known_rows = [i for start, stop in known for i in range(start, stop)]
+        unknown_rows = sorted(set(range(len(gens))).difference(known_rows))
         while heap:
             _, i, j = heapq.heappop(heap)
             if pair_budget is not None and len(log) >= pair_budget:
@@ -315,7 +324,12 @@ def _settle_pairs(gens: list, order, *, complete: bool, pair_budget: int | None 
                 status = "failed"
             else:
                 pk.add(pk.row(rem))
-                push_pairs(len(rows) - 1, len(rows) - 1)
+                new = len(rows) - 1
+                free = not rows[new][0][-1]
+                if free:
+                    settled.update(i << 32 | new for i in known_rows)
+                push_pairs(new, unknown_rows if free else range(new))
+                unknown_rows.append(new)
                 status = "added"
             log.append((i, j, status))
             if status != "failed":
@@ -465,6 +479,8 @@ class IdealBasis:
     # whether the generators are known to be a Groebner basis under lex
     # x1 < ... < xn; only package code that has built such generators sets it
     _lex_basis: bool = attribute(default=False, init=False, repr=False, compare=False)
+    # the pairs the elimination that built them popped, if one did
+    _pairs_popped: int = attribute(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kept = []
@@ -508,7 +524,17 @@ def ideal_intersection(a: IdealBasis, b: IdealBasis, *,
     ideal), its block t*A or (1-t)*B is one under the elimination order: an
     S-polynomial inside it is t*S(a_i, a_j) or (1-t)*S(b_i, b_j), which has
     a standard representation. The pairs inside that block are then settled
-    without being reduced.
+    without being reduced, and so is the pair of each of its rows with each
+    added row f free of t. Such an f lies in A and in B; let L = lcm(lm a,
+    lm f) or lcm(lm b, lm f) and M = lm f, so the pair's lcm is t*L. For a
+    in A, S(t*a, f) = t*S(a, f) with S(a, f) in A led below L, so t times
+    its standard representation by the block has every term below t*L. For
+    b monic in B, S((t-1)*b, f) = (t-1)*h - (L/M)*f with h = (L/lm b)*b -
+    (L/M)*f in B led below L: the block represents (t-1)*h below t*L, and
+    (L/M)*f leads with L. Both pairs have lcm-representations, which is
+    all Buchberger's criterion asks (Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 2, sec. 9, Thm 6), over any field. The
+    result keeps the number of pairs the elimination popped.
     """
     if a.nvars != b.nvars or a.field != b.field:
         raise ValueError("ideals live in different rings")
@@ -522,9 +548,10 @@ def ideal_intersection(a: IdealBasis, b: IdealBasis, *,
     known = [block for block, ideal in (((0, split), a), ((split, len(lifted)), b))
              if ideal._lex_basis]
     # t is the top field, so a row is t-free exactly when its leading monomial is
-    _, free = _settle_pairs(lifted, lex_order(a.nvars + 1), complete=True, pair_budget=pair_budget,
-                            known=known, finish=lambda pk: pk.reduced(
-                                [r for r in pk.rows if not r[0][-1]], a.nvars))
+    log, free = _settle_pairs(lifted, lex_order(a.nvars + 1), complete=True,
+                              pair_budget=pair_budget, known=known, finish=lambda pk: pk.reduced(
+                                  [r for r in pk.rows if not r[0][-1]], a.nvars))
     result = IdealBasis(a.nvars, a.field, tuple(free))
     object.__setattr__(result, "_lex_basis", True)
+    object.__setattr__(result, "_pairs_popped", len(log))
     return result

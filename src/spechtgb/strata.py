@@ -145,12 +145,15 @@ def _fold(n: int, types: tuple, pair_budget: int) -> IdealBasis:
     for ideal in ideals:
         result = ideal_intersection(result, ideal, pair_budget=pair_budget)
         _COUNTS["oracle_eliminations"] += 1
+        _COUNTS["oracle_pairs"] += result._pairs_popped
     return result
 
 
 def oracle_counts() -> dict:
-    """Eliminations run and fold prefixes reused by the oracle in this process."""
+    """Eliminations run, pairs they popped and fold prefixes reused by the
+    oracle in this process."""
     return {"oracle_eliminations": _COUNTS["oracle_eliminations"],
+            "oracle_pairs": _COUNTS["oracle_pairs"],
             "oracle_prefixes_reused": _fold.cache_info().hits}
 
 

@@ -264,6 +264,71 @@ class TestKnownBlockElimination:
         assert typed(declared) == typed(plain)
 
 
+@pytest.fixture
+def settled_rows(monkeypatch):
+    """The known blocks, the log and the leading monomials of all rows of
+    every pair-core call, in call order."""
+    calls = []
+    settle = groebner._settle_pairs
+
+    def recording(gens, order, *, finish, **kwargs):
+        leading = []
+
+        def spy(pk):
+            leading.extend(row[0] for row in pk.rows)
+            return finish(pk)
+
+        log, result = settle(gens, order, finish=spy, **kwargs)
+        calls.append((list(kwargs.get("known", ())), log, leading))
+        return log, result
+
+    monkeypatch.setattr(groebner, "_settle_pairs", recording)
+    return calls
+
+
+def assert_t_free_rows_settle_known_pairs(field, settled_rows):
+    # one step of the oracle's fold over the n=5 [2,2,1] orbit: the first
+    # six subspace ideals intersected, then with the seventh
+    ideals = [subspace_ideal(b, 5, field=field) for b in set_partitions_of_type((2, 2, 1))]
+    a, b = reduce(ideal_intersection, ideals[:6]), ideals[6]
+    settled_rows.clear()
+    declared = ideal_intersection(a, b)
+    plain = ideal_intersection(rewrapped(a), rewrapped(b))
+    (known, log, leading), (_, plain_log, plain_leading) = settled_rows
+    stop = len(a.generators) + len(b.generators)
+    assert known == [(0, len(a.generators)), (len(a.generators), stop)]
+    # t is the last variable: no known row pairs with a t-free row in the
+    # log, though the unmarked run pops such pairs
+    assert not [(i, j) for i, j, _ in log if i < stop and not leading[j][-1]]
+    assert [(i, j) for i, j, _ in plain_log if i < stop and not plain_leading[j][-1]]
+    assert len(log) < len(plain_log)
+    assert typed(declared) == typed(plain) == typed(ref_ideal_intersection(a, b))
+
+
+class TestTFreeRowsSettleKnownPairs:
+    """A row free of t that an elimination adds settles its pairs with every
+    row of a marked input's block unpopped; the result stays the one the
+    frozen reference and the unmarked run give."""
+
+    def test_a_fold_step_of_the_five_orbit(self, settled_rows):
+        assert_t_free_rows_settle_known_pairs(QQ, settled_rows)
+
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_a_fold_step_over_a_prime_field(self, prime, settled_rows):
+        assert_t_free_rows_settle_known_pairs(GF(prime), settled_rows)
+
+    def test_an_unmarked_input_that_is_no_lex_basis(self, settled_rows):
+        # x3 - x2 divides x3^2 - x1 down to x2^2 - x1, so a's generators are
+        # no lex basis: its rows pair with the t-free rows as usual
+        a = IdealBasis(3, QQ, (p("x3 - x2", 3), p("x3^2 - x1", 3)))
+        b = subspace_ideal([[1, 2, 3]], 3)
+        got = ideal_intersection(a, b)
+        ((known, log, leading),) = settled_rows
+        assert known == [(2, 4)]
+        assert [(i, j) for i, j, _ in log if i < 2 and not leading[j][-1]]
+        assert typed(got) == typed(ref_ideal_intersection(a, b))
+
+
 class TestOracleSizeRule:
     def test_limit_admits_small_grids_and_refuses_large_ones(self):
         def count(g):

@@ -1627,17 +1627,21 @@ class TestMetrics:
         assert set(report.payload()) == {"schema", "check_id", "parameters", "verdict",
                                          "reason", "evidence"}
         # the complement keeps [3,2] and [4,1]: 10 + 5 subspaces, 14 eliminations
-        assert report.metrics == {"oracle_eliminations": 14, "oracle_prefixes_reused": 0}
+        assert report.metrics == {"oracle_eliminations": 14, "oracle_pairs": 747,
+                                  "oracle_prefixes_reused": 0}
         # a repeat is served by the fold memo, as a reused prefix
-        assert check_reduced(filt).metrics == {"oracle_eliminations": 0,
+        assert check_reduced(filt).metrics == {"oracle_eliminations": 0, "oracle_pairs": 0,
                                                "oracle_prefixes_reused": 1}
         # upper >= [4,1] keeps ([4,1],), the prefix just built
         report = check_reduced(filter_closure(5, [(3, 2)], "lower"))
-        assert report.metrics == {"oracle_eliminations": 0, "oracle_prefixes_reused": 1}
+        assert report.metrics == {"oracle_eliminations": 0, "oracle_pairs": 0,
+                                  "oracle_prefixes_reused": 1}
         report = check_coefficient_descent(4)
         assert report.verdict == "pass"
-        assert set(report.metrics) == {"oracle_eliminations", "oracle_prefixes_reused"}
+        assert set(report.metrics) == {"oracle_eliminations", "oracle_pairs",
+                                       "oracle_prefixes_reused"}
         assert report.metrics["oracle_eliminations"] > 0
+        assert report.metrics["oracle_pairs"] > 0
 
     def test_json_rows_carry_metrics(self, capsys):
         assert main(["verify", "universal", "--n", "3", "--filter", "lower<=[2,1]",

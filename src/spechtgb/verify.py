@@ -145,7 +145,8 @@ def _guarded(check_id: str, parameters: dict, body, metrics: dict | None = None)
 
 def _counting_oracle(body, metrics: dict):
     """body, filling metrics with the eliminations the strata oracle ran while
-    it did and the fold prefixes it found computed already."""
+    it did, the pairs they popped and the fold prefixes it found computed
+    already."""
     def counted():
         start = oracle_counts()
         try:

@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
-from operator import attrgetter
+from operator import attrgetter, index
 
 Partition = tuple[int, ...]
 
@@ -22,7 +22,7 @@ TABLEAU_MODES = ("column_standard", "standard")
 
 def validate_partition(parts) -> Partition:
     """Coerce to a canonical partition tuple, rejecting malformed input."""
-    lam = tuple(int(p) for p in parts)
+    lam = tuple(map(index, parts))
     if not lam:
         raise ValueError("a partition needs at least one part")
     for i, p in enumerate(lam):
@@ -231,7 +231,7 @@ class Tableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rws = tuple(tuple(int(e) for e in row) for row in rows)
+        rws = tuple(tuple(map(index, row)) for row in rows)
         if not rws:
             raise ValueError("a tableau needs at least one row")
         validate_partition([len(r) for r in rws])
@@ -348,7 +348,7 @@ SetPartition = tuple[tuple[int, ...], ...]
 
 def validate_set_partition(blocks, n: int) -> SetPartition:
     """Canonicalize blocks (each sorted, ordered by size then content) and check they partition 1..n."""
-    blks = tuple(tuple(sorted(int(e) for e in b)) for b in blocks)
+    blks = tuple(tuple(sorted(map(index, b))) for b in blocks)
     if any(not b for b in blks):
         raise ValueError("blocks must be nonempty")
     flat = sorted(e for b in blks for e in b)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import add, index, itemgetter, mul
 
 MAX_VARS = 16
 
@@ -82,15 +82,13 @@ class Field:
             return value if self.p is None else value % self.p
         if isinstance(value, (float, complex)):
             raise TypeError(f"inexact coefficient {value!r}; use an int or a Fraction")
+        # any other exact value, a Decimal or "1/2" say, is read as Q reads it
+        value = Fraction(value)
         if self.p is None:
-            return _q(Fraction(value))
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise ValueError(
-                    f"denominator {value.denominator} not invertible modulo {self.p}"
-                )
-            return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        return int(value) % self.p
+            return _q(value)
+        if value.denominator % self.p == 0:
+            raise ValueError(f"denominator {value.denominator} not invertible modulo {self.p}")
+        return value.numerator * pow(value.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
         return _q(a + b) if self.p is None else (a + b) % self.p
@@ -158,7 +156,7 @@ class MonomialOrder:
             raise ValueError(f"kind must be one of {self.KINDS}, got {kind!r}")
         if not 1 <= nvars <= MAX_VARS:
             raise ValueError(f"nvars must be in 1..{MAX_VARS}, got {nvars}")
-        rank = tuple(int(v) for v in (ranking if ranking is not None else range(1, nvars + 1)))
+        rank = tuple(map(index, ranking if ranking is not None else range(1, nvars + 1)))
         if sorted(rank) != list(range(1, nvars + 1)):
             raise ValueError(f"ranking must be a permutation of 1..{nvars}: {rank}")
         if kind == "weight":
@@ -254,7 +252,7 @@ class Poly:
             raise ValueError(f"nvars must be positive, got {nvars}")
         clean = {}
         for mono, coeff in dict(terms).items():
-            m = tuple(int(e) for e in mono)
+            m = tuple(map(index, mono))
             if len(m) != nvars or any(e < 0 for e in m):
                 raise ValueError(f"bad exponent vector {mono} for {nvars} variables")
             c = field.coerce(coeff)

@@ -22,7 +22,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -82,10 +82,8 @@ SCHEMA_VERSION = 1
 # expand to, summed over its shapes (checked per input and mode by `verify`)
 MAX_TABLEAUX = 10**5
 MAX_TERMS = 2 * 10**6
-# engine's randomized trials, and the primes finite_field runs over when the
-# suite's field is Q
+# engine's randomized trials
 ENGINE_TRIALS = 100
-PRIMES = (2, 3, 7)
 
 
 @dataclass
@@ -576,13 +574,13 @@ def _restricted(restricted: tuple[Poly, ...], basis: tuple[Poly, ...]):
     return "pass", None, evidence
 
 
-def check_finite_field(filt: PartitionFilter, p: int) -> CheckReport:
+def check_finite_field(filt: PartitionFilter, *, field: Field = QQ) -> CheckReport:
     """Mod every prime, the generators stay a lex basis whose reduced basis is
-    the image of the rational one (_finite_field); p must be prime."""
-    fp = GF(p)  # a p that is not prime raises before any work
-    parameters = {"n": filt.n, "filter": filter_text(filt), "p": p}
+    the image of the rational one (_finite_field). The generators over field
+    must be those images; over Q they are the rational set itself."""
+    parameters = {"n": filt.n, "filter": filter_text(filt), "field": field.text()}
     return _guarded("finite_field", parameters, lambda: _finite_field(
-        tuple(g.polynomial for g in filter_generators(filt, field=fp)),
+        tuple(g.polynomial for g in filter_generators(filt, field=field)),
         tuple(g.polynomial for g in filter_generators(filt))))
 
 
@@ -796,41 +794,40 @@ class _Check:
     """How the suite runs one check.
 
     takes is a key of _INPUTS, or None for a check run once with no input.
-    over is "any"; "Q" for a check that is skipped over F_p; or "F_p" for a
-    check that runs over SuiteConfig.field when it is finite and once per
-    PRIMES otherwise. run calls the check by its module-level name, so that
-    wrapping that name reaches the suite too. max_n is the largest n its grid
-    runs. expands says whether it may build the generators of its input's
-    shapes (see _INPUTS), so that an oversized input is refused before any of
-    it runs; the column-standard count bounds the standard one too.
+    run calls the check by its module-level name, so that wrapping that name
+    reaches the suite too. rational_only marks a check that is skipped over
+    F_p. max_n is the largest n its grid runs. expands says whether it may
+    build the generators of its input's shapes (see _INPUTS), so that an
+    oversized input is refused before any of it runs; the column-standard
+    count bounds the standard one too.
     """
 
     takes: str | None
-    over: str
     run: Callable[[SuiteConfig, object], CheckReport]
+    rational_only: bool = False
     max_n: int | None = None
     expands: bool = True
 
 
 _CHECKS = {
-    "lexgb": _Check("filter", "any", lambda c, filt: check_lexgb(filt, field=c.field)),
-    "universal": _Check("filter", "any", lambda c, filt: check_universal(
+    "lexgb": _Check("filter", lambda c, filt: check_lexgb(filt, field=c.field)),
+    "universal": _Check("filter", lambda c, filt: check_universal(
         filt, seed=c.seed, field=c.field)),
-    "reduced": _Check("filter", "Q", lambda c, filt: check_reduced(
-        filt, pair_budget=c.pair_budget)),
-    "vanishing": _Check("n", "Q", lambda c, n: check_stratum_vanishing(
-        n, samples=c.samples, seed=c.seed)),
+    "reduced": _Check("filter", lambda c, filt: check_reduced(
+        filt, pair_budget=c.pair_budget), rational_only=True),
+    "vanishing": _Check("n", lambda c, n: check_stratum_vanishing(
+        n, samples=c.samples, seed=c.seed), rational_only=True),
     # builds no tableaux, but the strata oracles of every upper filter of 7
     # and of its derived filters do not finish in minutes
-    "descent": _Check("n", "Q", lambda c, n: check_coefficient_descent(
-        n, pair_budget=c.pair_budget), max_n=6, expands=False),
-    "restricted": _Check("shape", "any", lambda c, lam: check_restricted(
+    "descent": _Check("n", lambda c, n: check_coefficient_descent(
+        n, pair_budget=c.pair_budget), rational_only=True, max_n=6, expands=False),
+    "restricted": _Check("shape", lambda c, lam: check_restricted(
         lam, field=c.field, pair_budget=c.pair_budget)),
-    "finite_field": _Check("filter", "F_p", lambda c, filt: check_finite_field(
-        filt, c.field.p), max_n=4),
-    "containment": _Check("n", "any", lambda c, n: check_containment(
+    "finite_field": _Check("filter", lambda c, filt: check_finite_field(
+        filt, field=c.field), max_n=4),
+    "containment": _Check("n", lambda c, n: check_containment(
         n, field=c.field, pair_budget=c.pair_budget)),
-    "engine": _Check(None, "any", lambda c, _: check_engine(
+    "engine": _Check(None, lambda c, _: check_engine(
         trials=ENGINE_TRIALS, seed=c.seed, pair_budget=c.pair_budget), expands=False),
 }
 CHECK_NAMES = tuple(_CHECKS)
@@ -849,15 +846,13 @@ class SuiteConfig:
     include_controls: bool = True
 
 
-def _run_check(name: str, config: SuiteConfig, arg) -> list[CheckReport]:
-    """The suite's reports for one input of one check."""
+def _run_check(name: str, config: SuiteConfig, arg) -> CheckReport:
+    """The suite's report for one input of one check."""
     spec = _CHECKS[name]
-    if spec.over == "Q" and config.field.p is not None:
+    if spec.rational_only and config.field.p is not None:
         parameters = {**_INPUTS[spec.takes][1](arg), "field": config.field.text()}
-        return [CheckReport(name, parameters, "skipped", _RATIONAL_ONLY_REASON, {}, 0)]
-    if spec.over == "F_p" and config.field.p is None:
-        return [spec.run(replace(config, field=GF(p)), arg) for p in PRIMES]
-    return [spec.run(config, arg)]
+        return CheckReport(name, parameters, "skipped", _RATIONAL_ONLY_REASON, {}, 0)
+    return spec.run(config, arg)
 
 
 def _grid(name: str, config: SuiteConfig):
@@ -880,7 +875,7 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
     reports: list[CheckReport] = []
     for name in config.checks:
         for arg in _grid(name, config):
-            reports.extend(_run_check(name, config, arg))
+            reports.append(_run_check(name, config, arg))
     if config.include_controls:
         reports.extend(negative_controls(seed=config.seed))
     reports.sort(key=lambda r: (r.check_id, json.dumps(r.parameters, sort_keys=True)))
@@ -968,7 +963,7 @@ def _check_selection_size(config: SuiteConfig, single) -> None:
     single run, or None for the grid."""
     for name in config.checks:
         spec = _CHECKS[name]
-        if not spec.expands or spec.over == "Q" and config.field.p is not None:
+        if not spec.expands or spec.rational_only and config.field.p is not None:
             continue  # builds no generators, or is skipped
         shapes_of = _INPUTS[spec.takes][2]
         for arg in _grid(name, config) if single is None else [single]:
@@ -1085,10 +1080,12 @@ def _single_input(args):
 
 def _cmd_verify(args) -> int:
     field = parse_field(args.field)
+    if args.n is not None and args.max_n is not None:
+        raise ValueError("verify takes --n or --max-n, not both")
     config = SuiteConfig(
         checks=CHECK_NAMES if args.check == "all" else (args.check,),
         min_n=args.n if args.n is not None else 2,
-        max_n=args.n if args.n is not None else args.max_n,
+        max_n=args.n if args.n is not None else (4 if args.max_n is None else args.max_n),
         field=field,
         seed=args.seed,
         samples=args.samples,
@@ -1098,13 +1095,11 @@ def _cmd_verify(args) -> int:
     single = _single_input(args)
     spec = _CHECKS.get(args.check)
     # one input, named by --filter or --shape, or by --n for a check that takes n
-    if (spec and spec.over != "any" and (field.p is None) == (spec.over == "F_p")
+    if (spec and spec.rational_only and field.p is not None
             and (single is not None or spec.takes == "n" and args.n is not None)):
-        needs = _RATIONAL_ONLY_REASON if spec.over == "Q" else (
-            "needs a prime field: pass --field F<p>")
-        raise ValueError(f"a single {args.check} run {needs}")
+        raise ValueError(f"a single {args.check} run {_RATIONAL_ONLY_REASON}")
     _check_selection_size(config, single)
-    reports = run_suite(config) if single is None else _run_check(args.check, config, single)
+    reports = run_suite(config) if single is None else [_run_check(args.check, config, single)]
     if not reports:
         tops = "".join(f", {name}'s ends at n={_CHECKS[name].max_n}"
                        for name in config.checks if _CHECKS[name].max_n is not None)
@@ -1169,7 +1164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="run verification checks")
     verify_p.add_argument("check", choices=CHECK_NAMES + ("all",))
-    verify_p.add_argument("--max-n", type=int, default=4)
+    verify_p.add_argument("--max-n", type=int, default=None,
+                          help="largest n of the grids, 4 when not given; not with --n")
     verify_p.add_argument("--n", type=int, default=None)
     verify_p.add_argument("--filter", default=None)
     verify_p.add_argument("--shape", default=None)

@@ -199,7 +199,7 @@ def test_criterion_10_everything_survives_mod_p():
                 combos += 1
                 lex_p = check_lexgb(filt, field=GF(p))
                 univ_p = check_universal(filt, seed=SEED, field=GF(p))
-                image = check_finite_field(filt, p)
+                image = check_finite_field(filt, field=GF(p))
                 for r in (lex_p, univ_p, image):
                     if r.verdict != "pass":
                         failures.append((filter_text(filt), p, r.check_id, r.reason))

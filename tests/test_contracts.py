@@ -2,7 +2,8 @@
 workloads, which look package names up by string, and the README's library
 snippet. Removing or renaming a name they use fails here, not only in a
 traced benchmark run or in a reader's session. Also what must read the pin
-table of pins.py rather than copy it: the CI job and the README's example."""
+table of pins.py rather than copy it: the CI job and the README's example;
+and the README's grid limits, which must be the check registry's."""
 
 import ast
 import importlib.util
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import spechtgb
+from spechtgb import verify
 from spechtgb.polyring import Poly
 
 import pins
@@ -105,3 +107,12 @@ def test_readme_example_line_is_the_pinned_row():
     section = readme.split("\n## Determinism\n", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"```text\n(.*?)\n```", section, re.S) == [
         dict(PINS)["all --max-n 4 --seed 7"]]
+
+
+def test_readme_grid_limits_are_the_registrys():
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    (sentence,) = re.findall(r"The grid runs (`\w+` up to n=\d+(?:(?:,| and) `\w+` up to n=\d+)*)\.",
+                             readme)
+    stated = {name: int(n) for name, n in re.findall(r"`(\w+)` up to n=(\d+)", sentence)}
+    assert stated == {name: spec.max_n for name, spec in verify._CHECKS.items()
+                      if spec.max_n is not None}

@@ -2,6 +2,7 @@
 
 import pickle
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from spechtgb import (
     MonomialOrder,
     Poly,
     QQ,
+    Tableau,
     coefficients_in_last_variable,
     evaluations,
     leading_term,
@@ -21,6 +23,8 @@ from spechtgb import (
     parse_field,
     parse_order,
     polynomial_text,
+    validate_partition,
+    validate_set_partition,
 )
 
 from oracles import (
@@ -527,6 +531,33 @@ class TestInexactInputs:
             x1.evaluate((0.5, 1))
         with pytest.raises(TypeError):
             Poly.constant(2.0, 2, GF(5))
+
+    def test_exact_values_are_read_over_fp_as_over_q(self):
+        # 1.5 as a Decimal is 3/2, which is 3 * 4 = 5 mod 7
+        assert QQ.coerce(Decimal("1.5")) == Fraction(3, 2)
+        assert GF(7).coerce(Decimal("1.5")) == 5
+        assert QQ.coerce("1/2") == Fraction(1, 2)
+        assert GF(7).coerce("1/2") == 4
+        with pytest.raises(ValueError, match="denominator 7 not invertible modulo 7"):
+            GF(7).coerce("1/7")
+
+    # each takes the value 1 at one place, where an int 1 makes a valid input
+    INTEGER_ENTRIES = {
+        "exponent": lambda v: Poly(2, QQ, {(v, 0): 1}),
+        "part": lambda v: validate_partition([2, v]),
+        "entry": lambda v: Tableau([[v, 2]]),
+        "block element": lambda v: validate_set_partition([[v], [2]], 2),
+        "ranking": lambda v: MonomialOrder("lex", 2, [2, v]),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
+    def test_an_integer_input_that_is_no_int_is_refused(self, entry):
+        build = self.INTEGER_ENTRIES[entry]
+        build(1)
+        # int() would truncate 1.5 and 1.0 to 1, and read "1" as 1
+        for bad in (1.5, 1.0, "1"):
+            with pytest.raises(TypeError):
+                build(bad)
 
 
 class TestPrimeCharacteristic:

@@ -168,9 +168,9 @@ class TestIndividualChecks:
 
     def test_finite_field(self):
         filt = filter_closure(3, [(2, 1)], "lower")
-        assert_clean_pass(
-            check_finite_field(filt, 3), "finite_field"
-        )
+        report = check_finite_field(filt, field=GF(3))
+        assert_clean_pass(report, "finite_field")
+        assert report.parameters == {"n": 3, "filter": "lower:[2,1],[1,1,1]", "field": "F3"}
 
     def test_containment(self):
         assert_clean_pass(check_containment(3), "containment")
@@ -226,18 +226,22 @@ class TestCountsThatVoidACheck:
 
 
 class TestCharacteristicOfAFiniteFieldCheck:
-    """check_finite_field refuses a p that is not prime before any work, as
+    """check_finite_field takes its field built, so a p that is not prime is
+    refused where the field is built: the CLI exits 2 before any work, as
     the other entry points refuse a count that voids them."""
 
     @pytest.mark.parametrize("p", [0, 1, 4])
-    def test_refused_before_anything_runs(self, p, monkeypatch):
+    def test_refused_before_anything_runs(self, p, monkeypatch, capsys):
         def untouched(*args, **kwargs):
             raise AssertionError("ran before p was checked")
 
         for name in ("filter_generators", "_guarded"):
             monkeypatch.setattr(verify, name, untouched)
-        with pytest.raises(ValueError, match=f"must be prime, got {p}$"):
-            check_finite_field(filter_closure(3, [(2, 1)], "lower"), p)
+        assert main(["verify", "finite_field", "--n", "4", "--filter", "lower<=[2,2]",
+                     "--field", f"F{p}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: field characteristic must be prime, got {p}\n"
 
 
 class TestSizesBelowACheck:
@@ -289,13 +293,11 @@ class TestNegativeControls:
         monkeypatch.setattr(verify, f"_{name}", lambda *args: ("pass", None, {}))
         (control,) = [r for r in negative_controls() if r.check_id == f"control_{name}"]
         assert control.verdict == "fail"
-        # and one forced to fail turns its check to fail, over Q and over
-        # each of finite_field's primes
+        # and one forced to fail turns its check to fail
         monkeypatch.setattr(verify, f"_{name}", lambda *args: ("fail", "forced", {}))
         config = SuiteConfig(checks=(name,), max_n=2, include_controls=False)
-        reports = verify._run_check(name, config, next(verify._grid(name, config)))
-        assert reports
-        assert {(r.check_id, r.verdict, r.reason) for r in reports} == {(name, "fail", "forced")}
+        report = verify._run_check(name, config, next(verify._grid(name, config)))
+        assert (report.check_id, report.verdict, report.reason) == (name, "fail", "forced")
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_descent_refuses_coefficients_held_to_the_filter_derived_at_row_d(
@@ -425,6 +427,17 @@ class TestSuite:
         for r in by_id["lexgb"]:
             assert r.verdict == "pass"
         assert suite_exit_code(reports) == 0
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=lambda f: f.text())
+    def test_finite_field_runs_once_per_filter_over_the_suites_field(self, field):
+        # its grid stops at n=4, whatever max_n asks
+        reports = run_suite(SuiteConfig(checks=("finite_field",), max_n=5, field=field,
+                                        include_controls=False))
+        expected = sorted(({"n": f.n, "filter": verify.filter_text(f), "field": field.text()}
+                           for n in (2, 3, 4) for f in enumerate_lower_filters(n)),
+                          key=lambda params: json.dumps(params, sort_keys=True))
+        assert [r.parameters for r in reports] == expected
+        assert {r.verdict for r in reports} == {"pass"}
 
     def test_restricted_and_containment_run_over_fp(self):
         reports = run_suite(SuiteConfig(checks=("restricted", "containment"), max_n=3,
@@ -669,13 +682,15 @@ class TestCli:
         assert main(["verify", "descent", "--n", "3", "--filter", "[2,1]"]) == 2
         capsys.readouterr()
 
-    def test_single_finite_field_run_needs_a_prime_field(self, capsys):
-        assert main(["verify", "finite_field", "--n", "3", "--filter", "lower<=[2,1]",
-                     "--field", "Q"]) == 2
-        assert "--field F<p>" in capsys.readouterr().err
-        assert main(["verify", "finite_field", "--n", "3", "--filter", "lower<=[2,1]",
-                     "--field", "F5"]) == 0
-        assert "pass" in capsys.readouterr().out
+    @pytest.mark.parametrize("field", ["Q", "F5"])
+    def test_single_finite_field_run_takes_the_suites_field(self, field, capsys):
+        # over Q as over F_p, one filter gives one row, with its field named
+        assert main(["verify", "finite_field", "--n", "4", "--filter", "lower<=[2,2]",
+                     "--field", field, "--report", "json"]) == 0
+        (row,) = _json_rows(capsys)
+        assert row["verdict"] == "pass"
+        assert row["parameters"] == {"n": 4, "filter": "lower:[2,2],[2,1,1],[1,1,1,1]",
+                                     "field": field}
 
     def test_large_prime_field_returns_promptly(self, capsys):
         start = time.perf_counter()
@@ -690,6 +705,17 @@ class TestCli:
         assert main(["verify", "containment", "--n", "3"]) == 0
         out = capsys.readouterr().out
         assert '"n": 3' in out or "n=3" in out or "pass" in out
+
+    def test_max_n_bounds_the_grid_and_is_refused_with_n(self, capsys):
+        assert main(["verify", "lexgb", "--max-n", "2", "--report", "json"]) == 0
+        assert {row["parameters"]["n"] for row in _json_rows(capsys)} == {2}
+        assert main(["verify", "lexgb", "--report", "json"]) == 0
+        assert {row["parameters"]["n"] for row in _json_rows(capsys)} == {2, 3, 4}
+        # --n names one size, so a --max-n beside it would be dropped
+        assert main(["verify", "lexgb", "--n", "3", "--max-n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: verify takes --n or --max-n, not both\n"
 
 
 def _json_rows(capsys):
@@ -774,7 +800,7 @@ class TestSingleRunFlags:
         assert "takes no --filter" in capsys.readouterr().err
 
     @pytest.mark.parametrize("check, extra", [
-        ("lexgb", []), ("reduced", []), ("universal", []), ("finite_field", ["--field", "F5"]),
+        ("lexgb", []), ("reduced", []), ("universal", []), ("finite_field", []),
     ])
     def test_filter_check_refuses_an_upper_filter(self, check, extra, capsys):
         assert main(["verify", check, "--n", "3", "--filter", "upper:[3]", *extra]) == 2
@@ -795,11 +821,12 @@ class TestSingleRunFlags:
         ("reduced", ["--filter", "lower:[1,1,1]"]), ("vanishing", []), ("descent", []),
     ], ids=["reduced", "vanishing", "descent"])
     def test_rational_only_single_run_over_fp_is_refused(self, check, single, capsys):
-        assert main(["verify", check, "--n", "3", *single, "--field", "F7"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: a single {check} run needs the rational field: "
-                                "strata are only dense there\n")
+        for field in ("F2", "F7"):
+            assert main(["verify", check, "--n", "3", *single, "--field", field]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: a single {check} run needs the rational field: "
+                                    "strata are only dense there\n")
         # its grid keeps the skipped row
         assert main(["verify", check, "--max-n", "3", "--field", "F7", "--report", "json"]) == 0
         assert {row["verdict"] for row in _json_rows(capsys)} == {"skipped"}
@@ -1057,7 +1084,7 @@ class TestOrderShortcut:
         monkeypatch.setattr(verify, "reduce_groebner_basis", refused)
         _clear_lex_caches()
         filt = filter_closure(4, [(2, 2)], "lower")
-        report = check_finite_field(filt, 3)
+        report = check_finite_field(filt, field=GF(3))
         assert report.verdict == "pass"
         # the every-order proof is universal's row: none of it runs here
         assert report.metrics == {}
@@ -1068,7 +1095,7 @@ class TestOrderShortcut:
         assert verify._lex_reduced.cache_info() == (0, 0, None, 0)
         # warm, the rational certificate is shared: no certificate runs again
         calls.clear()
-        assert check_finite_field(filt, 3).payload() == report.payload()
+        assert check_finite_field(filt, field=GF(3)).payload() == report.payload()
         assert calls == []
 
     def test_the_universal_control_needs_the_stability_test(self, monkeypatch):
@@ -1076,14 +1103,14 @@ class TestOrderShortcut:
         (control,) = [r for r in negative_controls(seed=7) if r.check_id == "control_universal"]
         assert control.verdict == "fail"
 
-    @pytest.mark.parametrize("p", verify.PRIMES)
+    @pytest.mark.parametrize("p", (2, 3, 7))
     def test_universal_passes_every_filter_up_to_four_over_each_prime(self, p):
         # the every-order proof over F_p lives in universal's rows alone
         for n in (2, 3, 4):
             for filt in enumerate_lower_filters(n):
                 assert_clean_pass(check_universal(filt, field=GF(p)), "universal")
 
-    @pytest.mark.parametrize("p", verify.PRIMES)
+    @pytest.mark.parametrize("p", (2, 3, 7))
     def test_the_control_fixture_is_refused_over_each_prime(self, p):
         # lower<=[2,1] without x3 - x1, as in the universal control
         gens = filter_generators(filter_closure(3, [(2, 1)], "lower"), field=GF(p))
@@ -1250,7 +1277,7 @@ class TestLexCertificate:
         if check == "universal":
             return check_universal(self.FILTER, seed=3, field=field)
         # at every prime, finite_field takes the rational set's certificate
-        return check_finite_field(self.FILTER, field.p or 3)
+        return check_finite_field(self.FILTER, field=field)
 
     @pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.text())
     @pytest.mark.parametrize("check", ["lexgb", "universal", "finite_field"])
@@ -1308,8 +1335,8 @@ class TestLexCertificate:
         _clear_lex_caches()
         for n in (2, 3, 4):
             for filt in enumerate_lower_filters(n):
-                for p in verify.PRIMES:
-                    assert_clean_pass(check_finite_field(filt, p), "finite_field")
+                for p in (2, 3, 7):
+                    assert_clean_pass(check_finite_field(filt, field=GF(p)), "finite_field")
 
     def test_finite_field_fails_when_the_rational_set_is_no_lex_basis(self, monkeypatch):
         # the F_3 set is whole; the rational one misses a generator, so it is
@@ -1322,7 +1349,7 @@ class TestLexCertificate:
 
         monkeypatch.setattr(verify, "filter_generators", dropped)
         monkeypatch.setattr(verify, "groebner_basis", None)
-        report = check_finite_field(self.FILTER, 3)
+        report = check_finite_field(self.FILTER, field=GF(3))
         assert report.verdict == "fail"
         assert report.reason == "the rational generators are not a lex basis"
         assert report.evidence["generators"] == 7
@@ -1365,7 +1392,7 @@ class TestFiniteFieldJudge:
         for filt in self.CASES:
             polys_p = [g.polynomial for g in filter_generators(filt, field=GF(p))]
             polys_q = [g.polynomial for g in filter_generators(filt)]
-            report = check_finite_field(filt, p)
+            report = check_finite_field(filt, field=GF(p))
             assert ref_finite_field(polys_p, polys_q)[0] == report.verdict
             if report.verdict == "pass":
                 order = lex_order(filt.n)

@@ -26,8 +26,8 @@ exponents; on overflow the call restarts with fields twice as wide, so no
 carry crosses a field. A call packs its inputs once, and a completed basis
 stays packed through reduction: only the leading monomial of a new basis
 element and the call's final outputs are unpacked. normal_forms packs its
-basis once for all the polynomials it divides: `containment`'s covers,
-`descent`'s coefficients and `standard_span_rank` divide on it.
+basis once for all the polynomials it divides: `reduced`, `restricted`,
+`containment`, `descent` and `standard_span_rank` divide on it.
 
 ideal_intersection eliminates t from t*A + (1-t)*B and settles, unpopped, each
 pair inside the block of an input known to be a lex basis and each pair of such

@@ -162,7 +162,10 @@ class MonomialOrder:
         if kind == "weight":
             if weights is None:
                 raise ValueError("weight order needs weights")
-            w = tuple(Fraction(x) for x in weights)
+            w = tuple(weights)
+            if any(isinstance(x, (float, complex)) for x in w):
+                raise TypeError(f"inexact weight in {w}; use ints or Fractions")
+            w = tuple(map(Fraction, w))
             if len(w) != nvars or any(x <= 0 for x in w):
                 raise ValueError(f"weights must be {nvars} positive rationals: {weights}")
         else:

@@ -25,7 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import itemgetter
+from operator import ge, itemgetter
 
 from .combinatorics import (
     PartitionFilter,
@@ -52,7 +52,6 @@ from .groebner import (
     hilbert_numerator,
     is_groebner_basis,
     normal_forms,
-    reduce_groebner_basis,
 )
 from .polyring import (
     GF,
@@ -172,22 +171,22 @@ def _lex_certificate(polys: tuple[Poly, ...]) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _lex_reduced(polys: tuple[Poly, ...]) -> tuple[Poly, ...]:
-    """The reduced lex basis of a set _lex_certificate certified, once per set."""
-    return tuple(reduce_groebner_basis(polys, lex_order(polys[0].nvars)))
-
-
-@lru_cache(maxsize=None)
-def _shape_basis(gens: tuple[Poly, ...], pair_budget: int) -> tuple[Poly, ...]:
-    """C(lam), the reduced lex basis of one shape's own generators, once per
-    set and budget: a basis a larger budget completed passes no row whose
-    budget runs out."""
-    return tuple(groebner_basis(gens, lex_order(gens[0].nvars), pair_budget=pair_budget))
-
-
 def _own_basis(lam, field: Field, pair_budget: int) -> tuple[Poly, ...]:
-    """C(lam), from shape lam's column-standard generators over field."""
-    return _shape_basis(tuple(g.polynomial for g in shape_generators(lam, field=field)), pair_budget)
+    """C(lam), the reduced lex basis of shape lam's column-standard
+    generators over field, once per (lam, field, budget) in a process: a
+    basis a larger budget completed passes no row whose budget runs out."""
+    gens = tuple(g.polynomial for g in shape_generators(lam, field=field))
+    return tuple(groebner_basis(gens, lex_order(sum(lam)), pair_budget=pair_budget))
+
+
+def _covers(gens, basis, order) -> bool:
+    """Whether every leading monomial of basis is a multiple of a generator's.
+    With gens inside the ideal of the Groebner basis basis, they then have
+    its initial ideal, so they are a Groebner basis of that ideal and
+    generate it (Cox, Little & O'Shea, ch. 2, section 5, Corollary 6)."""
+    leads = [leading_term(g, order)[0] for g in gens]
+    return all(any(all(map(ge, m, lm)) for lm in leads)
+               for m in (leading_term(b, order)[0] for b in basis))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +225,8 @@ def _lexgb(filt: PartitionFilter, gens):
         if leading_term(g.polynomial, order) != (initial_monomial(t), g.polynomial.field.one):
             return "fail", "a lex leading term is not 1 times its tableau's closed form", {
                 "tableau": [list(r) for r in t.rows]}
-    cs = tuple(g.polynomial for g in gens)
-    ok, counts, failed = _lex_certificate(cs)
-    evidence = {"generators": len(cs), "pair_counts": dict(counts)}
+    ok, counts, failed = _lex_certificate(tuple(g.polynomial for g in gens))
+    evidence = {"generators": len(gens), "pair_counts": dict(counts)}
     if not ok:
         evidence["failed_pairs"] = [dict(p) for p in failed]
         return "fail", "an S-polynomial did not reduce to zero under lex", evidence
@@ -247,7 +245,6 @@ def _lexgb(filt: PartitionFilter, gens):
     if (g := _not_a_column_product(gens)) is not None:
         return "fail", "a generator is not its tableau's column product", {
             "tableau": [list(r) for r in g.tableau.rows]}
-    evidence["reduced_basis_size"] = len(_lex_reduced(cs))
     return "pass", None, evidence
 
 
@@ -400,7 +397,7 @@ def check_reduced(filt: PartitionFilter, *,
     """Dual-route identity for a lower filter: the ideal generated from its
     tableaux equals the full vanishing ideal of the strata outside the filter,
     computed independently as an intersection of subspace primes. Decided by
-    one comparison of reduced lex bases (_reduced); passing means the
+    membership and a leading-monomial cover (_reduced); passing means the
     generated ideal is radical and cuts out exactly those strata."""
     parameters = {"n": filt.n, "filter": filter_text(filt), "field": "Q"}
     metrics: dict = {}
@@ -410,21 +407,20 @@ def check_reduced(filt: PartitionFilter, *,
 
 
 def _reduced(gens: tuple[Poly, ...], complement: PartitionFilter, pair_budget: int):
-    """reduced's judgment of generators against the strata of complement. A
-    reduced lex basis is unique to its ideal (Cox, Little & O'Shea, ch. 2,
-    section 7), so once the generators certify as a lex basis, the ideals are
-    equal exactly when their reduced bases are. An empty complement has the
-    unit ideal."""
-    if not _lex_certificate(gens)[0]:
-        return "fail", "the generators are not a basis under lex", {"generators": len(gens)}
-    lhs = _lex_reduced(gens)
-    rhs = (vanishing_ideal_oracle(complement, pair_budget=pair_budget).generators
-           if len(complement) else (Poly.constant(1, complement.n, QQ),))
+    """reduced's judgment of generators against the strata of complement:
+    each generator must reduce to zero by the oracle's reduced lex basis,
+    and each leading monomial of that basis must be a multiple of a
+    generator's (_covers). An empty complement has the unit ideal."""
+    basis = (vanishing_ideal_oracle(complement, pair_budget=pair_budget).generators
+             if len(complement) else (Poly.constant(1, complement.n, QQ),))
+    order = lex_order(complement.n)
     evidence = {"complement_size": len(complement), "generators": len(gens),
-                "oracle_basis_size": len(rhs), "reduced_basis_size": len(lhs)}
-    if lhs == rhs:
-        return "pass", None, evidence
-    return "fail", "generated ideal and strata oracle disagree", evidence
+                "oracle_basis_size": len(basis)}
+    if not _reduce_to_zero(gens, basis, order):
+        return "fail", "a generator is outside the strata oracle's ideal", evidence
+    if not _covers(gens, basis, order):
+        return "fail", "an oracle leading monomial is a multiple of no generator's", evidence
+    return "pass", None, evidence
 
 
 def check_stratum_vanishing(n: int, *, samples: int = 10, seed: int = 0) -> CheckReport:
@@ -549,28 +545,27 @@ def check_restricted(shape, *, field: Field = QQ,
                      pair_budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
     """The standard generators of the shapes below lam that keep its first
     row (restricted_shapes) are a lex basis of I_lam, the ideal of lam's own
-    generators (Haiman and Woo): they certify under lex x1 < ... < xn, and
-    their reduced basis is C(lam) (_shape_basis), since a reduced basis is
-    unique to its ideal (Cox, Little & O'Shea, ch. 2, section 7). With
+    generators (Haiman and Woo), decided against C(lam) (_own_basis) by
+    membership and a leading-monomial cover (_restricted). With
     containment's I_lam = I(lower<=lam) they generate the principal filter's
-    ideal. pair_budget bounds the completion, not the certificate."""
+    ideal. pair_budget bounds the completion of C(lam)."""
     lam = validate_partition(shape)
-    n = sum(lam)
-    parameters = {"n": n, "shape": partition_text(lam), "field": field.text()}
+    parameters = {"n": sum(lam), "shape": partition_text(lam), "field": field.text()}
     return _guarded("restricted", parameters, lambda: _restricted(
         tuple(g.polynomial for g in restricted_standard_generators(lam, field=field)),
         _own_basis(lam, field, pair_budget)))
 
 
 def _restricted(restricted: tuple[Poly, ...], basis: tuple[Poly, ...]):
-    """restricted's judgment of a restricted set against its shape's C(lam)."""
-    ok, counts, _ = _lex_certificate(restricted)
-    evidence = {"restricted_generators": len(restricted), "pair_counts": dict(counts)}
-    if not ok:
-        return "fail", "the restricted set is not a basis under lex", evidence
-    evidence["reduced_basis_size"] = len(reduced := _lex_reduced(restricted))
-    if reduced != basis:
-        return "fail", "the restricted set generates a different ideal", evidence
+    """restricted's judgment of a restricted set against its shape's C(lam):
+    each member must reduce to zero by C(lam), and each leading monomial of
+    C(lam) must be a multiple of a member's (_covers)."""
+    order = lex_order(basis[0].nvars)
+    evidence = {"restricted_generators": len(restricted), "shape_basis_size": len(basis)}
+    if not _reduce_to_zero(restricted, basis, order):
+        return "fail", "a restricted generator is outside the shape's ideal", evidence
+    if not _covers(restricted, basis, order):
+        return "fail", "a C(lam) leading monomial is a multiple of no generator's", evidence
     return "pass", None, evidence
 
 
@@ -612,7 +607,7 @@ def check_containment(n: int, *, field: Field = QQ,
     """I_mu lies in I_lam, the ideal of shape lam's own generators, whenever
     lam strictly dominates mu; so I_lam = I(lower<=lam). Tested on covers
     only (mu below lam, no shape strictly between): C(mu), the reduced lex
-    basis of mu's generators (_shape_basis), reduces to zero by C(lam). A
+    basis of mu's generators (_own_basis), reduces to zero by C(lam). A
     chain of covers joins every comparable pair, and containment of ideals
     is transitive, so the covers carry the claim to every pair."""
     _require_positive("n", n)
@@ -716,11 +711,12 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
         "universal": ({"n": 3, "fixture": "lower<=[2,1] without x3-x1"},
                       lambda: _universal(without_x3_x1(), seed, {}),
                       "not stable under permutations of the variables"),
-        # lower:[1,1,1] against the strata of upper:[3], not of its complement
+        # lower:[1,1,1] against the strata of upper:[3], not of its complement:
+        # its generator vanishes on that line, so only the cover can refuse it
         "reduced": ({"n": 3, "filter": "lower:[1,1,1]", "complement": "upper:[3]"},
                     lambda: _reduced(tuple(g.polynomial for g in shape_generators((1, 1, 1))),
                                      filter_closure(3, [(3,)], "upper"), DEFAULT_PAIR_BUDGET),
-                    "generated ideal and strata oracle disagree"),
+                    "an oracle leading monomial is a multiple of no generator's"),
         # [3] no longer dominates [2,1], so its generator 1 must vanish there
         "vanishing": ({"n": 3, "seed": seed, "dominance": "reversed"},
                       lambda: _vanishing(3, 5, seed, _reversed_dominance),
@@ -733,14 +729,14 @@ def negative_controls(*, seed: int = 0) -> list[CheckReport]:
                                      DEFAULT_PAIR_BUDGET),
                     "a coefficient escaped the derived filter's ideal"),
         # the shape's own generators dropped from the restricted set: the
-        # rest is still a lex basis, so only the comparison can refuse it
+        # rest still lies in I_[2,2], so only the cover test can refuse it
         "restricted": ({"n": 4, "shape": "[2,2]"}, lambda: _restricted(
             tuple(g.polynomial for g in restricted_standard_generators((2, 2))
                   if g.shape != (2, 2)),
             _own_basis((2, 2), QQ, DEFAULT_PAIR_BUDGET)),
-            "the restricted set generates a different ideal"),
+            "a C(lam) leading monomial is a multiple of no generator's"),
         # lower:[1,1]'s x2 - x1 over Q bumped to x2 - 2*x1: only the image test refuses it
-        "finite_field": ({"n": 2, "p": 3, "fixture": "x2-2*x1 vs lower:[1,1]"},
+        "finite_field": ({"n": 2, "field": "F3", "fixture": "x2-2*x1 vs lower:[1,1]"},
                          lambda: _finite_field((Poly(2, GF(3), {(0, 1): 1, (1, 0): -1}),),
                                                (Poly(2, QQ, {(0, 1): 1, (1, 0): -2}),)),
                          "the F_p generators are not the images of the rational ones"),
@@ -1175,8 +1171,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--pair-budget", type=_nonnegative, default=DEFAULT_PAIR_BUDGET,
                           help="S-pairs per completion or elimination in descent, "
                                "containment, restricted and engine, and per oracle "
-                               "elimination in reduced; lexgb, universal, finite_field "
-                               "and the lex certificates of restricted and reduced have none")
+                               "elimination in reduced; lexgb, universal and "
+                               "finite_field have none")
     verify_p.add_argument("--no-controls", action="store_true",
                           help="skip the corrupted-fixture controls")
     _add_output_flags(verify_p)

@@ -92,6 +92,20 @@ def test_ci_pin_job_runs_the_table():
     assert "determinism sha256:" not in job
 
 
+def test_ci_tier1_job_runs_the_oldest_and_newest_pinned_python():
+    # only one Python is installed where the tests run, so this reads the matrix
+    workflow = (ROOT / ".github/workflows/tests.yml").read_text(encoding="utf-8")
+    tier1, pinned = workflow.split("\n  tier1:\n", 1)[1].split("\n  pinned-hashes:\n", 1)
+
+    def versions(job):
+        (matrix,) = re.findall(r"python-version: \[(.*?)\]", job)
+        return sorted(re.findall(r'"(3\.\d+)"', matrix), key=lambda v: int(v.split(".")[1]))
+
+    assert versions(tier1) == ["3.10", "3.11", "3.13"]
+    assert set(versions(tier1)) <= set(versions(pinned))
+    assert versions(pinned)[0] == versions(tier1)[0] and versions(pinned)[-1] == versions(tier1)[-1]
+
+
 def test_a_pin_row_that_outlasts_its_time_is_named(monkeypatch, capsys):
     monkeypatch.setattr(pins, "TIMEOUT_S", 0.01)
     monkeypatch.setattr(pins, "PINS", (("lexgb --n 3", "3 pass"),))

@@ -206,6 +206,21 @@ class TestMonomialOrders:
         with pytest.raises(ValueError):
             parse_order("alpha:1,2", 2)
 
+    @pytest.mark.parametrize("weight", [0.1, 1j])
+    def test_an_inexact_weight_is_refused(self, weight):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="inexact weight"):
+            MonomialOrder("weight", 2, None, [weight, 1])
+
+    def test_exact_weights_build_the_same_order(self):
+        half = MonomialOrder("weight", 2, None, [Fraction(1, 2), 1])
+        assert half == parse_order("weight:1/2,1:lex:1,2", 2)
+        assert half.text() == "weight:1/2,1:lex:1,2"
+        # ints, strings and an iterator are read as exact rationals, as before
+        assert MonomialOrder("weight", 2, None, iter(["1/2", 1])) == half
+        assert MonomialOrder("weight", 2, None, (1, 2)) == MonomialOrder(
+            "weight", 2, None, [Fraction(1), Fraction(2)])
+
 
 class TestTextSyntax:
     """polynomial_text, and the fixture parser the tests read it back with."""

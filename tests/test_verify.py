@@ -121,18 +121,19 @@ class TestIndividualChecks:
         report = check_reduced(filter_closure(3, [(3,)], "lower"))
         assert_clean_pass(report, "reduced")
         assert report.evidence == {"complement_size": 0, "generators": 5,
-                                   "oracle_basis_size": 1, "reduced_basis_size": 1}
+                                   "oracle_basis_size": 1}
 
-    def test_reduced_refuses_generators_that_are_no_lex_basis(self, monkeypatch):
-        # x1^2 - x2 and x1*x2: their S-polynomial leaves -x1^3 under lex
-        # x1 < x2, so no comparison of reduced bases is reached
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("the oracle ran")
-
-        monkeypatch.setattr(verify, "vanishing_ideal_oracle", no_oracle)
+    def test_reduced_refuses_a_generator_outside_the_oracle_ideal(self):
+        # x1^2 - x2 is t^2 - t on the diagonal x1 = x2, the one stratum of
+        # upper:[2]; its leading monomial x2 covers the oracle's basis x2 - x1,
+        # so only the membership test can refuse the set
         gens = (parse_polynomial("x1^2 - x2", 2), parse_polynomial("x1*x2", 2))
-        assert verify._reduced(gens, filter_closure(2, [(2,)], "upper"), 10) == (
-            "fail", "the generators are not a basis under lex", {"generators": 2})
+        upper2 = filter_closure(2, [(2,)], "upper")
+        basis = verify.vanishing_ideal_oracle(upper2).generators
+        assert verify._covers(gens, basis, lex_order(2))
+        assert verify._reduced(gens, upper2, 10) == (
+            "fail", "a generator is outside the strata oracle's ideal",
+            {"complement_size": 1, "generators": 2, "oracle_basis_size": 1})
 
     def test_reduced_is_the_same_cold_and_after_lexgb(self):
         from spechtgb import strata
@@ -147,9 +148,10 @@ class TestIndividualChecks:
         cold = json.dumps(check_reduced(filt).payload(), sort_keys=True)
         cleared()
         assert check_lexgb(filt).verdict == "pass"
-        hits = verify._lex_certificate.cache_info().hits
+        certificates = verify._lex_certificate.cache_info()
         warm = json.dumps(check_reduced(filt).payload(), sort_keys=True)
-        assert verify._lex_certificate.cache_info().hits > hits
+        # reduced reads no lex certificate, cold or warm
+        assert verify._lex_certificate.cache_info() == certificates
         assert warm == cold
         assert json.loads(cold)["verdict"] == "pass"
 
@@ -186,7 +188,8 @@ class TestIndividualChecks:
         assert report.parameters == {"n": 4, "field": "F3"}
 
     @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=lambda f: f.text())
-    def test_restricted_and_containment_build_over_their_field(self, field, monkeypatch):
+    def test_restricted_and_containment_build_over_their_field(self, field, monkeypatch,
+                                                                cold_caches):
         fields = set()
         for name in ("restricted_standard_generators", "filter_generators", "shape_generators"):
             def spy(*args, _original=getattr(verify, name), **kwargs):
@@ -279,13 +282,14 @@ class TestNegativeControls:
             assert r.verdict == "pass", (r.check_id, r.reason)
             json.dumps(r.payload(), sort_keys=True)
 
-    def test_the_restricted_control_needs_the_comparison(self, monkeypatch):
-        # its fixture is still a lex basis, so only the comparison with
-        # C([2,2]) can refuse it
-        monkeypatch.setattr(verify, "_lex_reduced", lambda polys: verify._own_basis(
-            (2, 2), QQ, verify.DEFAULT_PAIR_BUDGET))
-        (control,) = [r for r in negative_controls() if r.check_id == "control_restricted"]
+    @pytest.mark.parametrize("name", ["reduced", "restricted"])
+    def test_the_control_needs_the_cover_test(self, name, monkeypatch):
+        # each fixture lies in the ideal it is judged against, so only the
+        # cover of that ideal's leading monomials can refuse it
+        monkeypatch.setattr(verify, "_covers", lambda *args: True)
+        (control,) = [r for r in negative_controls() if r.check_id == f"control_{name}"]
         assert control.verdict == "fail"
+        assert control.reason.startswith("the judge gave pass (None)")
 
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_check_and_control_share_one_judge(self, name, monkeypatch):
@@ -726,8 +730,8 @@ def _json_rows(capsys):
 
 
 class TestErrorVerdict:
-    # reduced's generators certify without a budget; the oracle of the
-    # complement of lower:[1,1,1] runs out of one pair
+    # reduced runs no certificate; the oracle of the complement of
+    # lower:[1,1,1] runs out of one pair
     def test_pair_budget_exhaustion_is_an_error_not_a_failure(self, capsys):
         assert main(["verify", "reduced", "--n", "3", "--filter", "lower:[1,1,1]",
                      "--pair-budget", "1", "--report", "json"]) == 3
@@ -775,6 +779,13 @@ class TestPairBudgetFlag:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: S-pair budget 1 exhausted with {size} basis elements\n"
+
+    def test_restricted_runs_out_only_in_its_completion(self, capsys):
+        # C(lam) is restricted's one Buchberger work: a single pair completes
+        # [5]'s and [1^5]'s and no other shape's of 5
+        assert main(["verify", "restricted", "--n", "5", "--pair-budget", "1"]) == 3
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("2 pass, 0 fail, 0 skipped, 5 error")
 
     @pytest.mark.parametrize("command", ["gb", "oracle", "verify reduced"])
     def test_negative_budget_exits_two(self, command, capsys):
@@ -1081,7 +1092,7 @@ class TestOrderShortcut:
             raise AssertionError("a reduced basis was computed")
 
         monkeypatch.setattr(verify, "is_groebner_basis", counted)
-        monkeypatch.setattr(verify, "reduce_groebner_basis", refused)
+        monkeypatch.setattr(verify, "groebner_basis", refused)
         _clear_lex_caches()
         filt = filter_closure(4, [(2, 2)], "lower")
         report = check_finite_field(filt, field=GF(3))
@@ -1090,9 +1101,8 @@ class TestOrderShortcut:
         assert report.metrics == {}
         assert "referee_orders" not in report.evidence
         # one lex certificate, of the rational set: nothing is certified or
-        # reduced over F_3, and no reduced basis is even looked up
+        # completed over F_3
         assert calls == [("lex:1,2,3,4", {g.polynomial for g in filter_generators(filt)})]
-        assert verify._lex_reduced.cache_info() == (0, 0, None, 0)
         # warm, the rational certificate is shared: no certificate runs again
         calls.clear()
         assert check_finite_field(filt, field=GF(3)).payload() == report.payload()
@@ -1224,15 +1234,23 @@ class TestHilbertReferee:
 
 def _clear_lex_caches():
     verify._lex_certificate.cache_clear()
-    verify._lex_reduced.cache_clear()
-    verify._shape_basis.cache_clear()
+    verify._own_basis.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Every lex certificate and C(lam) of the test computed afresh, and none
+    left behind: C(lam) is cached on the shape, so one built from patched
+    generators would reach the tests after it."""
+    _clear_lex_caches()
+    yield
+    _clear_lex_caches()
 
 
 class TestLexCertificate:
-    """lexgb, universal, finite_field and restricted share one lex certificate
-    per generator set in a process (_lex_certificate), finite_field that of
-    the rational set at every prime; lexgb, restricted and reduced share one
-    reduced basis (_lex_reduced). A row must not depend on what ran before
+    """lexgb, universal and finite_field share one lex certificate per
+    generator set in a process (_lex_certificate), finite_field that of the
+    rational set at every prime. A row must not depend on what ran before
     it, and a changed set is certified afresh."""
 
     FIELDS = [QQ, GF(2), GF(3), GF(7)]
@@ -1246,10 +1264,10 @@ class TestLexCertificate:
         assert (ok, dict(counts)) == (fresh_ok, cert["counts"])
         assert [dict(p) for p in failed] == [
             p for p in cert["pairs"] if p["status"] == "failed"][:5]
-        if ok:
-            # the reduced basis lexgb, restricted and reduced share is the
-            # completion's
-            assert verify._lex_reduced(tuple(polys)) == tuple(groebner_basis(polys, order))
+        # the set lies in its own ideal, so its leading monomials cover the
+        # completion's exactly when it is a basis: the rule restricted and
+        # reduced decide by, against the certificate
+        assert verify._covers(polys, tuple(groebner_basis(polys, order)), order) == ok
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.text())
     def test_matches_a_fresh_certificate_and_completion_up_to_four(self, field):
@@ -1321,11 +1339,11 @@ class TestLexCertificate:
         failed[0].clear()
         assert json.dumps(check_lexgb(self.FILTER).payload(), sort_keys=True) == expected
 
-    def test_universal_reduces_nothing(self):
+    def test_universal_reduces_nothing(self, monkeypatch):
+        monkeypatch.setattr(verify, "groebner_basis", None)
         _clear_lex_caches()
         assert check_universal(self.FILTER, seed=3).verdict == "pass"
         assert verify._lex_certificate.cache_info().misses == 1
-        assert verify._lex_reduced.cache_info().misses == 0
 
     def test_finite_field_completes_nothing_when_the_rational_set_certifies(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1412,12 +1430,15 @@ class TestFiniteFieldJudge:
 
 class TestMembershipRoute:
     """restricted and containment decide from C(lam), the reduced lex basis of
-    one shape's own generators (_shape_basis): restricted compares its
-    certified set's reduced basis with C(lam), and containment divides C(mu)
-    by C(lam) for each cover. Each fixture below keeps every other test
-    passing, so only the comparison or one cover can refuse it."""
+    one shape's own generators (_own_basis): restricted divides its set by
+    C(lam) and asks its leading monomials to cover C(lam)'s (_covers), and
+    containment divides C(mu) by C(lam) for each cover of the dominance
+    order. Each fixture below keeps every other test passing, so only one
+    membership or the cover can refuse it."""
 
     DIFFERENT = "the restricted set generates a different ideal"
+    OUTSIDE = "a restricted generator is outside the shape's ideal"
+    UNCOVERED = "a C(lam) leading monomial is a multiple of no generator's"
 
     def restricted_with(self, monkeypatch, change):
         original = verify.restricted_standard_generators
@@ -1430,30 +1451,36 @@ class TestMembershipRoute:
         return SpechtGenerator((n,), Tableau([list(range(1, n + 1))]),
                                parse_polynomial("x1 - x2", n))
 
-    # the two corrupted restricted sets: [3,1] dominates [2,2], so with its
-    # generators added the set is still a lex basis, of a larger ideal; and
-    # without [2,2]'s own generators, [2,1,1]'s still form a lex basis
-    CORRUPTED = {"larger": lambda gens: gens + shape_generators((3, 1), mode="standard"),
-                 "smaller": lambda gens: tuple(g for g in gens if g.shape != (2, 2))}
+    # the two corrupted restricted sets, each still a lex basis: [3,1]
+    # dominates [2,2], so with its generators added the set spans a larger
+    # ideal, and only membership can refuse it; without [2,2]'s own
+    # generators, [2,1,1]'s span a smaller one, and only the cover can
+    CORRUPTED = {"larger": (lambda gens: gens + shape_generators((3, 1), mode="standard"),
+                            OUTSIDE),
+                 "smaller": (lambda gens: tuple(g for g in gens if g.shape != (2, 2)),
+                             UNCOVERED)}
 
     @pytest.mark.parametrize("kind", sorted(CORRUPTED))
     def test_another_lex_basis_fails_the_comparison(self, kind, monkeypatch):
-        restricted = [g.polynomial for g in
-                      self.CORRUPTED[kind](verify.restricted_standard_generators((2, 2)))]
+        change, reason = self.CORRUPTED[kind]
+        restricted = [g.polynomial for g in change(verify.restricted_standard_generators((2, 2)))]
         full = [g.polynomial for g in filter_generators(filter_closure(4, [(2, 2)], "lower"))]
         assert ref_restricted(restricted, full) == ("fail", self.DIFFERENT)
-        report = self.restricted_with(monkeypatch, self.CORRUPTED[kind])
-        assert (report.verdict, report.reason) == ("fail", self.DIFFERENT)
-        assert report.evidence["pair_counts"]["failed"] == 0
+        assert is_groebner_basis(restricted, lex_order(4))[0]
+        report = self.restricted_with(monkeypatch, change)
+        assert (report.verdict, report.reason) == ("fail", reason)
+        assert report.evidence == {"restricted_generators": len(restricted),
+                                   "shape_basis_size": 3}
 
     def test_a_linear_form_added_to_the_restricted_set_fails_the_comparison(self, monkeypatch):
         # x1 - x2 joins [2,2]'s restricted set, which stays a lex basis, of
-        # an ideal that is not I_[2,2]
+        # an ideal that is not I_[2,2]: its leading monomials still cover
+        # C([2,2])'s, so only membership can refuse it
         report = self.restricted_with(monkeypatch, lambda gens: gens + (self.x1_minus_x2(4),))
-        assert (report.verdict, report.reason) == ("fail", self.DIFFERENT)
-        assert report.evidence["pair_counts"]["failed"] == 0
+        assert (report.verdict, report.reason) == ("fail", self.OUTSIDE)
+        assert report.evidence == {"restricted_generators": 6, "shape_basis_size": 3}
 
-    def test_containment_divides_at_every_cover(self, monkeypatch):
+    def test_containment_divides_at_every_cover(self, monkeypatch, cold_caches):
         # x1 - x2 joins [2,1,1]'s generators: its ideal grows, so of the four
         # covers of 4 only [2,2] over [2,1,1] can see it
         original = verify.shape_generators
@@ -1525,6 +1552,39 @@ class TestMembershipRoute:
         assert check_containment(5).payload() == cold.payload()
         assert len(completed) == 7
 
+    def test_neither_judge_certifies_or_reduces(self, monkeypatch, cold_caches):
+        # both decide by division and a cover: no S-pair certificate and no
+        # reduction of a given basis runs, and the one completion is C(lam)
+        from spechtgb import groebner, strata
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate or a reduction ran")
+
+        completed = []
+
+        def spy(gens, order, **kw):
+            completed.append(gens)
+            return groebner_basis(gens, order, **kw)
+
+        monkeypatch.setattr(verify, "is_groebner_basis", refuse)
+        monkeypatch.setattr(groebner, "reduce_groebner_basis", refuse)
+        monkeypatch.setattr(verify, "groebner_basis", spy)
+        strata._fold.cache_clear()
+        assert not hasattr(verify, "reduce_groebner_basis")
+        assert_clean_pass(check_reduced(filter_closure(5, [(3, 2)], "lower")), "reduced")
+        assert completed == []
+        assert_clean_pass(check_restricted((3, 2)), "restricted")
+        assert completed == [tuple(g.polynomial for g in shape_generators((3, 2)))]
+
+    def test_the_cover_reads_every_leading_monomial_of_the_basis(self):
+        x1, x2 = (Poly.variable(i, 2) for i in (1, 2))
+        order = lex_order(2)
+        assert verify._covers([x2**2, x1], [x1, x2**3], order)
+        # x1 covers the first leading monomial of x1, x2 and not the last
+        assert not verify._covers([x1], [x1, x2], order)
+        # x1*x2 divides neither x1^2 nor x2^2: divisibility is per variable
+        assert not verify._covers([x1 * x2], [x1**2, x2**2], order)
+
     ROWS = {"containment": lambda budget: [check_containment(4, pair_budget=budget)],
             "restricted": lambda budget: [check_restricted(lam, pair_budget=budget)
                                           for lam in verify.partitions_of(4)]}
@@ -1540,7 +1600,7 @@ class TestMembershipRoute:
         assert "error" in {r["verdict"] for r in cold}
         _clear_lex_caches()
         assert {r.verdict for r in self.ROWS[other](verify.DEFAULT_PAIR_BUDGET)} == {"pass"}
-        assert verify._shape_basis.cache_info().currsize == 5
+        assert verify._own_basis.cache_info().currsize == 5
         assert [r.payload() for r in self.ROWS[row](1)] == cold
 
 

@@ -25,7 +25,12 @@ against the guard bits, a whole tail at once through the fieldwise max of its
 exponents; on overflow the call restarts with fields twice as wide, so no
 carry crosses a field. A call packs its inputs once, and a completed basis
 stays packed through reduction: only the leading monomial of a new basis
-element and the call's final outputs are unpacked. normal_forms packs its
+element and the call's final outputs are unpacked. A row holds its lc: over
+Q rows are integral and primitive, over F_p monic, so reduction is int
+arithmetic on both. Where lc does not divide a popped coefficient c, the
+dividend left and the remainder are scaled by lc/gcd(c, lc), and reduce
+returns (s*r, s). Denominators are cleared once where a polynomial enters,
+and outputs come back monic and canonical. normal_forms packs its
 basis once for all the polynomials it divides: `reduced`, `restricted`,
 `containment`, `descent` and `standard_span_rank` divide on it.
 
@@ -40,9 +45,12 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field as attribute
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from operator import le, lshift, mul
 
-from .polyring import MAX_VARS, QQ, Field, Poly, lex_order
+from .polyring import MAX_VARS, QQ, Field, Poly, _q, lex_order
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -60,26 +68,38 @@ class _Overflow(Exception):
     """A packed exponent outgrew its field."""
 
 
+@lru_cache(maxsize=128)
+def _layout(order, bits: int) -> tuple:
+    """The order's packing at one field width: (shifts, guard, low, weights)."""
+    n = order.nvars
+    top_down = order.ranking if order.kind == "grevlex" else order.ranking[::-1]
+    shifts = tuple((n - 1 - top_down.index(v)) * bits for v in range(1, n + 1))
+    # the degree in a graded or weight key is linear: read its weights off the variables
+    weights = None if order.kind == "lex" else tuple(
+        order.key(tuple(int(i == v) for i in range(n)))[0] for v in range(n))
+    return shifts, sum(1 << (s + bits - 1) for s in shifts), (1 << n * bits) - 1, weights
+
+
+def _divided(terms: dict, d: int) -> dict:
+    # the canonical values of integral terms over d: 1 over F_p, and never -1,
+    # as a rescaling step and a non-unit lc each bring a factor of size >= 2
+    return terms if d == 1 else {k: _q(Fraction(c, d)) for k, c in terms.items()}
+
+
 class _Packed:
     """One call's packing of an order at one field width, and its reducers.
 
-    A reducer row is (lm, v(lm), k(lm), 1/lc, tail, top, variables): lm as a
-    tuple, the tail as (key, coefficient) pairs with coefficients in the
-    call's field, top the fieldwise max of the tail's v packings, and a
-    bitmask of the variables lm involves. least is the smallest v(lm): a
-    divisor never packs above its multiple, so nothing divides a term below it.
+    A reducer row is (lm, v(lm), k(lm), lc, tail, top, variables): lm as a
+    tuple, the tail as (key, coefficient) pairs, top the fieldwise max of the
+    tail's v packings, and a bitmask of the variables lm involves. Over Q a
+    row is integral and primitive, over F_p monic, so both share one
+    reduction loop of int arithmetic. least is the smallest v(lm): a divisor
+    never packs above its multiple, so nothing divides a term below it.
     """
 
     def __init__(self, order, bits: int, field: Field):
-        n = order.nvars
-        top_down = order.ranking if order.kind == "grevlex" else order.ranking[::-1]
-        self.shifts = [(n - 1 - top_down.index(v)) * bits for v in range(1, n + 1)]
-        self.bits, self.span, self.grev = bits, n * bits, order.kind == "grevlex"
-        self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
-        self.low = (1 << self.span) - 1
-        # the degree in a graded or weight key is linear: read its weights off the variables
-        self.weights = None if order.kind == "lex" else [
-            order.key(tuple(int(i == v) for i in range(n)))[0] for v in range(n)]
+        self.shifts, self.guard, self.low, self.weights = _layout(order, bits)
+        self.bits, self.span, self.grev = bits, order.nvars * bits, order.kind == "grevlex"
         self.field = field
         self.rows, self.lmv, self.first, self.least = [], [], {}, self.low + 1
 
@@ -97,19 +117,34 @@ class _Packed:
         return b ^ ((a ^ b) & (ge - (ge >> (self.bits - 1))))
 
     def row(self, terms: dict) -> tuple:
-        # terms maps keys to coefficients; only the leading monomial is unpacked
+        # terms maps keys to integral coefficients (residues over F_p), made
+        # monic over F_p and primitive over Q; only the leading monomial is unpacked
         lmk = max(terms)
+        lc, p = terms[lmk], self.field.p
+        if p is not None and lc != 1:
+            inv = pow(lc, -1, p)
+            terms, lc = {k: c * inv % p for k, c in terms.items()}, 1
+        elif lc * lc != 1 and (g := gcd(*terms.values())) != 1:
+            terms, lc = {k: c // g for k, c in terms.items()}, lc // g
         lmv, mask = (-lmk if self.grev else lmk) & self.low, (1 << (self.bits - 1)) - 1
         lm = tuple([(lmv >> s) & mask for s in self.shifts])
         tail = tuple((k, c) for k, c in terms.items() if k != lmk)
         top = 0
         for k, _ in tail:
             top = self.lcm(top, (-k if self.grev else k) & self.low)
-        return (lm, lmv, lmk, self.field.inv(terms[lmk]),
-                tail, top, sum(1 << i for i, e in enumerate(lm) if e))
+        return lm, lmv, lmk, lc, tail, top, sum(1 << i for i, e in enumerate(lm) if e)
+
+    def integral(self, f: Poly) -> tuple:
+        # f's terms by key times the lcm d of their denominators, and d; the
+        # sum of the coefficients is an int exactly when every one is
+        terms = {self.key(m): c for m, c in f.terms.items()}
+        if type(sum(terms.values())) is int:
+            return terms, 1
+        d = lcm(*[c.denominator for c in terms.values()])
+        return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
 
     def pack(self, g: Poly) -> tuple:
-        return self.row({self.key(m): c for m, c in g.terms.items()})
+        return self.row(self.integral(g)[0])
 
     def add(self, row: tuple) -> None:
         self.rows.append(row)
@@ -122,25 +157,26 @@ class _Packed:
         mask, sign, shifts = (1 << (self.bits - 1)) - 1, -1 if self.grev else 1, self.shifts[:nvars]
         return {tuple([(sign * k >> s) & mask for s in shifts]): c for k, c in terms.items()}
 
-    def reduce(self, terms: dict) -> dict:
-        """Fully reduce a term dict (key -> coefficient) in place; return the remainder.
+    def reduce(self, terms: dict) -> tuple:
+        """Fully reduce an integral term dict (key -> coefficient) in place;
+        return (s*r, s) for its remainder r and an int s != 0.
 
         Monomials are processed in strictly decreasing key order via a heap of
         negated keys, so tail substitutions never touch monomials already
         settled into the remainder. A key is pushed once: a term that cancels
-        keeps a zero entry, skipped when popped. Tail updates use raw
-        int/Fraction arithmetic (mod p over F_p), made canonical once. Under
-        lex a key is its packing, so once one pops below least, every term
-        left is irreducible and joins the remainder unpopped.
+        keeps a zero entry, skipped when popped. Updates are int arithmetic
+        (mod p over F_p). Under lex a key is its packing, so once one pops
+        below least, every term left is irreducible and joins the remainder
+        unpopped.
         """
-        field = self.field
-        p = field.p
+        p = self.field.p
         lmv, first, guard, low, grev = self.lmv, self.first, self.guard, self.low, self.grev
         least, lex = self.least, self.weights is None
         heappush, heappop = heapq.heappush, heapq.heappop
         heap = [-k for k in terms]
         heapq.heapify(heap)
         remainder: dict = {}
+        scale = 1
         while heap:
             e = heappop(heap)
             m = -e
@@ -162,13 +198,21 @@ class _Packed:
             else:
                 remainder[m] = c
                 continue
-            lmk, inv_lc, tail, top = first[lm]
+            lmk, lc, tail, top = first[lm]
             if (top + d) & guard:
                 raise _Overflow
             shift = m - lmk
-            # over Q a product of ints is canonical already
-            factor = (c * inv_lc if p is None and type(c) is type(inv_lc) is int
-                      else field.mul(c, inv_lc))
+            if lc * lc == 1:
+                factor = c * lc
+            else:
+                if c % lc:
+                    # over Q only: scale what is left, and the remainder, so lc divides c
+                    s = lc // gcd(c, lc)
+                    c, scale = c * s, scale * s
+                    for part in terms, remainder:
+                        for k in part:
+                            part[k] *= s
+                factor = c // lc
             for tk, tc in tail:
                 key = tk + shift
                 prev = terms.get(key)
@@ -177,7 +221,7 @@ class _Packed:
                     heappush(heap, -key)
                 v = prev - factor * tc
                 terms[key] = v if p is None else v % p
-        return field.canonical(remainder)
+        return {k: c for k, c in remainder.items() if c}, scale
 
     def chain_link(self, i: int, j: int, settled: set) -> int | None:
         # the first k whose lm divides the pair's lcm and whose pairs with i
@@ -192,28 +236,38 @@ class _Packed:
         return None
 
     def s_terms(self, ri: tuple, rj: tuple) -> dict:
-        # the S-polynomial of two rows: the leading terms cancel, so only the
-        # tails, shifted up to the lcm, contribute
+        # the S-polynomial (lc_j/g)*ri - (lc_i/g)*rj of two rows, g = gcd(lc_i,
+        # lc_j): the leading terms cancel, so only the tails, shifted up to
+        # the lcm, contribute
         lcm = (self.lcm(ri[1], rj[1]) if self.weights is None
                else self.key(tuple(map(max, ri[0], rj[0]))))
         lcmv = (-lcm if self.grev else lcm) & self.low
+        li, lj = ri[3], rj[3]
+        if li * li != 1 and lj * lj != 1:
+            g = gcd(li, lj)
+            li, lj = li // g, lj // g
         terms: dict = {}
-        for r, sign in ((ri, 1), (rj, -1)):
+        for r, factor in ((ri, lj), (rj, -li)):
             if (r[5] + lcmv - r[1]) & self.guard:
                 raise _Overflow
-            shift, factor = lcm - r[2], sign * r[3]
+            shift = lcm - r[2]
             for k, c in r[4]:
                 k += shift
                 terms[k] = terms.get(k, 0) + c * factor
         return self.field.canonical(terms)
 
-    def polys(self, finish, nvars: int) -> list[Poly]:
+    def polys(self, nvars: int, reduce: bool = False) -> list[Poly]:
         # every row as a monic polynomial in the first nvars variables, with
-        # finish applied to its tail (a term dict) first
-        one = self.field.one
-        return [Poly._raw(nvars, self.field, {lm[:nvars]: one, **self.unpack(
-                    finish({k: c * inv_lc for k, c in tail}), nvars)})
-                for lm, _, _, inv_lc, tail, _, _ in self.rows]
+        # its tail first reduced by the rows when reduce is set: a tail over
+        # lc 1 or -1 is made monic first, any other lc divides it at the end
+        one, out = self.field.one, []
+        for lm, _, _, lc, tail, _, _ in self.rows:
+            unit = lc * lc == 1
+            terms = {k: c * lc for k, c in tail} if unit else dict(tail)
+            terms, s = self.reduce(terms) if reduce else (terms, 1)
+            out.append(Poly._raw(nvars, self.field, {lm[:nvars]: one, **self.unpack(
+                _divided(terms, s if unit else s * lc), nvars)}))
+        return out
 
     def reduced(self, rows: list, nvars: int) -> list[Poly]:
         # the reduced basis of a Groebner basis given as rows: the minimal set
@@ -224,7 +278,7 @@ class _Packed:
         for r in sorted(rows, key=lambda r: r[2]):
             if not any((d := r[1] - lm) >= 0 and not d & self.guard for lm in self.lmv):
                 self.add(r)
-        return self.polys(self.reduce, nvars)
+        return self.polys(nvars, reduce=True)
 
 
 def _widening(polys: list, order, run):
@@ -257,8 +311,12 @@ def normal_forms(polys, basis, order) -> list[Poly]:
     def run(pk: _Packed) -> list[Poly]:
         for g in gens:
             pk.add(pk.pack(g))
-        return [Poly._raw(f.nvars, f.field, pk.unpack(pk.reduce(
-                    {pk.key(m): c for m, c in f.terms.items()}))) for f in polys]
+        out = []
+        for f in polys:
+            terms, d = pk.integral(f)
+            remainder, s = pk.reduce(terms)
+            out.append(Poly._raw(f.nvars, f.field, pk.unpack(_divided(remainder, s * d))))
+        return out
 
     return _widening(polys + gens, order, run)
 
@@ -318,7 +376,7 @@ def _settle_pairs(gens: list, order, *, complete: bool, pair_budget: int | None 
                 status = "coprime"
             elif use_chain_criterion and (k := pk.chain_link(i, j, settled)) is not None:
                 status = f"chain:{k}"
-            elif not (rem := pk.reduce(pk.s_terms(rows[i], rows[j]))):
+            elif not (rem := pk.reduce(pk.s_terms(rows[i], rows[j]))[0]):
                 status = "zero_reduction"
             elif not complete:
                 status = "failed"
@@ -350,7 +408,7 @@ def buchberger(generators, order, *, pair_budget: int = DEFAULT_PAIR_BUDGET,
     """
     log, basis = _settle_pairs([g for g in generators if g.terms], order, complete=True,
                                pair_budget=pair_budget, use_chain_criterion=use_chain_criterion,
-                               finish=lambda pk: pk.polys(pk.field.canonical, order.nvars))
+                               finish=lambda pk: pk.polys(order.nvars))
     tally = Counter(status.split(":")[0] for _, _, status in log)
     return basis, {
         "pairs_processed": len(log),

@@ -3,9 +3,10 @@
 Monomials are fixed-width exponent tuples. Over Q a coefficient is an int
 exactly when it is integral and a Fraction otherwise, so the integer
 coefficients of Specht polynomials and monic bases never pay for Fraction
-arithmetic; over F_p coefficients are canonical residues 0..p-1. Values are
-immutable and every operation is re-entrant; there are no shared mutable
-caches.
+arithmetic, and the Groebner kernel clears denominators where a polynomial
+enters, so it runs on ints for every Q input; over F_p coefficients are
+canonical residues 0..p-1. Values are immutable and every operation is
+re-entrant; there are no shared mutable caches.
 
 Owns the monomial orders (lex, graded lex, graded reverse lex, positive weight
 with lex tiebreak), the polynomial text the CLI prints, and the order/field

@@ -427,13 +427,17 @@ def assert_canonical(polys):
             assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
 
 
-def mixed_poly_strategy(nvars=3, max_terms=3, linear=False):
+def monomial_strategy(nvars, linear=False):
+    """Exponent tuples up to 2, or those of affine-linear forms when linear
+    (affine-linear forms keep elimination bases small)."""
     if linear:
-        # affine-linear forms keep elimination bases small
-        mono = st.sampled_from([tuple(int(i == v) for i in range(nvars))
+        return st.sampled_from([tuple(int(i == v) for i in range(nvars))
                                 for v in range(-1, nvars)])
-    else:
-        mono = st.tuples(*[st.integers(0, 2)] * nvars)
+    return st.tuples(*[st.integers(0, 2)] * nvars)
+
+
+def mixed_poly_strategy(nvars=3, max_terms=3, linear=False):
+    mono = monomial_strategy(nvars, linear)
     coeff = st.one_of(
         st.integers(-4, 4).filter(lambda v: v != 0),
         st.builds(Fraction, st.integers(-4, 4).filter(lambda v: v != 0), st.integers(1, 3)),
@@ -586,14 +590,15 @@ def any_order_strategy(nvars=3):
     ).map(lambda kr: MonomialOrder(kr[0], nvars, kr[1], kr[2] if kr[0] == "weight" else None))
 
 
-def field_polys(field, nvars=3, max_terms=3, min_size=1, max_size=3):
-    """Lists of nonzero polynomials over the field, exponents up to 2; F_p
-    coefficients are drawn from 1..p-1, so every residue class but 0 occurs."""
+def field_polys(field, nvars=3, max_terms=3, min_size=1, max_size=3, linear=False):
+    """Lists of nonzero polynomials over the field, exponents up to 2 (affine-
+    linear forms when linear); F_p coefficients are drawn from 1..p-1, so
+    every residue class but 0 occurs."""
     if field.p is None:
-        poly = mixed_poly_strategy(nvars, max_terms)
+        poly = mixed_poly_strategy(nvars, max_terms, linear)
     else:
-        poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars),
-                               st.integers(1, field.p - 1), min_size=1, max_size=max_terms
+        poly = st.dictionaries(monomial_strategy(nvars, linear), st.integers(1, field.p - 1),
+                               min_size=1, max_size=max_terms
                                ).map(lambda d: Poly(nvars, field, d))
     return st.lists(poly, min_size=min_size, max_size=max_size)
 
@@ -605,7 +610,7 @@ def settled_alike(gens, order, *, complete, chain, pair_budget=None):
     """The packed pair core settles every pair as the tuple one did, leaves
     its argument alone, and completion grows the same basis, which both
     reduce alike. The tuple core takes the generators made monic; packed
-    rows carry 1/lc instead."""
+    rows hold lc instead, integral over Q and monic over F_p."""
     old_basis = [g.term_mul((0,) * g.nvars, g.field.inv(leading_term(g, order)[1]))
                  for g in gens]
 
@@ -624,7 +629,7 @@ def settled_alike(gens, order, *, complete, chain, pair_budget=None):
             settle(lambda pk: None)
         assert (info.value.budget, info.value.basis_size) == (e.budget, e.basis_size)
         return
-    log, basis = settle(lambda pk: pk.polys(pk.field.canonical, order.nvars))
+    log, basis = settle(lambda pk: pk.polys(order.nvars))
     assert log == old_log
     assert typed(basis) == typed(old_basis)
     if complete:
@@ -811,6 +816,144 @@ class TestLeastLeadingMonomialExit:
         assert got._lex_basis
         assert typed(got.generators) == typed(ref_ideal_intersection(a, ideals[-1]).generators)
         assert got == strata._fold(5, ((3, 1, 1), (2, 2, 1)), DEFAULT_PAIR_BUDGET)
+
+
+def raises_alike(ref, run):
+    """ref() and run() both raise PairBudgetExceeded, or both return."""
+    try:
+        want = ref()
+    except PairBudgetExceeded:
+        with pytest.raises(PairBudgetExceeded):
+            run()
+        return None
+    return want, run()
+
+
+ROUTE_FIELDS = st.sampled_from([QQ, QQ, GF(2), GF(3), GF(7)])
+
+
+class TestIntegralRows:
+    """Over Q every packed row is integral and primitive and holds its lc;
+    over F_p it is monic. Where a reducer's lc does not divide the popped
+    coefficient c, the dividend left and the remainder are scaled by
+    lc/gcd(c, lc), and reduce returns (s*r, s); outputs are divided back to
+    canonical values once. Leading monomials alone decide every log, so the
+    kernel matches the rational route frozen in tests/oracles.py exactly,
+    with non-unit int and Fraction coefficients over Q."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ROUTE_FIELDS.flatmap(lambda field: field_polys(field, max_terms=2, max_size=3)),
+           any_order_strategy(), st.booleans(), st.integers(2, 6))
+    def test_completion_and_certification_match_the_rational_route(self, gens, order, chain,
+                                                                     content):
+        # over Q the first generator times content, which its row must divide out
+        field = gens[0].field
+        if field.p is None:
+            gens = [gens[0] * content, *gens[1:]]
+        monic = [g.term_mul((0,) * 3, field.inv(leading_term(g, order)[1])) for g in gens]
+        assert is_groebner_basis(gens, order, use_chain_criterion=chain) == ref_is_groebner_basis(
+            gens, order, use_chain_criterion=chain)
+        settled = raises_alike(
+            lambda: ref_settle_pairs(list(monic), order, complete=True, pair_budget=300,
+                                     use_chain_criterion=chain),
+            lambda: _settle_pairs(gens, order, complete=True, pair_budget=300,
+                                  use_chain_criterion=chain, finish=lambda pk: pk.rows))
+        if settled is None:
+            return
+        old_log, (log, rows) = settled
+        assert log == old_log
+        # over Q every row is integral with coprime coefficients, over F_p monic
+        for row in rows:
+            coeffs = [row[3], *(c for _, c in row[4])]
+            assert all(type(c) is int for c in coeffs), row
+            assert (math.gcd(*coeffs) if field.p is None else row[3]) == 1, row
+        (old_basis, old_stats), (basis, stats) = raises_alike(
+            lambda: ref_buchberger(gens, order, pair_budget=300, use_chain_criterion=chain),
+            lambda: buchberger(gens, order, pair_budget=300, use_chain_criterion=chain))
+        assert stats == old_stats and typed(basis) == typed(old_basis)
+        want = ref_reduce_groebner_basis(old_basis, order)
+        assert typed(reduce_groebner_basis(basis, order)) == typed(want)
+        assert typed(groebner_basis(gens, order, pair_budget=300)) == typed(want)
+        assert is_groebner_basis(basis, order)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(ROUTE_FIELDS.flatmap(
+               lambda field: st.tuples(field_polys(field, max_size=3),
+                                       field_polys(field, max_terms=3, min_size=0, max_size=3))),
+           any_order_strategy())
+    def test_division_matches_the_rational_route(self, polys, order):
+        fs, basis = polys
+        if fs[0].field.p is None:
+            fs = fs + [f * Fraction(2, 3) for f in fs]
+        assert typed(normal_forms(fs, basis, order)) == typed(
+            [ref_normal_form(f, basis, order) for f in fs])
+
+    @settings(max_examples=25, deadline=None)
+    @given(ROUTE_FIELDS.flatmap(lambda field: st.tuples(
+               *[field_polys(field, max_terms=3, max_size=2, linear=True)] * 2)))
+    def test_intersection_matches_the_rational_route(self, pair):
+        field = pair[0][0].field
+        a, b = (IdealBasis(3, field, tuple(gens)) for gens in pair)
+        got = raises_alike(lambda: ref_ideal_intersection(a, b, pair_budget=300),
+                           lambda: ideal_intersection(a, b, pair_budget=300))
+        if got is not None:
+            assert typed(got[1].generators) == typed(got[0].generators)
+
+    def test_a_step_lc_does_not_divide_scales_the_dividend_and_the_remainder(self):
+        # x3 joins the remainder first; then 2*x2 + 1 reduces x2 only after
+        # the remainder and the dividend left are doubled
+        pk = _Packed(lex_order(3), 4, QQ)
+        pk.add(pk.pack(p("2*x2 + 1")))
+        terms, d = pk.integral(p("x3 + x2 + 1/3*x1"))
+        assert d == 3
+        assert pk.unpack(pk.reduce(terms)[0]) == {(0, 0, 1): 6, (1, 0, 0): 2, (0, 0, 0): -3}
+        assert pk.reduce(pk.integral(p("x3 + x2"))[0])[1] == 2
+        f = p("x3 + x2 + 1/3*x1")
+        assert normal_form(f, [p("2*x2 + 1")], lex_order(3)) == p("x3 + 1/3*x1 - 1/2")
+        assert typed([normal_form(f, [p("4*x2 + 6")], lex_order(3))]) == typed(
+            [ref_normal_form(f, [p("4*x2 + 6")], lex_order(3))])
+
+    def test_rows_keep_lc_and_drop_content(self):
+        order = lex_order(3)
+        pk = _Packed(order, 4, QQ)
+        assert pk.pack(p("4*x3 - 6*x1 + 2/3"))[3:5] == (6, ((pk.key((1, 0, 0)), -9),
+                                                            (pk.key((0, 0, 0)), 1)))
+        assert pk.pack(p("-x3 + 2*x1"))[3] == -1
+        pk = _Packed(order, 4, GF(7))
+        assert pk.pack(p("3*x3 + 2*x1", field=GF(7)))[3:5] == (1, ((pk.key((1, 0, 0)), 3),))
+
+    def test_unit_integral_rows_build_no_fraction(self, monkeypatch):
+        # a Specht filter's lex certificate and one oracle elimination: every
+        # row is integral with lc 1 or -1, so no step rescales, no row has
+        # content to divide out, and outputs over -1 are negated
+        built, gcds = [], []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return Fraction(*args)
+
+        monkeypatch.setattr(groebner, "Fraction", Counted)
+        monkeypatch.setattr(groebner, "gcd", lambda *a: gcds.append(a) or math.gcd(*a))
+        gens = [g.polynomial for g in filter_generators(filter_closure(4, [(2, 2)], "lower"))]
+        assert is_groebner_basis(gens, lex_order(4))[0]
+        a, b = [strata.subspace_ideal(blocks, 4) for blocks in set_partitions_of_type((2, 2))][:2]
+        leads = []
+        settle = _settle_pairs
+
+        def spy(*args, finish, **kw):
+            return settle(*args, **kw, finish=lambda pk: leads.extend(r[3] for r in pk.rows)
+                          or finish(pk))
+
+        monkeypatch.setattr(groebner, "_settle_pairs", spy)
+        got = ideal_intersection(a, b)
+        assert typed(got.generators) == typed(ref_ideal_intersection(a, b).generators)
+        assert set(leads) == {1, -1}
+        assert built == gcds == []
+        # a non-unit lc is seen by both counters
+        assert groebner_basis([p("2*x1 + 1"), p("3*x2 - x1")], lex_order(3)) == [
+            p("x1 + 1/2"), p("x2 + 1/6")]
+        assert built and gcds
 
 
 def mora_generators(k):

@@ -46,11 +46,10 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field as attribute
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import le, lshift, mul
 
-from .polyring import MAX_VARS, QQ, Field, Poly, _q, lex_order
+from .polyring import MAX_VARS, QQ, Field, Poly, lex_order
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -68,24 +67,6 @@ class _Overflow(Exception):
     """A packed exponent outgrew its field."""
 
 
-@lru_cache(maxsize=128)
-def _layout(order, bits: int) -> tuple:
-    """The order's packing at one field width: (shifts, guard, low, weights)."""
-    n = order.nvars
-    top_down = order.ranking if order.kind == "grevlex" else order.ranking[::-1]
-    shifts = tuple((n - 1 - top_down.index(v)) * bits for v in range(1, n + 1))
-    # the degree in a graded or weight key is linear: read its weights off the variables
-    weights = None if order.kind == "lex" else tuple(
-        order.key(tuple(int(i == v) for i in range(n)))[0] for v in range(n))
-    return shifts, sum(1 << (s + bits - 1) for s in shifts), (1 << n * bits) - 1, weights
-
-
-def _divided(terms: dict, d: int) -> dict:
-    # the canonical values of integral terms over d: 1 over F_p, and never -1,
-    # as a rescaling step and a non-unit lc each bring a factor of size >= 2
-    return terms if d == 1 else {k: _q(Fraction(c, d)) for k, c in terms.items()}
-
-
 class _Packed:
     """One call's packing of an order at one field width, and its reducers.
 
@@ -98,8 +79,15 @@ class _Packed:
     """
 
     def __init__(self, order, bits: int, field: Field):
-        self.shifts, self.guard, self.low, self.weights = _layout(order, bits)
-        self.bits, self.span, self.grev = bits, order.nvars * bits, order.kind == "grevlex"
+        n = order.nvars
+        top_down = order.ranking if order.kind == "grevlex" else order.ranking[::-1]
+        self.shifts = [(n - 1 - top_down.index(v)) * bits for v in range(1, n + 1)]
+        self.bits, self.span, self.grev = bits, n * bits, order.kind == "grevlex"
+        self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
+        self.low = (1 << self.span) - 1
+        # the degree in a graded or weight key is linear: read its weights off the variables
+        self.weights = None if order.kind == "lex" else [
+            order.key(tuple(int(i == v) for i in range(n)))[0] for v in range(n)]
         self.field = field
         self.rows, self.lmv, self.first, self.least = [], [], {}, self.low + 1
 
@@ -142,6 +130,11 @@ class _Packed:
             return terms, 1
         d = lcm(*[c.denominator for c in terms.values()])
         return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
+
+    def divided(self, terms: dict, d: int) -> dict:
+        # integral terms over d as canonical values; d is 1 over F_p
+        return terms if d == 1 else self.field.canonical(
+            {k: Fraction(c, d) for k, c in terms.items()})
 
     def pack(self, g: Poly) -> tuple:
         return self.row(self.integral(g)[0])
@@ -266,7 +259,7 @@ class _Packed:
             terms = {k: c * lc for k, c in tail} if unit else dict(tail)
             terms, s = self.reduce(terms) if reduce else (terms, 1)
             out.append(Poly._raw(nvars, self.field, {lm[:nvars]: one, **self.unpack(
-                _divided(terms, s if unit else s * lc), nvars)}))
+                self.divided(terms, s if unit else s * lc), nvars)}))
         return out
 
     def reduced(self, rows: list, nvars: int) -> list[Poly]:
@@ -315,7 +308,7 @@ def normal_forms(polys, basis, order) -> list[Poly]:
         for f in polys:
             terms, d = pk.integral(f)
             remainder, s = pk.reduce(terms)
-            out.append(Poly._raw(f.nvars, f.field, pk.unpack(_divided(remainder, s * d))))
+            out.append(Poly._raw(f.nvars, f.field, pk.unpack(pk.divided(remainder, s * d))))
         return out
 
     return _widening(polys + gens, order, run)

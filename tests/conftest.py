@@ -3,9 +3,10 @@
 Default runs use Hypothesis's own defaults. The `mutants` profile turns
 shrinking off, for runs against a deliberately broken copy of the code: a
 failing property then stops at its first failing example instead of
-minimising it, so a mutant run takes about as long as a passing one:
+minimising it, so a mutant run takes about as long as a passing one.
+tests/mutants.py runs the suite under it on mutants of the source:
 
-    pytest --hypothesis-profile=mutants
+    python tests/mutants.py
 """
 
 from hypothesis import Phase, settings
